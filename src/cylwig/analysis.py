@@ -32,7 +32,7 @@ from .phasespace import (
     marginal_oam,
     wigner_from_oam,
 )
-from .states import PureState, angle_wavefunction_at, displace, to_density
+from .states import PureState, _f17, angle_wavefunction_at, displace, to_density
 
 __all__ = [
     "NegativityReport",
@@ -263,10 +263,6 @@ def covariance_residual(
 # {"min_value":..., "argmin":{"l":..., "phi":...}, "negative_volume":...,
 #  "classification":"...", "nearest_eigenstate":{"l0":..., "fidelity":...},
 #  "tolerance":..., "seed":...?}
-
-
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def report_to_json(report: NegativityReport) -> str:

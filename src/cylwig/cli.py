@@ -24,10 +24,6 @@ from .numerics import AngleGrid
 __all__ = ["cli", "main"]
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _parse_window(text: str) -> states.OamWindow:
     parts = text.split(":")
     if len(parts) != 2:
@@ -61,7 +57,10 @@ def _write_text(text: str, output: str | None) -> None:
 def _load_state_or_density(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    kind = json.loads(text).get("format")
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} holds a JSON {type(data).__name__}, not a payload")
+    kind = data.get("format")
     if kind == "cylwig-state-v1":
         return states.state_from_json(text)
     if kind == "cylwig-density-v1":
@@ -229,7 +228,7 @@ def overlap(grid_a, grid_b):
     """Print the traciality overlap of two grids (17 significant digits)."""
     wa = phasespace.read_wigner(grid_a)
     wb = phasespace.read_wigner(grid_b)
-    click.echo(_f17(phasespace.overlap(wa, wb)))
+    click.echo(states._f17(phasespace.overlap(wa, wb)))
 
 
 @cli.command()

@@ -9,6 +9,13 @@ function at integer row ``l`` and angle ``phi`` is the finite sum
               + (1/2pi^2) sum_{m+n odd}   rho_mn e^{i(m-n)phi}
                           (-1)^(s-l) / (s - l + 1/2),      s = (m+n-1)/2.
 
+The weight of ``rho_mn`` depends only on the row ``l`` and on ``t = m + n``:
+it is the row kernel ``G[l, t]``.  With the operator in sum/difference
+coordinates, ``R[t, d] = rho_mn`` for ``d = m - n``, the map reads
+``W = G @ R @ E`` with ``E[d, phi] = e^{i d phi}``; it is block-diagonal in
+the harmonic ``d``.  The point kernel, the closed-form tail and both inverses
+are built on the same ``G``.
+
 ``wigner_from_oam`` evaluates exactly this; ``wigner_from_angle`` evaluates
 the equivalent angle-representation integral
 
@@ -40,6 +47,7 @@ import numpy as np
 from .errors import BandLimitError, RealnessError, ReconstructionError
 from .numerics import TWO_PI, AngleGrid, PeriodicSamples
 from .states import DensityMatrix, OamWindow, PureState, angle_wavefunction_at
+from .states import _f17, _payload
 
 __all__ = [
     "WignerGrid",
@@ -138,39 +146,50 @@ def _check_band_limit(window: OamWindow, grid: AngleGrid) -> None:
         )
 
 
-def _kappa_table(window: OamWindow, rows: np.ndarray) -> np.ndarray:
-    """Weights kappa(m,n;l): W(l,phi) = sum_mn rho_mn kappa(m,n;l) e^{i(m-n)phi}.
+def _row_kernel(window: OamWindow, rows: np.ndarray) -> np.ndarray:
+    """Row kernel ``G[l, t]``: the weight of every ``rho_mn`` with ``m + n = t``
+    in row ``l``, for ``t = 2*l_min .. 2*l_max``.  Shape (n_rows, 2*span + 1).
 
-    Shape (n_rows, size, size); symmetric in (m, n).
+    ``1/2pi`` at ``t = 2l`` for even ``t``; ``(-1)^j / (j + 1/2) / 2pi^2``
+    with ``j = (t-1)/2 - l`` for odd ``t``.  Each column sums to ``1/2pi``
+    over all rows.
     """
-    vals = window.values()
-    m = vals[:, None]
-    n = vals[None, :]
-    s2 = m + n
-    even = (s2 % 2) == 0
-    s = (s2 - 1) // 2
-    l = rows[:, None, None]
-    j = s[None, :, :] - l
+    t = np.arange(2 * window.l_min, 2 * window.l_max + 1)
+    l = rows[:, None]
+    j = (t - 1) // 2 - l
     odd_w = ((-1.0) ** j) / (j + 0.5) / (2.0 * np.pi**2)
-    even_w = np.where(s2[None, :, :] == 2 * l, 1.0 / TWO_PI, 0.0)
-    return np.where(even[None, :, :], even_w, odd_w)
+    even_w = np.where(t == 2 * l, 1.0 / TWO_PI, 0.0)
+    return np.where(t % 2 != 0, odd_w, even_w)
+
+
+def _sum_diff_index(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices ``(m_i + n_i, m_i - n_i + size - 1)`` of each ``(m_i, n_i)`` in
+    the sum/difference coordinates ``(t, d)`` of a ``size x size`` operator."""
+    i = np.arange(size)
+    return i[:, None] + i[None, :], i[:, None] - i[None, :] + size - 1
+
+
+def _sum_diff(A: np.ndarray) -> np.ndarray:
+    """Operator in ``(t, d)`` coordinates, zero where ``t`` and ``d`` differ in
+    parity; the columns are the harmonics ``d = -span .. span``."""
+    size = A.shape[0]
+    R = np.zeros((2 * size - 1, 2 * size - 1), dtype=complex)
+    R[_sum_diff_index(size)] = A
+    return R
+
+
+def _harmonics(span: int, grid: AngleGrid) -> np.ndarray:
+    """``E[d, j] = e^{i d phi_j}`` for ``d = -span .. span``."""
+    diffs = np.arange(-span, span + 1)
+    return np.exp(1j * diffs[:, None] * grid.nodes[None, :])
 
 
 def _wigner_of_operator(
     A: np.ndarray, window: OamWindow, l_lo: int, l_hi: int, grid: AngleGrid
 ) -> np.ndarray:
-    """Complex Wigner values of an arbitrary operator on the window."""
-    rows = np.arange(l_lo, l_hi + 1)
-    table = _kappa_table(window, rows)
-    weighted = table * A[None, :, :]
-    span = window.span
-    diffs = np.arange(-span, span + 1)
-    # group by the harmonic d = m - n: diagonal offset -d of the (m, n) block
-    C = np.empty((len(rows), len(diffs)), dtype=complex)
-    for di, d in enumerate(diffs):
-        C[:, di] = weighted.diagonal(-d, axis1=1, axis2=2).sum(axis=-1)
-    E = np.exp(1j * diffs[:, None] * grid.nodes[None, :])
-    return C @ E
+    """Complex Wigner values ``G @ R(A) @ E`` of an operator on the window."""
+    G = _row_kernel(window, np.arange(l_lo, l_hi + 1))
+    return G @ _sum_diff(A) @ _harmonics(window.span, grid)
 
 
 def _to_real(values: np.ndarray, what: str) -> np.ndarray:
@@ -188,11 +207,9 @@ def kernel_matrix(l: int, phi: float, window: OamWindow) -> KernelMatrix:
     ``Tr[rho w(l,phi)]`` reproduces ``W(l,phi)``; kernels are Hermitian and
     covariant under displacements.
     """
-    table = _kappa_table(window, np.array([l]))[0]
-    vals = window.values()
-    d = vals[:, None] - vals[None, :]
-    elements = table * np.exp(-1j * d * phi)
-    return KernelMatrix(l, phi, window, elements)
+    G = _row_kernel(window, np.array([l]))[0]
+    t, d = _sum_diff_index(window.size)
+    return KernelMatrix(l, phi, window, G[t] * np.exp(-1j * (d - window.span) * phi))
 
 
 def wigner_from_oam(rho: DensityMatrix, l_pad: int, grid: AngleGrid) -> WignerGrid:
@@ -269,45 +286,19 @@ def marginal_oam(W: WignerGrid) -> np.ndarray:
     return W.grid.spacing * W.values.sum(axis=1)
 
 
-def _alternating_partial(a: int, b: int) -> float:
-    """``sum_{j=a}^{b} (-1)^j / (j + 1/2)`` (empty sum is 0)."""
-    if a > b:
-        return 0.0
-    js = np.arange(a, b + 1)
-    return float(np.sum(((-1.0) ** js) / (js + 0.5)))
-
-
 def angle_marginal_tail(rho: DensityMatrix, W: WignerGrid) -> np.ndarray:
     """Exact ``sum_{l not stored} W(l, phi_j)`` for the grid's angle nodes.
 
-    The full two-sided row sum of the odd-part weights is pi for every
-    matrix-element pair; subtracting the stored partial sums leaves the tail
-    in closed form.  Adding this to :func:`marginal_angle` recovers the angle
-    marginal identity to machine precision at any padding.
+    Every column of the row kernel sums to ``1/2pi`` over all rows;
+    subtracting the stored rows' sums leaves the tail in closed form.  Adding
+    this to :func:`marginal_angle` recovers the angle marginal identity to
+    machine precision at any padding.
     """
     window = rho.window
     if W.l_lo > window.l_min or W.l_hi < window.l_max:
         raise ValueError("stored rows must cover the source window")
-    vals = window.values()
-    m = vals[:, None]
-    n = vals[None, :]
-    s2 = m + n
-    odd = (s2 % 2) != 0
-    s = (s2 - 1) // 2
-    covered = {
-        sv: _alternating_partial(sv - W.l_hi, sv - W.l_lo)
-        for sv in range(window.l_min, window.l_max)
-    }
-    weight = np.zeros(s2.shape)
-    for sv, cov in covered.items():
-        weight[odd & (s == sv)] = (np.pi - cov) / (2.0 * np.pi**2)
-    span = window.span
-    diffs = np.arange(-span, span + 1)
-    weighted = weight * rho.elements
-    coeff = np.array(
-        [weighted.diagonal(-d).sum() for d in diffs]
-    )
-    tail = coeff @ np.exp(1j * diffs[:, None] * W.grid.nodes[None, :])
+    weight = 1.0 / TWO_PI - _row_kernel(window, W.rows()).sum(axis=0)
+    tail = weight @ _sum_diff(rho.elements) @ _harmonics(window.span, W.grid)
     return _to_real(tail, "angle-marginal tail")
 
 
@@ -355,49 +346,40 @@ class ReconstructionResult:
         return DensityMatrix(self.window, self.matrix)
 
 
-def _row_harmonics(W: WignerGrid, span: int) -> tuple[np.ndarray, np.ndarray]:
-    ks = np.arange(-span, span + 1)
-    phis = W.grid.nodes
-    proj = np.exp(-1j * np.outer(phis, ks)) / W.grid.n_phi
-    return ks, W.values @ proj  # (rows, k)
+def _row_harmonics(W: WignerGrid, span: int) -> np.ndarray:
+    """``yhat[l, d]``: harmonic ``e^{i d phi}`` of each stored row, for
+    ``d = -span .. span`` (exact when ``n_phi > 2*span``)."""
+    return W.values @ (_harmonics(span, W.grid).conj().T / W.grid.n_phi)
 
 
 def _literal_inverse(W: WignerGrid, window: OamWindow) -> np.ndarray:
     """Literal inverse map ``rho = 2 pi sum_l int w(l,phi) W(l,phi) dphi``
     over the stored rows (Riemann sum; exact quadrature in angle)."""
-    rows = W.rows()
-    table = _kappa_table(window, rows)
-    span = window.span
-    ks, yhat = _row_harmonics(W, span)
-    vals = window.values()
-    d = vals[:, None] - vals[None, :]
-    # int e^{i(b-a)phi} W(l,phi) dphi = 2 pi * yhat_{a-b}(l); d[a,b] = a-b
-    gathered = yhat[:, d + span]  # (rows, size, size)
-    return 4.0 * np.pi**2 * np.sum(table * gathered, axis=0)
+    G = _row_kernel(window, W.rows())
+    yhat = _row_harmonics(W, window.span)
+    return 4.0 * np.pi**2 * (G.T @ yhat)[_sum_diff_index(window.size)]
 
 
 def _lstsq_inverse(W: WignerGrid, window: OamWindow) -> np.ndarray:
-    rows = W.rows()
-    table = _kappa_table(window, rows)
-    vals = window.values()
-    d = vals[:, None] - vals[None, :]
-    phase = np.exp(1j * d[None, None, :, :] * W.grid.nodes[None, :, None, None])
-    M = (table[:, None, :, :] * phase).reshape(len(rows) * W.grid.n_phi, -1)
-    target = W.values.reshape(-1).astype(complex)
-    sol, _, rank, sv = np.linalg.lstsq(M, target, rcond=None)
-    size = window.size
-    if rank < size * size:
-        _, _, vh = np.linalg.svd(M)
-        names = []
-        for null_row in vh[rank:]:
-            idx = int(np.argmax(np.abs(null_row)))
-            names.append((int(vals[idx // size]), int(vals[idx % size])))
-        raise ReconstructionError(
-            f"linear map rank {rank} < {size * size}; deficient matrix-element "
-            f"directions (m, n): {sorted(set(names))}",
-            deficient_directions=sorted(set(names)),
-        )
-    return sol.reshape(size, size)
+    """Least squares per harmonic: ``G[:, t] x = yhat[:, d]`` over the
+    ``t = m + n`` of the d-th diagonal."""
+    span = window.span
+    G = _row_kernel(window, W.rows())
+    yhat = _row_harmonics(W, span)
+    X = np.zeros((2 * span + 1, 2 * span + 1), dtype=complex)
+    for d in range(-span, span + 1):
+        ts = np.arange(abs(d), 2 * span - abs(d) + 1, 2)
+        sol, _, rank, _ = np.linalg.lstsq(G[:, ts], yhat[:, d + span], rcond=None)
+        if rank < len(ts):
+            m0 = window.l_min
+            pairs = [(m0 + (t + d) // 2, m0 + (t - d) // 2) for t in ts.tolist()]
+            raise ReconstructionError(
+                f"harmonic d={d}: kernel block rank {rank} < {len(ts)}; "
+                f"deficient matrix-element directions (m, n): {pairs}",
+                deficient_directions=pairs,
+            )
+        X[ts, d + span] = sol
+    return X[_sum_diff_index(window.size)]
 
 
 def reconstruct_density(
@@ -405,13 +387,17 @@ def reconstruct_density(
 ) -> ReconstructionResult:
     """Invert the Wigner map over the stored grid.
 
-    ``method="lstsq"`` solves the full linear system built from the kernel
-    coefficients: exact (to roundoff) whenever the grid resolves the map,
-    which needs ``n_phi > 2*span`` and at least one padding row on each side.
-    The dense system holds rows x n_phi x size^2 complex entries, so keep the
-    padding moderate for wide windows.  ``method="literal"`` evaluates the
-    textbook inverse as a truncated sum over stored rows; its odd matrix
-    elements converge like O(1/P).
+    ``method="lstsq"`` fits the forward map to the grid in least squares:
+    exact (to roundoff) whenever the grid resolves the map, which needs
+    ``n_phi > 2*span`` and at least one padding row on each side.  With
+    ``n_phi > 2*span`` the harmonics are orthogonal on the grid, so the fit
+    splits into one system per harmonic ``d``, ``G[:, t] x = yhat[:, d]``
+    over the ``t = m + n`` of the d-th diagonal (rows x (size - |d|)).  Even
+    ``d`` gives distinct rows of ``1/2pi``; odd ``d`` gives a sign-scaled
+    Cauchy matrix ``1/(s - l + 1/2)`` with distinct nodes, so every block
+    has full column rank.  ``method="literal"`` evaluates the textbook
+    inverse as a truncated sum over stored rows; its odd matrix elements
+    converge like O(1/P).
     """
     span = window.span
     if W.grid.n_phi <= 2 * span:
@@ -498,10 +484,6 @@ def star_product(
 # on input.
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_wigner(W: WignerGrid, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(wigner_to_csv(W))
@@ -521,26 +503,19 @@ def wigner_to_csv(W: WignerGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _wigner_from_json(data: dict) -> WignerGrid:
-    if data.get("format") != "cylwig-wigner-v1":
-        raise ValueError(f"not a cylwig-wigner-v1 payload: {data.get('format')!r}")
-    grid = AngleGrid(int(data["n_phi"]))
-    values = np.asarray(data["values"], dtype=float)
-    return WignerGrid(
-        int(data["l_lo"]),
-        int(data["l_hi"]),
-        grid,
-        values,
-        OamWindow(int(data["source_l_min"]), int(data["source_l_max"])),
-        int(data["pad"]),
-    )
+def _wigner_from_json(data) -> WignerGrid:
+    with _payload(data, "cylwig-wigner-v1") as data:
+        l_lo, l_hi, pad = int(data["l_lo"]), int(data["l_hi"]), int(data["pad"])
+        grid = AngleGrid(int(data["n_phi"]))
+        values = np.asarray(data["values"], dtype=float)
+        window = OamWindow(int(data["source_l_min"]), int(data["source_l_max"]))
+    return WignerGrid(l_lo, l_hi, grid, values, window, pad)
 
 
 def read_wigner(path) -> WignerGrid:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return _wigner_from_json(json.loads(text))
     meta = {}
     rows = []
@@ -565,17 +540,30 @@ def read_wigner(path) -> WignerGrid:
             raise ValueError(f"wigner CSV header is missing {key}")
     l_lo, l_hi = int(meta["l_lo"]), int(meta["l_hi"])
     grid = AngleGrid(int(meta["n_phi"]))
-    n_rows = l_hi - l_lo + 1
-    values = np.full((n_rows, grid.n_phi), np.nan)
-    for l, j, value in rows:
-        values[l - l_lo, j] = value
+    n_phi = grid.n_phi
+    try:
+        cells = np.array(rows, dtype=float).reshape(-1, 3)
+    except OverflowError:
+        raise ValueError("wigner CSV holds a cell index outside any grid") from None
+    ls, js = cells[:, 0], cells[:, 1]
+    bad = (ls < l_lo) | (ls > l_hi) | (js < 0) | (js >= n_phi)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"wigner CSV cell (l={int(ls[k])}, phi_index={int(js[k])}) outside "
+            f"[{l_lo}, {l_hi}] x [0, {n_phi})"
+        )
+    flat = (ls - l_lo).astype(int) * n_phi + js.astype(int)
+    counts = np.bincount(flat, minlength=(l_hi - l_lo + 1) * n_phi)
+    if counts.max(initial=0) > 1:
+        k = int(np.argmax(counts))
+        raise ValueError(
+            f"wigner CSV repeats cell (l={l_lo + k // n_phi}, phi_index={k % n_phi})"
+        )
+    values = np.full(counts.shape, np.nan)
+    values[flat] = cells[:, 2]
+    values = values.reshape(-1, n_phi)
     if np.any(np.isnan(values)):
         raise ValueError("wigner CSV does not cover every (l, phi_index) cell")
-    return WignerGrid(
-        l_lo,
-        l_hi,
-        grid,
-        values,
-        OamWindow(int(meta["source_l_min"]), int(meta["source_l_max"])),
-        int(meta["pad"]),
-    )
+    window = OamWindow(int(meta["source_l_min"]), int(meta["source_l_max"]))
+    return WignerGrid(l_lo, l_hi, grid, values, window, int(meta["pad"]))

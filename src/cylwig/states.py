@@ -18,6 +18,7 @@ reindex the window instead of truncating, so they are exactly unitary.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -363,13 +364,26 @@ def state_to_json(state: PureState) -> str:
     )
 
 
+@contextmanager
+def _payload(data, fmt: str):
+    """Yield a decoded JSON payload after checking its format; a missing key or
+    an ill-typed field read inside the block raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"not a {fmt} payload: a JSON {type(data).__name__}")
+    if data.get("format") != fmt:
+        raise ValueError(f"not a {fmt} payload: {data.get('format')!r}")
+    try:
+        yield data
+    except KeyError as exc:
+        raise ValueError(f"{fmt} payload is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {fmt} payload: {exc}") from None
+
+
 def state_from_json(text: str) -> PureState:
-    data = json.loads(text)
-    if data.get("format") != "cylwig-state-v1":
-        raise ValueError(f"not a cylwig-state-v1 payload: {data.get('format')!r}")
-    l_min = int(data["l_min"])
-    pairs = data["coefficients"]
-    coeffs = np.array([complex(re, im) for re, im in pairs])
+    with _payload(json.loads(text), "cylwig-state-v1") as data:
+        l_min = int(data["l_min"])
+        coeffs = np.array([complex(re, im) for re, im in data["coefficients"]])
     return PureState(OamWindow(l_min, l_min + len(coeffs) - 1), coeffs)
 
 
@@ -388,11 +402,11 @@ def density_to_json(rho: DensityMatrix) -> str:
 
 
 def density_from_json(text: str) -> DensityMatrix:
-    data = json.loads(text)
-    if data.get("format") != "cylwig-density-v1":
-        raise ValueError(f"not a cylwig-density-v1 payload: {data.get('format')!r}")
-    l_min = int(data["l_min"])
-    mat = np.array([[complex(re, im) for re, im in row] for row in data["elements"]])
+    with _payload(json.loads(text), "cylwig-density-v1") as data:
+        l_min = int(data["l_min"])
+        mat = np.array(
+            [[complex(re, im) for re, im in row] for row in data["elements"]]
+        )
     return DensityMatrix(OamWindow(l_min, l_min + mat.shape[0] - 1), mat)
 
 

@@ -165,6 +165,46 @@ class TestReconstructOverlapStar:
         assert cp.returncode == 3
 
 
+class TestMalformedInput:
+    def test_out_of_range_row_exit_2(self, tmp_path):
+        state = tmp_path / "e.json"
+        grid = tmp_path / "e.csv"
+        run("state", "--kind", "eigen", "--l0", "0", "--window", "-8:8", "-o", str(state))
+        run("wigner", str(state), "-o", str(grid))  # rows -136..136
+        assert abs(float(run("overlap", str(grid), str(grid)).stdout) - 1.0) < 1e-12
+        with open(grid, "a", encoding="utf-8") as fh:
+            fh.write("-137,0,0.0,50.0\n")
+        cp = run("overlap", str(grid), str(grid), check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+        assert "l=-137" in cp.stderr
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("check", '{"format":"cylwig-state-v1","coefficients":[[1,0]]}'),
+            ("wigner", '{"format":"cylwig-state-v1","coefficients":[[1,0]]}'),
+            ("check", '{"format":"cylwig-state-v1","l_min":0,"coefficients":[1.0]}'),
+            ("wigner", '{"format":"cylwig-state-v1","l_min":0,"coefficients":[[1,0,0]]}'),
+            ("wigner", '{"format":"cylwig-density-v1","elements":[[[1,0]]]}'),
+            ("wigner", '{"format":"cylwig-density-v1","l_min":0,"elements":[[1,0]]}'),
+            ("wigner", "[1, 2]"),
+            ("check", "[1, 2]"),
+        ],
+        ids=["check-no-l_min", "wigner-no-l_min", "check-scalar-coefficient",
+             "wigner-triple-coefficient", "density-no-l_min", "density-flat-elements",
+             "wigner-list", "check-list"],
+    )
+    def test_malformed_json_exit_2(self, tmp_path, command, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(payload + "\n")
+        cp = run(command, str(path), check=False)
+        assert cp.returncode == 2
+        assert "Traceback" not in cp.stderr
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+
+
 class TestRender:
     def test_delta_has_one_nonwhite_row(self, tmp_path):
         state = tmp_path / "e.json"

@@ -48,6 +48,52 @@ def delta_target(W, l0):
     return want
 
 
+def kappa(m, n, l):
+    """Weight of rho_mn in row l, straight from the module-docstring formula."""
+    if (m + n) % 2 == 0:
+        return 1.0 / TWO_PI if m + n == 2 * l else 0.0
+    j = (m + n - 1) // 2 - l
+    return (-1.0) ** j / (j + 0.5) / (2 * np.pi**2)
+
+
+class TestBruteForceOracle:
+    """The forward map, the point kernel and the tail against element-by-element
+    loops over (m, n, l)."""
+
+    @pytest.mark.parametrize("pad", [0, 1, 8])
+    @pytest.mark.parametrize("kind", ["pure", "mixture"])
+    def test_map_kernel_and_tail(self, kind, pad):
+        w = OamWindow(-3, 3)
+        if kind == "pure":
+            rho = to_density(random_pure_state(w, 21))
+        else:
+            rho = mix([(0.35, random_pure_state(w, 22)), (0.65, random_pure_state(w, 23))])
+        grid = default_angle_grid(w)
+        phis = grid.nodes
+        W = wigner_from_oam(rho, pad, grid)
+        vals = w.values()
+        want = np.zeros(W.values.shape, dtype=complex)
+        # all rows hold 1/2pi of the weight of every element in total:
+        # sum_j (-1)^j / (j + 1/2) = pi over all integers j
+        tail = np.zeros(grid.n_phi, dtype=complex)
+        for a, m in enumerate(vals):
+            for b, n in enumerate(vals):
+                term = rho.elements[a, b] * np.exp(1j * (m - n) * phis)
+                stored = 0.0
+                for r, l in enumerate(W.rows()):
+                    want[r] += kappa(m, n, l) * term
+                    stored += kappa(m, n, l)
+                tail += (1.0 / TWO_PI - stored) * term
+        assert np.max(np.abs(W.values - want.real)) <= 1e-14
+        assert np.max(np.abs(angle_marginal_tail(rho, W) - tail.real)) <= 1e-14
+        for l in (W.l_lo, -1, 0, 2, W.l_hi + 3):
+            for phi in (0.0, 0.7, -2.9):
+                K = kernel_matrix(l, phi, w).elements
+                want_K = np.array([[kappa(m, n, l) * np.exp(-1j * (m - n) * phi)
+                                    for n in vals] for m in vals])
+                assert np.max(np.abs(K - want_K)) <= 1e-14
+
+
 class TestKernel:
     def test_delta_trace(self):
         w = OamWindow(-4, 4)
@@ -258,14 +304,32 @@ class TestReconstruction:
         w = OamWindow(-5, 5)
         grid = AngleGrid(64)
         psi = random_pure_state(w, 42)
-        W = wigner_from_oam(to_density(psi), 8, grid)
-        res = reconstruct_density(W, w)
-        assert np.max(np.abs(res.matrix - to_density(psi).elements)) < 1e-9
         rho2 = mix([(0.6, random_pure_state(w, 1)), (0.4, random_pure_state(w, 2))])
-        W2 = wigner_from_oam(rho2, 8, grid)
-        res2 = reconstruct_density(W2, w)
-        assert np.max(np.abs(res2.matrix - rho2.elements)) < 1e-9
-        assert res2.to_density().window == w
+        for pad in (8, 1):  # pad 1 is the minimum margin
+            W = wigner_from_oam(to_density(psi), pad, grid)
+            res = reconstruct_density(W, w)
+            assert np.max(np.abs(res.matrix - to_density(psi).elements)) < 1e-9
+            W2 = wigner_from_oam(rho2, pad, grid)
+            res2 = reconstruct_density(W2, w)
+            assert np.max(np.abs(res2.matrix - rho2.elements)) < 1e-9
+            assert res2.to_density().window == w
+
+    def test_rank_guard_names_harmonic(self, monkeypatch):
+        from cylwig import phasespace
+
+        w = OamWindow(-2, 2)
+        W = wigner_from_oam(to_density(random_pure_state(w, 4)), 4, AngleGrid(24))
+        kernel = phasespace._row_kernel
+
+        def without_t0(window, rows):
+            G = kernel(window, rows).copy()
+            G[:, -2 * window.l_min] = 0.0  # column t = m + n = 0
+            return G
+
+        monkeypatch.setattr(phasespace, "_row_kernel", without_t0)
+        with pytest.raises(ReconstructionError, match="harmonic d=-4") as exc:
+            reconstruct_density(W, w)
+        assert exc.value.deficient_directions == [(-2, 2)]
 
     def test_literal_method_converges_first_order(self):
         w = OamWindow(-3, 3)
@@ -379,6 +443,29 @@ class TestWignerFiles:
         path.write_text(json.dumps(payload))
         back = read_wigner(path)
         assert np.array_equal(back.values, W.values)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("{l_lo_minus_1},0,0.0,50.0", "outside"),  # row below l_lo
+            ("{l_hi_plus_1},0,0.0,50.0", "outside"),  # row above l_hi
+            ("0,{n_phi},0.0,50.0", "outside"),  # angle index past the grid
+            ("0,-1,0.0,50.0", "outside"),  # negative angle index
+            ("0,3,0.0,50.0", "repeats cell"),  # duplicate (l, phi_index)
+            ("1" + "0" * 30 + ",0,0.0,50.0", "outside"),  # beyond int64
+            ("1" + "0" * 400 + ",0,0.0,50.0", "outside"),  # beyond float
+        ],
+        ids=["l_low", "l_high", "phi_high", "phi_negative", "duplicate", "l_huge",
+             "l_beyond_float"],
+    )
+    def test_cell_index_defects_rejected(self, tmp_path, extra, message):
+        w = OamWindow(-2, 2)
+        W = wigner_from_oam(to_density(random_pure_state(w, 9)), 4, AngleGrid(24))
+        line = extra.format(l_lo_minus_1=W.l_lo - 1, l_hi_plus_1=W.l_hi + 1, n_phi=24)
+        path = tmp_path / "bad.csv"
+        path.write_text(wigner_to_csv(W) + line + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_wigner(path)
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

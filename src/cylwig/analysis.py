@@ -20,7 +20,7 @@ whose inverse transform has constant modulus.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,16 +76,7 @@ class NegativityReport:
             raise ValueError("is_nonnegative contradicts min_value at tolerance")
 
     def with_seed(self, seed: int) -> "NegativityReport":
-        return NegativityReport(
-            self.min_value,
-            self.argmin,
-            self.negative_volume,
-            self.is_nonnegative,
-            self.tolerance,
-            self.classification,
-            self.nearest_eigenstate,
-            seed,
-        )
+        return replace(self, seed=seed)
 
 
 def negativity(W: WignerGrid, tolerance: float = DEFAULT_TOLERANCE) -> NegativityReport:
@@ -221,15 +212,7 @@ def hudson_certify(
             and nearest[1] >= EIGENSTATE_FIDELITY
         )
         classification = "oam_eigenstate" if checks else "inconclusive"
-    return NegativityReport(
-        report.min_value,
-        report.argmin,
-        report.negative_volume,
-        report.is_nonnegative,
-        tolerance,
-        classification,
-        nearest,
-    )
+    return replace(report, classification=classification, nearest_eigenstate=nearest)
 
 
 def covariance_residual(

@@ -16,6 +16,16 @@ coordinates, ``R[t, d] = rho_mn`` for ``d = m - n``, the map reads
 the harmonic ``d``.  The point kernel, the closed-form tail and both inverses
 are built on the same ``G``.
 
+Both inverses start from ``B = G^T yhat``, ``yhat[l, d]`` being the angle
+harmonics of the stored rows.  The columns of one harmonic share the parity
+of ``d``, and over all rows such columns are orthogonal,
+``sum_j 1/((j + 1/2)(j + k + 1/2)) = pi^2 delta_k0``, so their Gram matrix is
+``I/4pi^2``.  The literal inverse ``4pi^2 B`` is the least-squares fit with the
+stored rows' Gram matrix ``G^T G`` replaced by that limit; the rows dropped
+beyond ``|l| = l_max + P`` carry ``sum 1/l^2 = O(1/P)`` of each odd entry,
+which is the literal inverse's error.  Least squares keeps the stored Gram
+matrix and solves its normal equations.
+
 ``wigner_from_oam`` evaluates exactly this; ``wigner_from_angle`` evaluates
 the equivalent angle-representation integral
 
@@ -346,30 +356,20 @@ class ReconstructionResult:
         return DensityMatrix(self.window, self.matrix)
 
 
-def _row_harmonics(W: WignerGrid, span: int) -> np.ndarray:
-    """``yhat[l, d]``: harmonic ``e^{i d phi}`` of each stored row, for
-    ``d = -span .. span`` (exact when ``n_phi > 2*span``)."""
-    return W.values @ (_harmonics(span, W.grid).conj().T / W.grid.n_phi)
-
-
-def _literal_inverse(W: WignerGrid, window: OamWindow) -> np.ndarray:
-    """Literal inverse map ``rho = 2 pi sum_l int w(l,phi) W(l,phi) dphi``
-    over the stored rows (Riemann sum; exact quadrature in angle)."""
-    G = _row_kernel(window, W.rows())
-    yhat = _row_harmonics(W, window.span)
-    return 4.0 * np.pi**2 * (G.T @ yhat)[_sum_diff_index(window.size)]
-
-
-def _lstsq_inverse(W: WignerGrid, window: OamWindow) -> np.ndarray:
-    """Least squares per harmonic: ``G[:, t] x = yhat[:, d]`` over the
-    ``t = m + n`` of the d-th diagonal."""
+def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
+    """Both inverses from one ``B = G^T yhat``: ``literal`` is ``4 pi^2 B``,
+    ``lstsq`` solves each harmonic's ``(G^T G)[ts, ts] x = B[ts, d]``."""
     span = window.span
     G = _row_kernel(window, W.rows())
-    yhat = _row_harmonics(W, span)
-    X = np.zeros((2 * span + 1, 2 * span + 1), dtype=complex)
+    B = G.T @ (W.values @ (_harmonics(span, W.grid).conj().T / W.grid.n_phi))
+    if method == "literal":
+        return 4.0 * np.pi**2 * B[_sum_diff_index(window.size)]
+    gram = G.T @ G
+    X = np.zeros_like(B)
     for d in range(-span, span + 1):
         ts = np.arange(abs(d), 2 * span - abs(d) + 1, 2)
-        sol, _, rank, _ = np.linalg.lstsq(G[:, ts], yhat[:, d + span], rcond=None)
+        lam, V = np.linalg.eigh(gram[np.ix_(ts, ts)])
+        rank = int(np.sum(lam > lam[-1] * len(ts) * np.finfo(float).eps))
         if rank < len(ts):
             m0 = window.l_min
             pairs = [(m0 + (t + d) // 2, m0 + (t - d) // 2) for t in ts.tolist()]
@@ -378,7 +378,7 @@ def _lstsq_inverse(W: WignerGrid, window: OamWindow) -> np.ndarray:
                 f"deficient matrix-element directions (m, n): {pairs}",
                 deficient_directions=pairs,
             )
-        X[ts, d + span] = sol
+        X[ts, d + span] = V @ ((V.T @ B[ts, d + span]) / lam)
     return X[_sum_diff_index(window.size)]
 
 
@@ -391,13 +391,16 @@ def reconstruct_density(
     exact (to roundoff) whenever the grid resolves the map, which needs
     ``n_phi > 2*span`` and at least one padding row on each side.  With
     ``n_phi > 2*span`` the harmonics are orthogonal on the grid, so the fit
-    splits into one system per harmonic ``d``, ``G[:, t] x = yhat[:, d]``
-    over the ``t = m + n`` of the d-th diagonal (rows x (size - |d|)).  Even
-    ``d`` gives distinct rows of ``1/2pi``; odd ``d`` gives a sign-scaled
-    Cauchy matrix ``1/(s - l + 1/2)`` with distinct nodes, so every block
-    has full column rank.  ``method="literal"`` evaluates the textbook
-    inverse as a truncated sum over stored rows; its odd matrix elements
-    converge like O(1/P).
+    splits into one system per harmonic ``d`` over the ``t = m + n`` of the
+    d-th diagonal, solved by its normal equations
+    ``(G^T G)[ts, ts] x = (G^T yhat)[ts, d]``.  Even ``d`` gives distinct
+    rows of ``1/2pi``; odd ``d`` gives a sign-scaled Cauchy matrix
+    ``1/(s - l + 1/2)`` with distinct nodes, so every block has full column
+    rank, and its Gram block is close to the all-rows limit ``I/4pi^2``
+    (well conditioned).  ``method="literal"`` evaluates the textbook inverse
+    as a truncated sum over stored rows, ``4pi^2 G^T yhat``: the same
+    equations with the Gram matrix replaced by ``I/4pi^2``, which misses the
+    ``O(1/P)`` share of the dropped rows in its odd matrix elements.
     """
     span = window.span
     if W.grid.n_phi <= 2 * span:
@@ -411,12 +414,9 @@ def reconstruct_density(
             "stored rows must pad the target window by at least one row "
             f"on each side (margin {margin})"
         )
-    if method == "lstsq":
-        raw = _lstsq_inverse(W, window)
-    elif method == "literal":
-        raw = _literal_inverse(W, window)
-    else:
+    if method not in ("lstsq", "literal"):
         raise ValueError(f"unknown reconstruction method {method!r}")
+    raw = _inverse(W, window, method)
     herm = 0.5 * (raw + raw.conj().T)
     trace = float(np.trace(herm).real)
     if abs(trace) < 1e-9:
@@ -496,11 +496,21 @@ def wigner_to_csv(W: WignerGrid) -> str:
         f"source_l_min={W.source_window.l_min} "
         f"source_l_max={W.source_window.l_max} pad={W.pad}",
     ]
-    phis = W.grid.nodes
-    for i, l in enumerate(W.rows()):
-        for j in range(W.grid.n_phi):
-            lines.append(f"{l},{j},{_f17(phis[j])},{_f17(W.values[i, j])}")
+    cols = [f",{j},{_f17(phi)}," for j, phi in enumerate(W.grid.nodes.tolist())]
+    for l, row in zip(W.rows().tolist(), W.values.tolist()):
+        lines.extend(f"{l}{col}{_f17(v)}" for col, v in zip(cols, row))
     return "\n".join(lines) + "\n"
+
+
+def _finite(W: WignerGrid) -> WignerGrid:
+    bad = ~np.isfinite(W.values)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), W.grid.n_phi)
+        raise ValueError(
+            f"wigner cell (l={W.l_lo + i}, phi_index={j}) holds non-finite "
+            f"value {W.values[i, j]}"
+        )
+    return W
 
 
 def _wigner_from_json(data) -> WignerGrid:
@@ -516,7 +526,7 @@ def read_wigner(path) -> WignerGrid:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return _wigner_from_json(json.loads(text))
+        return _finite(_wigner_from_json(json.loads(text)))
     meta = {}
     rows = []
     for line in text.splitlines():
@@ -560,10 +570,11 @@ def read_wigner(path) -> WignerGrid:
         raise ValueError(
             f"wigner CSV repeats cell (l={l_lo + k // n_phi}, phi_index={k % n_phi})"
         )
-    values = np.full(counts.shape, np.nan)
-    values[flat] = cells[:, 2]
-    values = values.reshape(-1, n_phi)
-    if np.any(np.isnan(values)):
+    if not counts.all():
         raise ValueError("wigner CSV does not cover every (l, phi_index) cell")
+    values = np.empty(counts.shape)
+    values[flat] = cells[:, 2]
     window = OamWindow(int(meta["source_l_min"]), int(meta["source_l_max"]))
-    return WignerGrid(l_lo, l_hi, grid, values, window, int(meta["pad"]))
+    return _finite(
+        WignerGrid(l_lo, l_hi, grid, values.reshape(-1, n_phi), window, int(meta["pad"]))
+    )

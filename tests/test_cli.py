@@ -180,6 +180,22 @@ class TestMalformedInput:
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
         assert "l=-137" in cp.stderr
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_value_exit_2(self, tmp_path, bad):
+        state = tmp_path / "e.json"
+        grid = tmp_path / "e.csv"
+        run("state", "--kind", "eigen", "--l0", "0", "--window", "-2:2", "-o", str(state))
+        run("wigner", str(state), "-o", str(grid))
+        lines = grid.read_text().splitlines()
+        cell = lines.index(next(x for x in lines if x.startswith("0,3,")))
+        lines[cell] = lines[cell].rsplit(",", 1)[0] + "," + bad
+        grid.write_text("\n".join(lines) + "\n")
+        cp = run("overlap", str(grid), str(grid), check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+        assert "(l=0, phi_index=3)" in cp.stderr
+
     @pytest.mark.parametrize(
         "command, payload",
         [

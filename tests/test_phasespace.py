@@ -31,7 +31,8 @@ from cylwig import (
     wigner_from_oam,
     write_wigner,
 )
-from cylwig.phasespace import wigner_to_csv
+from cylwig.phasespace import WignerGrid, wigner_to_csv
+from cylwig.states import _f17
 
 TWO_PI = 2 * np.pi
 
@@ -331,6 +332,34 @@ class TestReconstruction:
             reconstruct_density(W, w)
         assert exc.value.deficient_directions == [(-2, 2)]
 
+    @pytest.mark.parametrize("pad", [1, 4])
+    @pytest.mark.parametrize("half", [2, 3])
+    def test_minimiser_on_inconsistent_data(self, half, pad):
+        """Off the range of the map, ``lstsq`` is the dense least-squares fit
+        over all kernel matrices and ``literal`` the Riemann sum of the point
+        operators, each Hermitized and trace-normalized."""
+        w = OamWindow(-half, half)
+        grid = default_angle_grid(w)
+        W0 = wigner_from_oam(to_density(random_pure_state(w, 30 + half)), pad, grid)
+        noise = 1e-3 * np.random.default_rng(pad).standard_normal(W0.values.shape)
+        W = WignerGrid(W0.l_lo, W0.l_hi, grid, W0.values + noise, w, pad)
+        kernels = [kernel_matrix(l, phi, w).elements
+                   for l in W.rows() for phi in grid.nodes]
+        # Tr[rho K] = sum_mn rho_mn K_nm
+        design = np.array([K.T.ravel() for K in kernels])
+        dense = np.linalg.lstsq(design, W.values.ravel(), rcond=None)[0]
+        riemann = TWO_PI * grid.spacing * np.einsum("kmn,k->mn", kernels, W.values.ravel())
+
+        def normalized(X):
+            herm = 0.5 * (X + X.conj().T)
+            return herm / np.trace(herm).real
+
+        want = {"lstsq": normalized(dense.reshape(w.size, w.size)),
+                "literal": normalized(riemann)}
+        for method, target in want.items():
+            got = reconstruct_density(W, w, method=method).matrix
+            assert np.max(np.abs(got - target)) <= 1e-12, method
+
     def test_literal_method_converges_first_order(self):
         w = OamWindow(-3, 3)
         psi = random_pure_state(w, 3)
@@ -423,6 +452,51 @@ class TestWignerFiles:
         w = OamWindow(-2, 2)
         W = wigner_from_oam(to_density(random_pure_state(w, 9)), 4, AngleGrid(24))
         assert wigner_to_csv(W) == wigner_to_csv(W)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            to_density(random_pure_state(OamWindow(-3, 3), 11)),
+            mix([(0.3, random_pure_state(OamWindow(-3, 3), 12)),
+                 (0.7, random_pure_state(OamWindow(-3, 3), 13))]),
+            to_density(oam_eigenstate(1, OamWindow(-3, 3))),
+        ],
+        ids=["pure", "mixture", "eigenstate"],
+    )
+    def test_csv_matches_per_cell_reference(self, rho):
+        W = wigner_from_oam(rho, 5, AngleGrid(28))
+        lines = [
+            "# format=cylwig-wigner-v1",
+            f"# l_lo={W.l_lo} l_hi={W.l_hi} n_phi=28 source_l_min=-3 "
+            "source_l_max=3 pad=5",
+        ]
+        for i, l in enumerate(W.rows()):
+            for j in range(W.grid.n_phi):
+                lines.append(f"{l},{j},{_f17(W.grid.nodes[j])},{_f17(W.values[i, j])}")
+        assert wigner_to_csv(W).encode() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_value_rejected(self, tmp_path, fmt, bad):
+        import json
+
+        w = OamWindow(-2, 2)
+        W = wigner_from_oam(to_density(random_pure_state(w, 9)), 4, AngleGrid(24))
+        values = W.values.copy()
+        values[W.row_index(1), 5] = bad
+        values[W.row_index(3), 0] = bad
+        W = WignerGrid(W.l_lo, W.l_hi, W.grid, values, w, W.pad)
+        path = tmp_path / f"bad.{fmt}"
+        if fmt == "csv":
+            path.write_text(wigner_to_csv(W))
+        else:
+            path.write_text(json.dumps({
+                "format": "cylwig-wigner-v1", "l_lo": W.l_lo, "l_hi": W.l_hi,
+                "n_phi": 24, "source_l_min": -2, "source_l_max": 2, "pad": W.pad,
+                "values": values.tolist(),
+            }))
+        with pytest.raises(ValueError, match=r"\(l=1, phi_index=5\) holds non-finite"):
+            read_wigner(path)
 
     def test_json_twin_accepted(self, tmp_path):
         w = OamWindow(-2, 2)

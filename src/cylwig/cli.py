@@ -68,6 +68,12 @@ def _load_state_or_density(path: str):
     raise ValueError(f"unrecognized payload format {kind!r} in {path}")
 
 
+def _read_pair(path_a: str, path_b: str):
+    """Both grids of a two-grid command; a file named twice is read once."""
+    wa = phasespace.read_wigner(path_a)
+    return wa, wa if path_b == path_a else phasespace.read_wigner(path_b)
+
+
 def _apply_transform(psi: states.PureState, expr: str) -> states.PureState:
     if expr == "lower":
         return states.lower_charge(psi)
@@ -226,8 +232,7 @@ def reconstruct(grid_file, window_str, method, output):
 @_cli_errors
 def overlap(grid_a, grid_b):
     """Print the traciality overlap of two grids (17 significant digits)."""
-    wa = phasespace.read_wigner(grid_a)
-    wb = phasespace.read_wigner(grid_b)
+    wa, wb = _read_pair(grid_a, grid_b)
     click.echo(states._f17(phasespace.overlap(wa, wb)))
 
 
@@ -240,8 +245,7 @@ def overlap(grid_a, grid_b):
 @_cli_errors
 def star(grid_a, grid_b, method, output):
     """Star product of two grids; writes a Wigner grid (CSV)."""
-    wa = phasespace.read_wigner(grid_a)
-    wb = phasespace.read_wigner(grid_b)
+    wa, wb = _read_pair(grid_a, grid_b)
     result = phasespace.star_product(wa, wb, method=method)
     _write_text(phasespace.wigner_to_csv(result), output)
 

@@ -50,6 +50,7 @@ like ``O(1/P^3)``.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,7 +168,7 @@ def _row_kernel(window: OamWindow, rows: np.ndarray) -> np.ndarray:
     t = np.arange(2 * window.l_min, 2 * window.l_max + 1)
     l = rows[:, None]
     j = (t - 1) // 2 - l
-    odd_w = ((-1.0) ** j) / (j + 0.5) / (2.0 * np.pi**2)
+    odd_w = (1.0 - 2.0 * (j & 1)) / (j + 0.5) / (2.0 * np.pi**2)
     even_w = np.where(t == 2 * l, 1.0 / TWO_PI, 0.0)
     return np.where(t % 2 != 0, odd_w, even_w)
 
@@ -249,7 +250,7 @@ def _half_period_integral(k: np.ndarray) -> np.ndarray:
     out[k == 0] = np.pi
     odd = (k % 2) != 0
     ka = np.abs(k[odd])
-    out[odd] = 2.0 * ((-1.0) ** ((ka - 1) // 2)) / ka
+    out[odd] = 2.0 * (1.0 - 2.0 * (((ka - 1) // 2) & 1)) / ka
     return out
 
 
@@ -460,7 +461,10 @@ def star_product(
     else:
         raise ValueError(f"unknown star method {method!r}")
     r1 = reconstruct_density(W_rho, window, method=recon)
-    r2 = reconstruct_density(W_sigma, window, method=recon)
+    if W_sigma is W_rho:
+        r2 = r1
+    else:
+        r2 = reconstruct_density(W_sigma, window, method=recon)
     product = r1.matrix @ r2.matrix
     l_lo = max(W_rho.l_lo, W_sigma.l_lo)
     l_hi = min(W_rho.l_hi, W_sigma.l_hi)
@@ -482,6 +486,14 @@ def star_product(
 # with phi and value printed to 17 significant digits.  A JSON twin of the
 # same payload (keys as in the header plus "values" row-major) is accepted
 # on input.
+#
+# On input the header lines come before the first row.  Rows may come in any
+# order; blank lines and "#" comments between them are skipped, but a line of
+# spaces only is a malformed row.  Every row has four numeric fields; l and
+# phi_index are integers naming each cell of [l_lo, l_hi] x [0, n_phi)
+# exactly once, phi is the grid node phi_index to within 1e-12, and the value
+# is finite.  A header that needs more cells than the file has rows is
+# refused before any array is sized from it.
 
 
 def write_wigner(W: WignerGrid, path) -> None:
@@ -490,16 +502,20 @@ def write_wigner(W: WignerGrid, path) -> None:
 
 
 def wigner_to_csv(W: WignerGrid) -> str:
-    lines = [
-        "# format=cylwig-wigner-v1",
+    header = (
+        "# format=cylwig-wigner-v1\n"
         f"# l_lo={W.l_lo} l_hi={W.l_hi} n_phi={W.grid.n_phi} "
         f"source_l_min={W.source_window.l_min} "
-        f"source_l_max={W.source_window.l_max} pad={W.pad}",
-    ]
-    cols = [f",{j},{_f17(phi)}," for j, phi in enumerate(W.grid.nodes.tolist())]
-    for l, row in zip(W.rows().tolist(), W.values.tolist()):
-        lines.extend(f"{l}{col}{_f17(v)}" for col, v in zip(cols, row))
-    return "\n".join(lines) + "\n"
+        f"source_l_max={W.source_window.l_max} pad={W.pad}"
+    )
+    # One "%" template per row: "\nl,j,phi_j,%.17g" for every j.
+    nodes = W.grid.nodes.tolist()
+    cells = ["", *(f",{j},{_f17(phi)},%.17g" for j, phi in enumerate(nodes))]
+    body = "".join(
+        f"\n{l}".join(cells) % tuple(row)
+        for l, row in zip(W.rows().tolist(), W.values.tolist())
+    )
+    return header + body + "\n"
 
 
 def _finite(W: WignerGrid) -> WignerGrid:
@@ -524,57 +540,98 @@ def _wigner_from_json(data) -> WignerGrid:
 
 def read_wigner(path) -> WignerGrid:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return _finite(_wigner_from_json(json.loads(text)))
-    meta = {}
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
+        header = []
+        while True:  # header lines, up to the first data row
+            start = fh.tell()
+            line = fh.readline()
+            head = line.strip()
+            if head.startswith("#"):
+                header.append(head[1:])
+            elif head or not line:
+                break
+        if head.startswith("{") and not header:
+            fh.seek(0)
+            return _finite(_wigner_from_json(json.load(fh)))
+        meta = dict(t.split("=", 1) for t in " ".join(header).split() if "=" in t)
+        if meta.get("format") != "cylwig-wigner-v1":
+            raise ValueError("missing or wrong '# format=cylwig-wigner-v1' header")
+        for key in ("l_lo", "l_hi", "n_phi", "source_l_min", "source_l_max", "pad"):
+            if key not in meta:
+                raise ValueError(f"wigner CSV header is missing {key}")
+        l_lo, l_hi = int(meta["l_lo"]), int(meta["l_hi"])
+        grid = AngleGrid(int(meta["n_phi"]))
+        n_phi = grid.n_phi
+        if max(abs(l_lo), abs(l_hi), n_phi) >= 2**53:
+            raise ValueError("wigner CSV header l_lo, l_hi or n_phi beyond 2**53")
         if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    key, _, val = token.partition("=")
-                    meta[key] = val
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"malformed wigner CSV row: {line!r}")
-        rows.append((int(parts[0]), int(parts[1]), float(parts[3])))
-    if meta.get("format") != "cylwig-wigner-v1":
-        raise ValueError("missing or wrong '# format=cylwig-wigner-v1' header")
-    for key in ("l_lo", "l_hi", "n_phi", "source_l_min", "source_l_max", "pad"):
-        if key not in meta:
-            raise ValueError(f"wigner CSV header is missing {key}")
-    l_lo, l_hi = int(meta["l_lo"]), int(meta["l_hi"])
-    grid = AngleGrid(int(meta["n_phi"]))
-    n_phi = grid.n_phi
-    try:
-        cells = np.array(rows, dtype=float).reshape(-1, 3)
-    except OverflowError:
-        raise ValueError("wigner CSV holds a cell index outside any grid") from None
-    ls, js = cells[:, 0], cells[:, 1]
-    bad = (ls < l_lo) | (ls > l_hi) | (js < 0) | (js >= n_phi)
-    if bad.any():
-        k = int(np.argmax(bad))
+            raise ValueError("wigner CSV has no data rows")
+        fh.seek(start)
+        try:
+            cells = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(_csv_row_error(str(exc))) from None
+    if cells.shape[1] != 4:
         raise ValueError(
-            f"wigner CSV cell (l={int(ls[k])}, phi_index={int(js[k])}) outside "
-            f"[{l_lo}, {l_hi}] x [0, {n_phi})"
+            f"malformed wigner CSV data row 1: expected 4 fields, got {cells.shape[1]}"
         )
-    flat = (ls - l_lo).astype(int) * n_phi + js.astype(int)
-    counts = np.bincount(flat, minlength=(l_hi - l_lo + 1) * n_phi)
-    if counts.max(initial=0) > 1:
+    ls, js, phis = cells[:, 0], cells[:, 1], cells[:, 2]
+    for bad, what in (
+        ((ls < l_lo) | (ls > l_hi) | (js < 0) | (js >= n_phi),
+         f"outside [{l_lo}, {l_hi}] x [0, {n_phi})"),
+        ((ls != np.floor(ls)) | (js != np.floor(js)), "has a non-integer index"),
+    ):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"wigner CSV cell (l={_f17(ls[k])}, phi_index={_f17(js[k])}) {what}"
+            )
+    n_cells = (l_hi - l_lo + 1) * n_phi
+    if n_cells > len(cells):
+        raise ValueError(
+            "wigner CSV does not cover every (l, phi_index) cell: the header "
+            f"needs {n_cells} cells, the file has {len(cells)} rows"
+        )
+    js = js.astype(np.int64)
+    flat = (ls - l_lo).astype(np.int64) * n_phi + js
+    counts = np.bincount(flat, minlength=n_cells)
+    if counts.max() > 1:
         k = int(np.argmax(counts))
         raise ValueError(
             f"wigner CSV repeats cell (l={l_lo + k // n_phi}, phi_index={k % n_phi})"
         )
-    if not counts.all():
-        raise ValueError("wigner CSV does not cover every (l, phi_index) cell")
-    values = np.empty(counts.shape)
-    values[flat] = cells[:, 2]
+    # No cell repeats and there are at least n_cells rows: every cell is covered.
+    node = grid.nodes[js]
+    bad = ~(np.abs(phis - node) <= 1e-12)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"wigner CSV cell (l={_f17(ls[k])}, phi_index={js[k]}) has phi "
+            f"{_f17(phis[k])}, not the grid node {_f17(node[k])}"
+        )
+    values = np.empty(n_cells)
+    values[flat] = cells[:, 3]
     window = OamWindow(int(meta["source_l_min"]), int(meta["source_l_max"]))
     return _finite(
         WignerGrid(l_lo, l_hi, grid, values.reshape(-1, n_phi), window, int(meta["pad"]))
     )
+
+
+def _csv_row_error(message: str) -> str:
+    """One-line message for a row ``np.loadtxt`` cannot parse.  Data rows are
+    counted from 1, skipping blank and comment lines."""
+    m = re.match(r"the number of columns changed from (\d+) to (\d+) at row (\d+)",
+                 message)
+    if m:
+        before, after, row = (int(g) for g in m.groups())
+        if before != 4:  # the first row was the odd one
+            after, row = before, 1
+        return f"malformed wigner CSV data row {row}: expected 4 fields, got {after}"
+    m = re.match(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)",
+                 message)
+    if m:
+        text, row, column = m.groups()
+        return (
+            f"malformed wigner CSV data row {int(row) + 1}, field {column}: "
+            f"{text} is not a number"
+        )
+    return "malformed wigner CSV: " + message.split(";")[0].splitlines()[0]

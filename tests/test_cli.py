@@ -160,6 +160,18 @@ class TestReconstructOverlapStar:
         a, b = read_wigner(delta_grid), read_wigner(out)
         assert np.max(np.abs(a.values - b.values)) <= 1e-10
 
+    @pytest.mark.parametrize("command", [["overlap"], ["star", "--method", "direct"]])
+    def test_same_file_twice_matches_two_files(self, tmp_path, command):
+        state = tmp_path / "r.json"
+        grid = tmp_path / "r.csv"
+        twin = tmp_path / "twin.csv"
+        run("state", "--kind", "random", "--seed", "3", "--window", "-3:3", "-o", str(state))
+        run("wigner", str(state), "--pad", "8", "-o", str(grid))
+        twin.write_bytes(grid.read_bytes())
+        once = run_bytes(command[0], str(grid), str(grid), *command[1:])
+        twice = run_bytes(command[0], str(grid), str(twin), *command[1:])
+        assert once.returncode == 0 and once.stdout == twice.stdout
+
     def test_rank_deficiency_exit_3(self, delta_grid):
         cp = run("reconstruct", str(delta_grid), "--window", "-9:9", check=False)
         assert cp.returncode == 3
@@ -195,6 +207,38 @@ class TestMalformedInput:
         assert cp.stdout == ""
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
         assert "(l=0, phi_index=3)" in cp.stderr
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines + ["0,3,0.5"],  # three fields
+            lambda lines: lines + [lines[-1] + ",1"],  # five fields
+            lambda lines: lines[:2] + ["0,3,abc,0.1"] + lines[2:],  # non-numeric phi
+            lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0] + ",x"] + lines[5:],
+            lambda lines: lines[:4] + ["1.5" + lines[4][lines[4].index(","):]] + lines[5:],
+            lambda lines: lines[:2],  # header only
+            lambda lines: lines[:4] + ["  "] + lines[4:],  # a line of spaces
+            lambda lines: [lines[0], "# l_lo=0 l_hi=100000000000 n_phi=4 source_l_min=0 "
+                           "source_l_max=0 pad=0", "0,0,-3.1415926535897931,0.25",
+                           "0,1,-1.5707963267948966,0.25"],  # huge header
+        ],
+        ids=["three_fields", "five_fields", "non_numeric_phi", "non_numeric_value",
+             "fractional_l", "no_data_rows", "spaces_line", "huge_header"],
+    )
+    @pytest.mark.parametrize("command", ["render", "overlap"])
+    def test_malformed_csv_exit_2(self, tmp_path, edit, command):
+        state = tmp_path / "e.json"
+        grid = tmp_path / "e.csv"
+        run("state", "--kind", "eigen", "--l0", "0", "--window", "-2:2", "-o", str(state))
+        run("wigner", str(state), "--pad", "1", "-o", str(grid))
+        grid.write_text("\n".join(edit(grid.read_text().splitlines())) + "\n")
+        args = [str(grid), "-o", str(tmp_path / "e.ppm")] if command == "render" else [
+            str(grid), str(grid)]
+        cp = run(command, *args, check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "Traceback" not in cp.stderr
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "command, payload",

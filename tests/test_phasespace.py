@@ -436,6 +436,47 @@ class TestStarProduct:
         j0 = int(np.argmin(np.abs(st.grid.nodes)))
         assert abs(st.row(0)[j0] - 1.0 / TWO_PI) < 1e-12
 
+    @pytest.mark.parametrize("method", ["operator", "direct"])
+    def test_self_star_reconstructs_once(self, monkeypatch, method):
+        from cylwig import phasespace
+
+        w = OamWindow(-3, 3)
+        W = wigner_from_oam(to_density(random_pure_state(w, 4)), 8, AngleGrid(28))
+        twin = WignerGrid(W.l_lo, W.l_hi, W.grid, W.values, W.source_window, W.pad)
+        two_reads = star_product(W, twin, method=method)  # one reconstruction each
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return reconstruct_density(*args, **kwargs)
+
+        monkeypatch.setattr(phasespace, "reconstruct_density", counted)
+        st = star_product(W, W, method=method)
+        assert calls == [W]
+        assert np.array_equal(st.values.view(np.uint64),
+                              two_reads.values.view(np.uint64))
+
+
+def _small_csv_lines() -> tuple[WignerGrid, list[str]]:
+    """A +-2 grid at pad 4 on 24 nodes and its CSV lines (two header lines)."""
+    rho = to_density(random_pure_state(OamWindow(-2, 2), 9))
+    W = wigner_from_oam(rho, 4, AngleGrid(24))
+    return W, wigner_to_csv(W).splitlines()
+
+
+def _edit_row(lines: list[str], l: int, j: int, field: int, text: str) -> list[str]:
+    """Copy of ``lines`` with one field of row ``(l, j)`` replaced."""
+    out = list(lines)
+    k = out.index(next(x for x in out if x.startswith(f"{l},{j},")))
+    parts = out[k].split(",")
+    parts[field] = text
+    out[k] = ",".join(parts)
+    return out
+
+
+def _case(name, build, message):
+    return pytest.param(build, message, id=name)
+
 
 class TestWignerFiles:
     def test_csv_round_trip(self, tmp_path):
@@ -546,3 +587,96 @@ class TestWignerFiles:
         path.write_text("# format=cylwig-wigner-v1\n1,2,3\n")
         with pytest.raises(ValueError):
             read_wigner(path)
+
+    def test_per_cell_reference_reads_back(self, tmp_path):
+        rhos = [
+            to_density(random_pure_state(OamWindow(-3, 3), 11)),
+            mix([(0.3, random_pure_state(OamWindow(-3, 3), 12)),
+                 (0.7, random_pure_state(OamWindow(-3, 3), 13))]),
+            to_density(oam_eigenstate(1, OamWindow(-3, 3))),
+        ]
+        for rho in rhos:
+            W = wigner_from_oam(rho, 5, AngleGrid(28))
+            lines = [
+                "# format=cylwig-wigner-v1",
+                f"# l_lo={W.l_lo} l_hi={W.l_hi} n_phi=28 source_l_min=-3 "
+                "source_l_max=3 pad=5",
+            ]
+            for i, l in enumerate(W.rows()):
+                for j in range(W.grid.n_phi):
+                    phi, v = W.grid.nodes[j], W.values[i, j]
+                    lines.append(f"{l},{j},{_f17(phi)},{_f17(v)}")
+            path = tmp_path / "ref.csv"
+            path.write_text("\n".join(lines) + "\n")
+            back = read_wigner(path)
+            assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            _case("three_fields", lambda x: x[:5] + ["0,3,0.5"] + x[5:],
+                  "data row 4: expected 4 fields, got 3"),
+            _case("five_fields", lambda x: x + [x[-1] + ",1"], "expected 4 fields, got 5"),
+            _case("first_row_short", lambda x: x[:2] + [x[2].rsplit(",", 1)[0]] + x[3:],
+                  "data row 1: expected 4 fields, got 3"),
+            _case("non_numeric_value", lambda x: _edit_row(x, 0, 3, 3, "abc"),
+                  "'abc' is not a number"),
+            _case("empty_value", lambda x: _edit_row(x, 0, 3, 3, ""), "is not a number"),
+            _case("non_numeric_phi", lambda x: _edit_row(x, 0, 3, 2, "abc"),
+                  "field 3: 'abc' is not a number"),
+            _case("fractional_l", lambda x: _edit_row(x, 0, 3, 0, "1.5"),
+                  r"\(l=1.5, phi_index=3\) has a non-integer index"),
+            _case("fractional_phi_index", lambda x: _edit_row(x, 0, 3, 1, "1.5"),
+                  r"\(l=0, phi_index=1.5\) has a non-integer index"),
+            _case("nan_l", lambda x: _edit_row(x, 0, 3, 0, "nan"), "non-integer index"),
+            _case("no_data_rows", lambda x: x[:2] + ["", "# nothing here"], "no data rows"),
+            _case("spaces_only_line", lambda x: x[:6] + ["   "] + x[6:],
+                  "data row 5: expected 4 fields, got 1"),
+            _case("huge_header",
+                  lambda x: [x[0], "# l_lo=0 l_hi=100000000000 n_phi=4 source_l_min=0 "
+                             "source_l_max=0 pad=0", "0,0,-3.1415926535897931,0.25"],
+                  r"does not cover every \(l, phi_index\) cell: the header needs "
+                  "400000000004 cells, the file has 1 rows"),
+            _case("header_beyond_float",
+                  lambda x: [x[0], "# l_lo=0 l_hi=1" + "0" * 400 + " n_phi=4 "
+                             "source_l_min=0 source_l_max=0 pad=0", x[2]],
+                  r"beyond 2\*\*53"),
+            _case("phi_shifted",
+                  lambda x: _edit_row(x, 0, 3, 2, _f17(AngleGrid(24).node(3) + 1e-6)),
+                  r"cell \(l=0, phi_index=3\) has phi"),
+            _case("missing_cell", lambda x: x[:7] + x[8:], "does not cover every"),
+        ],
+    )
+    def test_malformed_csv_rejected(self, tmp_path, build, message):
+        _, lines = _small_csv_lines()
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(build(lines)) + "\n")
+        with pytest.raises(ValueError, match=message) as info:
+            read_wigner(path)
+        assert "\n" not in str(info.value)
+
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda lines: [x + "\r" for x in lines],  # CRLF line endings
+            lambda lines: [y for x in lines for y in (x, "")],  # empty lines between rows
+            lambda lines: lines[:2] + [" " + x.replace(",", " , ") + " " for x in lines[2:]],
+            lambda lines: lines[:2] + list(np.random.default_rng(0).permutation(lines[2:])),
+            lambda lines: lines[:2] + ["# a comment"] + lines[2:],
+            lambda lines: lines[:2] + [
+                ",".join(p[:2] + [format(float(p[2]), ".13g"), p[3]])
+                for p in (x.split(",") for x in lines[2:])
+            ],
+        ],
+        ids=["crlf", "empty_lines", "spaces_around_fields", "shuffled", "comment_line",
+             "phi_13_digits"],
+    )
+    def test_lenient_csv_accepted(self, tmp_path, build):
+        W, lines = _small_csv_lines()
+        path = tmp_path / "ok.csv"
+        path.write_bytes(("\n".join(build(lines)) + "\n").encode())
+        back = read_wigner(path)
+        assert (back.l_lo, back.l_hi, back.grid, back.pad) == (W.l_lo, W.l_hi, W.grid, W.pad)
+        assert back.source_window == W.source_window
+        assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))

@@ -21,6 +21,7 @@ from .analysis import (
 from .errors import (
     BandLimitError,
     CylwigError,
+    MemoryBudgetError,
     RealnessError,
     ReconstructionError,
     TruncationError,

@@ -32,3 +32,7 @@ class ReconstructionError(CylwigError):
 
 class RealnessError(CylwigError):
     """A grid that must be real carries a too-large imaginary part."""
+
+
+class MemoryBudgetError(CylwigError):
+    """A request would allocate more than the fixed memory budget."""

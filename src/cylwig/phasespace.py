@@ -16,15 +16,26 @@ coordinates, ``R[t, d] = rho_mn`` for ``d = m - n``, the map reads
 the harmonic ``d``.  The point kernel, the closed-form tail and both inverses
 are built on the same ``G``.
 
-Both inverses start from ``B = G^T yhat``, ``yhat[l, d]`` being the angle
-harmonics of the stored rows.  The columns of one harmonic share the parity
-of ``d``, and over all rows such columns are orthogonal,
+``G`` is real and so is ``W``, so the map is computed real-first:
+``W = G @ X`` with ``X = Re(R @ E) = Re R @ cos(d phi) - Im R @ sin(d phi)``,
+shape ``(2*span + 1, n_phi)``.  An even ``t`` column of ``G`` is one-hot
+(``1/2pi`` on row ``t/2``), so that part of the product is a scatter of
+``X[even t]`` onto the window rows; only the odd columns, the Cauchy tail,
+need a GEMM: ``W = G[:, odd] @ X[odd] + scatter(X[even] / 2pi)``.  The tail
+is ``weight @ X``.
+
+Both inverses start from ``B = (G^T W) @ E^H / n_phi``, the angle harmonics
+of ``G^T W``, with the real product taken first (again a GEMM over the odd
+columns and a gather for the even ones).  The columns of one harmonic share
+the parity of ``d``, and over all rows such columns are orthogonal,
 ``sum_j 1/((j + 1/2)(j + k + 1/2)) = pi^2 delta_k0``, so their Gram matrix is
 ``I/4pi^2``.  The literal inverse ``4pi^2 B`` is the least-squares fit with the
 stored rows' Gram matrix ``G^T G`` replaced by that limit; the rows dropped
 beyond ``|l| = l_max + P`` carry ``sum 1/l^2 = O(1/P)`` of each odd entry,
 which is the literal inverse's error.  Least squares keeps the stored Gram
-matrix and solves its normal equations.
+matrix and solves its normal equations: harmonics ``+d`` and ``-d`` use the
+same columns and so the same block, one ``eigh`` per odd ``|d|``; an even
+``d`` block is diagonal, its one-hot columns sitting on distinct rows.
 
 ``wigner_from_oam`` evaluates exactly this; ``wigner_from_angle`` evaluates
 the equivalent angle-representation integral
@@ -54,8 +65,14 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .errors import BandLimitError, RealnessError, ReconstructionError
+from .errors import (
+    BandLimitError,
+    MemoryBudgetError,
+    RealnessError,
+    ReconstructionError,
+)
 from .numerics import TWO_PI, AngleGrid, PeriodicSamples
 from .states import DensityMatrix, OamWindow, PureState, angle_wavefunction_at
 from .states import _f17, _payload
@@ -81,6 +98,7 @@ __all__ = [
 
 IMAG_TOL = 1e-11
 RESIDUAL_WARNING = 1e-6
+MEMORY_BUDGET = 2 * 2**30  # bytes a forward map may ask for
 
 
 @dataclass(frozen=True)
@@ -157,20 +175,48 @@ def _check_band_limit(window: OamWindow, grid: AngleGrid) -> None:
         )
 
 
+def _check_budget(what: str, n_floats: int) -> None:
+    """Refuse a forward map whose largest arrays together hold more than
+    MEMORY_BUDGET bytes, before any of them is allocated."""
+    need = 8 * n_floats
+    if need > MEMORY_BUDGET:
+        raise MemoryBudgetError(
+            f"{what} needs about {need / 2**30:.3g} GiB, over the "
+            f"{MEMORY_BUDGET / 2**30:.0f} GiB memory budget"
+        )
+
+
+def _diagonal_rows(window: OamWindow, l_lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(row index, column)`` of each even column's one-hot, ``t = 2l`` on
+    row ``l``, for rows starting at ``l_lo``."""
+    r = np.arange(window.size)
+    return r + (window.l_min - l_lo), 2 * r
+
+
 def _row_kernel(window: OamWindow, rows: np.ndarray) -> np.ndarray:
     """Row kernel ``G[l, t]``: the weight of every ``rho_mn`` with ``m + n = t``
-    in row ``l``, for ``t = 2*l_min .. 2*l_max``.  Shape (n_rows, 2*span + 1).
+    in row ``l``, for ``t = 2*l_min .. 2*l_max`` and consecutive ascending
+    ``rows``.  Shape (n_rows, 2*span + 1).
 
-    ``1/2pi`` at ``t = 2l`` for even ``t``; ``(-1)^j / (j + 1/2) / 2pi^2``
-    with ``j = (t-1)/2 - l`` for odd ``t``.  Each column sums to ``1/2pi``
+    Odd ``t`` (the odd columns ``G[:, 1::2]``) carry the Cauchy tail
+    ``(-1)^j / (j + 1/2) / 2pi^2`` with ``j = (t-1)/2 - l`` on every row; it
+    depends on ``j`` alone, so it is evaluated once per ``j`` and laid out
+    as a Toeplitz block.  Even ``t`` is one-hot: ``1/2pi`` on row ``l = t/2``
+    where it is stored, written by scatter.  Each column sums to ``1/2pi``
     over all rows.
     """
-    t = np.arange(2 * window.l_min, 2 * window.l_max + 1)
-    l = rows[:, None]
-    j = (t - 1) // 2 - l
-    odd_w = (1.0 - 2.0 * (j & 1)) / (j + 0.5) / (2.0 * np.pi**2)
-    even_w = np.where(t == 2 * l, 1.0 / TWO_PI, 0.0)
-    return np.where(t % 2 != 0, odd_w, even_w)
+    span = window.span
+    G = np.zeros((len(rows), 2 * span + 1))
+    j = np.arange(window.l_max - 1 - rows[0], window.l_min - 1 - rows[-1], -1)
+    cauchy = (1.0 - 2.0 * (j & 1)) / (j + 0.5) / (2.0 * np.pi**2)
+    # row i, odd column k: j = l_min + k - rows[i], which is cauchy[span - 1 + i - k]
+    step = cauchy.strides[0]
+    G[:, 1::2] = as_strided(cauchy[span - 1 :], (len(rows), span), (step, -step),
+                            writeable=False)
+    r, c = _diagonal_rows(window, rows[0])
+    hit = (r >= 0) & (r < len(rows))
+    G[r[hit], c[hit]] = 1.0 / TWO_PI
+    return G
 
 
 def _sum_diff_index(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,27 +235,47 @@ def _sum_diff(A: np.ndarray) -> np.ndarray:
     return R
 
 
-def _harmonics(span: int, grid: AngleGrid) -> np.ndarray:
-    """``E[d, j] = e^{i d phi_j}`` for ``d = -span .. span``."""
-    diffs = np.arange(-span, span + 1)
-    return np.exp(1j * diffs[:, None] * grid.nodes[None, :])
+def _cos_sin(span: int, grid: AngleGrid) -> tuple[np.ndarray, np.ndarray]:
+    """``cos(d phi_j)`` and ``sin(d phi_j)`` for ``d = -span .. span``: the real
+    and imaginary parts of ``E[d, j] = e^{i d phi_j}``."""
+    phase = np.arange(span + 1)[:, None] * grid.nodes[None, :]
+    c, s = np.cos(phase), np.sin(phase)
+    return np.concatenate((c[:0:-1], c)), np.concatenate((-s[:0:-1], s))
+
+
+def _angle_sums(A: np.ndarray, window: OamWindow, grid: AngleGrid) -> np.ndarray:
+    """``X = Re(R(A) @ E)``, shape (2*span + 1, n_phi): row ``t`` is the real
+    angle dependence that every ``rho_mn`` with ``m + n = t`` contributes."""
+    R = _sum_diff(A)
+    C, S = _cos_sin(window.span, grid)
+    return R.real @ C - R.imag @ S
 
 
 def _wigner_of_operator(
     A: np.ndarray, window: OamWindow, l_lo: int, l_hi: int, grid: AngleGrid
 ) -> np.ndarray:
-    """Complex Wigner values ``G @ R(A) @ E`` of an operator on the window."""
+    """Real Wigner values ``G @ X`` of an operator on the window, with
+    ``X = Re(R(A) @ E)``, for rows ``l_lo..l_hi`` covering the window.
+
+    That is the real part of ``G @ R(A) @ E`` (all of it for a Hermitian
+    ``A``): one GEMM over the odd columns of ``G`` plus a scatter of the
+    even rows of ``X``, each onto its one row.
+    """
     G = _row_kernel(window, np.arange(l_lo, l_hi + 1))
-    return G @ _sum_diff(A) @ _harmonics(window.span, grid)
+    X = _angle_sums(A, window, grid)
+    values = G[:, 1::2] @ X[1::2]
+    r, c = _diagonal_rows(window, l_lo)
+    values[r] += G[r, c][:, None] * X[c]
+    return values
 
 
-def _to_real(values: np.ndarray, what: str) -> np.ndarray:
-    imag_max = float(np.max(np.abs(values.imag))) if values.size else 0.0
+def _check_real(imag: np.ndarray, what: str) -> None:
+    """Refuse a grid that must be real whose imaginary part exceeds IMAG_TOL."""
+    imag_max = float(np.max(np.abs(imag))) if imag.size else 0.0
     if imag_max > IMAG_TOL:
         raise RealnessError(
             f"{what} has imaginary part {imag_max:.3e} > {IMAG_TOL:.0e}"
         )
-    return values.real
 
 
 def kernel_matrix(l: int, phi: float, window: OamWindow) -> KernelMatrix:
@@ -233,10 +299,11 @@ def wigner_from_oam(rho: DensityMatrix, l_pad: int, grid: AngleGrid) -> WignerGr
     _check_band_limit(rho.window, grid)
     l_lo = rho.window.l_min - l_pad
     l_hi = rho.window.l_max + l_pad
+    # the grid and the row kernel
+    n_rows = l_hi - l_lo + 1
+    _check_budget("Wigner grid", n_rows * (grid.n_phi + 2 * rho.window.span + 1))
     values = _wigner_of_operator(rho.elements, rho.window, l_lo, l_hi, grid)
-    return WignerGrid(
-        l_lo, l_hi, grid, _to_real(values, "Wigner grid"), rho.window, l_pad
-    )
+    return WignerGrid(l_lo, l_hi, grid, values, rho.window, l_pad)
 
 
 def _half_period_integral(k: np.ndarray) -> np.ndarray:
@@ -269,6 +336,13 @@ def wigner_from_angle(psi: PureState, l_pad: int, grid: AngleGrid) -> WignerGrid
     _check_band_limit(window, grid)
     span = window.span
     n_u = max(4, 2 * span + 2)
+    # the grid, the half-period integrals, and per wavefunction sample the
+    # (n_phi, n_u, size) real phase, its complex product and exponential
+    n_rows = window.size + 2 * l_pad
+    _check_budget(
+        "angle-path Wigner grid",
+        n_rows * (grid.n_phi + 2 * span + 1) + 5 * grid.n_phi * n_u * window.size,
+    )
     u = AngleGrid(n_u).nodes
     phis = grid.nodes
     a = angle_wavefunction_at(psi, phis[:, None] + u[None, :])
@@ -281,9 +355,8 @@ def wigner_from_angle(psi: PureState, l_pad: int, grid: AngleGrid) -> WignerGrid
     rows = np.arange(window.l_min - l_pad, window.l_max + l_pad + 1)
     sig = _half_period_integral(ks[None, :] - 2 * rows[:, None])
     values = (sig @ q.T) / np.pi
-    return WignerGrid(
-        rows[0], rows[-1], grid, _to_real(values, "Wigner grid"), window, l_pad
-    )
+    _check_real(values.imag, "Wigner grid")
+    return WignerGrid(rows[0], rows[-1], grid, values.real, window, l_pad)
 
 
 def marginal_angle(W: WignerGrid) -> PeriodicSamples:
@@ -309,8 +382,7 @@ def angle_marginal_tail(rho: DensityMatrix, W: WignerGrid) -> np.ndarray:
     if W.l_lo > window.l_min or W.l_hi < window.l_max:
         raise ValueError("stored rows must cover the source window")
     weight = 1.0 / TWO_PI - _row_kernel(window, W.rows()).sum(axis=0)
-    tail = weight @ _sum_diff(rho.elements) @ _harmonics(window.span, W.grid)
-    return _to_real(tail, "angle-marginal tail")
+    return weight @ _angle_sums(rho.elements, window, W.grid)
 
 
 def overlap(W_rho: WignerGrid, W_sigma: WignerGrid) -> float:
@@ -358,19 +430,34 @@ class ReconstructionResult:
 
 
 def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
-    """Both inverses from one ``B = G^T yhat``: ``literal`` is ``4 pi^2 B``,
-    ``lstsq`` solves each harmonic's ``(G^T G)[ts, ts] x = B[ts, d]``."""
+    """Both inverses from one ``B = (G^T W) @ E^H / n_phi``, the real product
+    taken first: ``literal`` is ``4 pi^2 B``, ``lstsq`` solves each harmonic's
+    ``(G^T G)[ts, ts] x = B[ts, d]``.
+
+    Harmonics ``+d`` and ``-d`` share their ``ts`` and so their Gram block:
+    odd ``|d|`` takes one ``eigh`` for both; even ``|d|`` has one-hot columns
+    on distinct rows, so its block is the diagonal of column norms.
+    """
     span = window.span
     G = _row_kernel(window, W.rows())
-    B = G.T @ (W.values @ (_harmonics(span, W.grid).conj().T / W.grid.n_phi))
+    r, c = _diagonal_rows(window, W.l_lo)
+    GtW = np.empty((2 * span + 1, W.grid.n_phi))
+    GtW[1::2] = G[:, 1::2].T @ W.values
+    GtW[c] = G[r, c][:, None] * W.values[r]
+    C, S = _cos_sin(span, W.grid)
+    B = (GtW @ C.T - 1j * (GtW @ S.T)) / W.grid.n_phi
     if method == "literal":
         return 4.0 * np.pi**2 * B[_sum_diff_index(window.size)]
-    gram = G.T @ G
-    X = np.zeros_like(B)
-    for d in range(-span, span + 1):
-        ts = np.arange(abs(d), 2 * span - abs(d) + 1, 2)
-        lam, V = np.linalg.eigh(gram[np.ix_(ts, ts)])
-        rank = int(np.sum(lam > lam[-1] * len(ts) * np.finfo(float).eps))
+    gram = G[:, 1::2].T @ G[:, 1::2]
+    norms = np.einsum("ij,ij->j", G[:, ::2], G[:, ::2])
+    R = np.zeros_like(B)
+    for d in range(-span, 1):  # the block of -d serves +d too
+        ts = np.arange(-d, 2 * span + d + 1, 2)
+        if d % 2:
+            lam, V = np.linalg.eigh(gram[np.ix_(ts // 2, ts // 2)])
+        else:  # one-hot columns on distinct rows: a diagonal block
+            lam, V = norms[ts // 2], np.eye(len(ts))
+        rank = int(np.sum(lam > lam.max() * len(ts) * np.finfo(float).eps))
         if rank < len(ts):
             m0 = window.l_min
             pairs = [(m0 + (t + d) // 2, m0 + (t - d) // 2) for t in ts.tolist()]
@@ -379,8 +466,9 @@ def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
                 f"deficient matrix-element directions (m, n): {pairs}",
                 deficient_directions=pairs,
             )
-        X[ts, d + span] = V @ ((V.T @ B[ts, d + span]) / lam)
-    return X[_sum_diff_index(window.size)]
+        block = np.ix_(ts, [span + d, span - d])
+        R[block] = V @ ((V.T @ B[block]) / lam[:, None])
+    return R[_sum_diff_index(window.size)]
 
 
 def reconstruct_density(
@@ -394,14 +482,19 @@ def reconstruct_density(
     ``n_phi > 2*span`` the harmonics are orthogonal on the grid, so the fit
     splits into one system per harmonic ``d`` over the ``t = m + n`` of the
     d-th diagonal, solved by its normal equations
-    ``(G^T G)[ts, ts] x = (G^T yhat)[ts, d]``.  Even ``d`` gives distinct
-    rows of ``1/2pi``; odd ``d`` gives a sign-scaled Cauchy matrix
-    ``1/(s - l + 1/2)`` with distinct nodes, so every block has full column
-    rank, and its Gram block is close to the all-rows limit ``I/4pi^2``
-    (well conditioned).  ``method="literal"`` evaluates the textbook inverse
-    as a truncated sum over stored rows, ``4pi^2 G^T yhat``: the same
-    equations with the Gram matrix replaced by ``I/4pi^2``, which misses the
-    ``O(1/P)`` share of the dropped rows in its odd matrix elements.
+    ``(G^T G)[ts, ts] x = (G^T yhat)[ts, d]``, where ``G^T yhat`` is formed
+    real-first as ``(G^T W) @ E^H / n_phi``.  Even ``d`` gives distinct
+    rows of ``1/2pi``, a diagonal Gram block solved by division; odd ``d``
+    gives a sign-scaled Cauchy matrix ``1/(s - l + 1/2)`` with distinct
+    nodes, one ``eigh`` serving both ``+d`` and ``-d``.  Every block has full
+    column rank (checked; a deficient block raises naming ``d`` and its
+    ``(m, n)`` pairs), and an odd block's Gram matrix is close to the
+    all-rows limit ``I/4pi^2`` (well conditioned).  ``method="literal"``
+    evaluates the textbook inverse as a truncated sum over stored rows,
+    ``4pi^2 G^T yhat``: the same equations with the Gram matrix replaced by
+    ``I/4pi^2``, which misses the ``O(1/P)`` share of the dropped rows in
+    its odd matrix elements.  The residual is the real forward map of the
+    result against ``W``.
     """
     span = window.span
     if W.grid.n_phi <= 2 * span:
@@ -424,7 +517,7 @@ def reconstruct_density(
         raise ReconstructionError(f"recovered operator has near-zero trace {trace}")
     herm = herm / trace
     model = _wigner_of_operator(herm, window, W.l_lo, W.l_hi, W.grid)
-    residual = float(np.max(np.abs(model.real - W.values)))
+    residual = float(np.max(np.abs(model - W.values)))
     status = "warning" if residual > RESIDUAL_WARNING else "ok"
     return ReconstructionResult(window, herm, residual, status, method)
 
@@ -470,11 +563,12 @@ def star_product(
     l_hi = min(W_rho.l_hi, W_sigma.l_hi)
     if l_lo > window.l_min or l_hi < window.l_max:
         raise ValueError("grid row ranges do not cover the union window")
+    # the imaginary grid is the real map of -i rho sigma
+    imag = _wigner_of_operator(-1j * product, window, l_lo, l_hi, W_rho.grid)
+    _check_real(imag, "star product")
     values = _wigner_of_operator(product, window, l_lo, l_hi, W_rho.grid)
     pad = min(window.l_min - l_lo, l_hi - window.l_max)
-    return WignerGrid(
-        l_lo, l_hi, W_rho.grid, _to_real(values, "star product"), window, pad
-    )
+    return WignerGrid(l_lo, l_hi, W_rho.grid, values, window, pad)
 
 
 # --- file format -------------------------------------------------------------

@@ -172,6 +172,20 @@ class TestReconstructOverlapStar:
         twice = run_bytes(command[0], str(grid), str(twin), *command[1:])
         assert once.returncode == 0 and once.stdout == twice.stdout
 
+    def test_complex_star_exit_3(self, tmp_path):
+        grids = []
+        for seed in (1, 2):
+            state = tmp_path / f"r{seed}.json"
+            grids.append(str(tmp_path / f"r{seed}.csv"))
+            run("state", "--kind", "random", "--seed", str(seed), "--window", "-3:3",
+                "-o", str(state))
+            run("wigner", str(state), "--pad", "8", "-o", grids[-1])
+        cp = run("star", *grids, check=False)
+        assert cp.returncode == 3
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("error: star product has imaginary part ")
+        assert cp.stderr.count("\n") == 1
+
     def test_rank_deficiency_exit_3(self, delta_grid):
         cp = run("reconstruct", str(delta_grid), "--window", "-9:9", check=False)
         assert cp.returncode == 3
@@ -263,6 +277,20 @@ class TestMalformedInput:
         assert cp.returncode == 2
         assert "Traceback" not in cp.stderr
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("command", [["wigner"], ["wigner", "--method", "angle"],
+                                         ["check"]])
+    def test_huge_pad_exit_3(self, tmp_path, command):
+        state = tmp_path / "r.json"
+        run("state", "--kind", "random", "--seed", "1", "--window", "-4:4", "-o", str(state))
+        cp = run(command[0], str(state), "--pad", str(10**12), *command[1:], check=False)
+        assert cp.returncode == 3
+        assert cp.stdout == ""
+        assert "Traceback" not in cp.stderr
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+        assert "memory budget" in cp.stderr
 
 
 class TestRender:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,8 +7,10 @@ from numpy.testing import assert_allclose
 from cylwig import (
     AngleGrid,
     BandLimitError,
+    MemoryBudgetError,
     OamWindow,
     PureState,
+    RealnessError,
     ReconstructionError,
     angle_marginal_tail,
     angle_wavefunction,
@@ -93,6 +97,104 @@ class TestBruteForceOracle:
                 want_K = np.array([[kappa(m, n, l) * np.exp(-1j * (m - n) * phi)
                                     for n in vals] for m in vals])
                 assert np.max(np.abs(K - want_K)) <= 1e-14
+
+
+def reference_kernel(w, rows):
+    """The row kernel ``G[l, t]`` built with ``np.where`` over the whole table."""
+    t = np.arange(2 * w.l_min, 2 * w.l_max + 1)
+    l = rows[:, None]
+    j = (t - 1) // 2 - l
+    odd = (-1.0) ** j / (j + 0.5) / (2 * np.pi**2)
+    return np.where(t % 2 != 0, odd, np.where(t == 2 * l, 1.0 / TWO_PI, 0.0))
+
+
+def complex_reference(rho, W):
+    """The complex product ``G @ R @ E`` over every column of the row kernel,
+    and the tail it implies; the map under test keeps only the real part,
+    with one GEMM over the odd columns and a scatter for the even ones."""
+    w = rho.window
+    t = np.arange(2 * w.l_min, 2 * w.l_max + 1)
+    G = reference_kernel(w, W.rows())
+    R = np.zeros((len(t), len(t)), dtype=complex)
+    for a, m in enumerate(w.values()):
+        for b, n in enumerate(w.values()):
+            R[m + n - 2 * w.l_min, m - n + w.span] = rho.elements[a, b]
+    E = np.exp(1j * np.arange(-w.span, w.span + 1)[:, None] * W.grid.nodes[None, :])
+    return G @ R @ E, (1.0 / TWO_PI - G.sum(axis=0)) @ R @ E
+
+
+class TestRealFirstMap:
+    """The real, parity-split map against the complex ``G @ R @ E``."""
+
+    @pytest.mark.parametrize("half", [4, 8, 16])
+    @pytest.mark.parametrize("kind", ["pure", "mixture", "displaced_eigenstate"])
+    def test_matches_complex_product(self, kind, half):
+        w = OamWindow(-half, half)
+        if kind == "pure":
+            rho = to_density(random_pure_state(w, 40 + half))
+        elif kind == "mixture":
+            rho = mix([(0.4, random_pure_state(w, 41)), (0.6, random_pure_state(w, 42))])
+        else:
+            inner = OamWindow(-half + 2, half - 2)
+            rho = to_density(displace(oam_eigenstate(1, inner), 2, 0.7))
+        W = wigner_from_oam(rho, default_pad(w), default_angle_grid(w))
+        values, tail = complex_reference(rho, W)
+        assert np.max(np.abs(W.values - values.real)) <= 1e-15
+        assert np.max(np.abs(angle_marginal_tail(rho, W) - tail.real)) <= 1e-15
+
+    @pytest.mark.parametrize("l_min, l_max, lo, hi", [
+        (-4, 4, -36, 36), (-3, 7, 5, 5), (-3, 7, 40, 40), (0, 0, -2, 2), (2, 9, -300, -290)])
+    def test_row_kernel_bit_identical(self, l_min, l_max, lo, hi):
+        """The Toeplitz layout of the odd columns and the scatter of the even
+        one-hots give the whole-table formula's bits, also for rows that do
+        not cover the window (the point kernel's single row)."""
+        from cylwig import phasespace
+
+        w, rows = OamWindow(l_min, l_max), np.arange(lo, hi + 1)
+        G = phasespace._row_kernel(w, rows)
+        assert np.array_equal(G.view(np.uint64), reference_kernel(w, rows).view(np.uint64))
+
+    @pytest.mark.parametrize("half", [4, 16])
+    @pytest.mark.parametrize("ld, phid", [(0, 0.0), (2, 0.7), (-3, -2.1), (1, 3.0)])
+    def test_eigenstate_grids_exact(self, half, ld, phid):
+        """Only the scatter writes the one stored row, exactly ``rho_ll/2pi``
+        (``1/2pi`` where the population rounds to 1, as for every
+        eigenstate); every other cell is ``+0.0``, never ``-0.0``."""
+        inner = OamWindow(-half + 3, half - 3)
+        for l0 in (-1, 0, 1):
+            psi = displace(oam_eigenstate(l0, inner), ld, phid)
+            rho = to_density(psi)
+            W = wigner_from_oam(rho, default_pad(psi.window), default_angle_grid(psi.window))
+            row = W.row_index(l0 + ld)
+            population = rho.population(l0 + ld)
+            assert np.all(W.values[row] == (1.0 / TWO_PI) * population)
+            assert np.all(np.delete(W.values, row, axis=0) == 0.0)
+            assert not np.signbit(W.values).any()
+            if ld == 0:
+                assert population == 1.0 and np.all(W.values[row] == 1.0 / TWO_PI)
+
+
+class TestMemoryBudget:
+    """Forward maps refuse a request over the budget before allocating; a
+    missing guard would ask numpy for terabytes here and fail at once."""
+
+    def test_oam_path(self):
+        w = OamWindow(-4, 4)
+        with pytest.raises(MemoryBudgetError, match="GiB memory budget"):
+            wigner_from_oam(to_density(random_pure_state(w, 1)), 10**12,
+                            default_angle_grid(w))
+
+    def test_angle_path(self):
+        w = OamWindow(-4, 4)
+        with pytest.raises(MemoryBudgetError, match="GiB memory budget"):
+            wigner_from_angle(random_pure_state(w, 1), 10**12, default_angle_grid(w))
+
+    def test_angle_path_counts_exponentials(self):
+        """A small pad over a huge grid: the (n_phi, n_u, size) tensors alone
+        are over the budget."""
+        w = OamWindow(-100, 100)
+        with pytest.raises(MemoryBudgetError):
+            wigner_from_angle(random_pure_state(w, 1), 1, AngleGrid(4000))
 
 
 class TestKernel:
@@ -427,6 +529,19 @@ class TestStarProduct:
             dr = star_product(W, W, method="direct")
             devs.append(np.max(np.abs(op.values - dr.values)))
         assert devs[0] > devs[1] > devs[2]
+
+    @pytest.mark.parametrize("method", ["operator", "direct"])
+    def test_complex_product_raises(self, method):
+        """rho sigma of two different pure states is not Hermitian, so its
+        Wigner function is complex and cannot be stored on a real grid."""
+        w = OamWindow(-3, 3)
+        grid = default_angle_grid(w)
+        Wa = wigner_from_oam(to_density(random_pure_state(w, 1)), 8, grid)
+        Wb = wigner_from_oam(to_density(random_pure_state(w, 2)), 8, grid)
+        with pytest.raises(RealnessError) as exc:
+            star_product(Wa, Wb, method=method)
+        assert re.fullmatch(r"star product has imaginary part \d\.\d{3}e-0\d > 1e-11",
+                            str(exc.value))
 
     def test_self_star_consistency_at_origin(self):
         # the pure-state self-star of |0> returns exactly 1/(2 pi) at (0, 0)

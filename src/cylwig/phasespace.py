@@ -65,7 +65,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     BandLimitError,
@@ -209,10 +208,13 @@ def _row_kernel(window: OamWindow, rows: np.ndarray) -> np.ndarray:
     G = np.zeros((len(rows), 2 * span + 1))
     j = np.arange(window.l_max - 1 - rows[0], window.l_min - 1 - rows[-1], -1)
     cauchy = (1.0 - 2.0 * (j & 1)) / (j + 0.5) / (2.0 * np.pi**2)
-    # row i, odd column k: j = l_min + k - rows[i], which is cauchy[span - 1 + i - k]
-    step = cauchy.strides[0]
-    G[:, 1::2] = as_strided(cauchy[span - 1 :], (len(rows), span), (step, -step),
-                            writeable=False)
+    # row i, odd column k: j = l_min + k - rows[i], which is cauchy[span - 1 + i - k],
+    # read through a view of cauchy with strides of +1 and -1 elements
+    if span:
+        step = cauchy.itemsize
+        G[:, 1::2] = np.ndarray(
+            (len(rows), span), float, cauchy, step * (span - 1), (step, -step)
+        )
     r, c = _diagonal_rows(window, rows[0])
     hit = (r >= 0) & (r < len(rows))
     G[r[hit], c[hit]] = 1.0 / TWO_PI
@@ -243,26 +245,40 @@ def _cos_sin(span: int, grid: AngleGrid) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((c[:0:-1], c)), np.concatenate((-s[:0:-1], s))
 
 
-def _angle_sums(A: np.ndarray, window: OamWindow, grid: AngleGrid) -> np.ndarray:
+def _angle_sums(
+    A: np.ndarray, window: OamWindow, grid: AngleGrid, with_imag: bool = False
+) -> np.ndarray:
     """``X = Re(R(A) @ E)``, shape (2*span + 1, n_phi): row ``t`` is the real
-    angle dependence that every ``rho_mn`` with ``m + n = t`` contributes."""
+    angle dependence that every ``rho_mn`` with ``m + n = t`` contributes.
+
+    ``with_imag`` appends ``Im(R(A) @ E)`` along the angle axis, shape
+    (2*span + 1, 2*n_phi)."""
     R = _sum_diff(A)
     C, S = _cos_sin(window.span, grid)
-    return R.real @ C - R.imag @ S
+    X = R.real @ C - R.imag @ S
+    if not with_imag:
+        return X
+    return np.concatenate((X, R.real @ S + R.imag @ C), axis=1)
 
 
 def _wigner_of_operator(
-    A: np.ndarray, window: OamWindow, l_lo: int, l_hi: int, grid: AngleGrid
+    A: np.ndarray,
+    window: OamWindow,
+    l_lo: int,
+    l_hi: int,
+    grid: AngleGrid,
+    with_imag: bool = False,
 ) -> np.ndarray:
     """Real Wigner values ``G @ X`` of an operator on the window, with
     ``X = Re(R(A) @ E)``, for rows ``l_lo..l_hi`` covering the window.
 
     That is the real part of ``G @ R(A) @ E`` (all of it for a Hermitian
     ``A``): one GEMM over the odd columns of ``G`` plus a scatter of the
-    even rows of ``X``, each onto its one row.
+    even rows of ``X``, each onto its one row.  ``with_imag`` appends the
+    imaginary part along the angle axis, through the same GEMM and scatter.
     """
     G = _row_kernel(window, np.arange(l_lo, l_hi + 1))
-    X = _angle_sums(A, window, grid)
+    X = _angle_sums(A, window, grid, with_imag)
     values = G[:, 1::2] @ X[1::2]
     r, c = _diagonal_rows(window, l_lo)
     values[r] += G[r, c][:, None] * X[c]
@@ -456,7 +472,7 @@ def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
         if d % 2:
             lam, V = np.linalg.eigh(gram[np.ix_(ts // 2, ts // 2)])
         else:  # one-hot columns on distinct rows: a diagonal block
-            lam, V = norms[ts // 2], np.eye(len(ts))
+            lam = norms[ts // 2]
         rank = int(np.sum(lam > lam.max() * len(ts) * np.finfo(float).eps))
         if rank < len(ts):
             m0 = window.l_min
@@ -467,7 +483,10 @@ def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
                 deficient_directions=pairs,
             )
         block = np.ix_(ts, [span + d, span - d])
-        R[block] = V @ ((V.T @ B[block]) / lam[:, None])
+        if d % 2:
+            R[block] = V @ ((V.T @ B[block]) / lam[:, None])
+        else:
+            R[block] = B[block] / lam[:, None]
     return R[_sum_diff_index(window.size)]
 
 
@@ -563,10 +582,11 @@ def star_product(
     l_hi = min(W_rho.l_hi, W_sigma.l_hi)
     if l_lo > window.l_min or l_hi < window.l_max:
         raise ValueError("grid row ranges do not cover the union window")
-    # the imaginary grid is the real map of -i rho sigma
-    imag = _wigner_of_operator(-1j * product, window, l_lo, l_hi, W_rho.grid)
+    both = _wigner_of_operator(
+        product, window, l_lo, l_hi, W_rho.grid, with_imag=True
+    )
+    values, imag = np.hsplit(both, 2)
     _check_real(imag, "star product")
-    values = _wigner_of_operator(product, window, l_lo, l_hi, W_rho.grid)
     pad = min(window.l_min - l_lo, l_hi - window.l_max)
     return WignerGrid(l_lo, l_hi, W_rho.grid, values, window, pad)
 

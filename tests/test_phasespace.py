@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -141,6 +142,24 @@ class TestRealFirstMap:
         values, tail = complex_reference(rho, W)
         assert np.max(np.abs(W.values - values.real)) <= 1e-15
         assert np.max(np.abs(angle_marginal_tail(rho, W) - tail.real)) <= 1e-15
+
+    @pytest.mark.parametrize("half", [4, 16])
+    def test_imaginary_grid_of_a_product(self, half):
+        """The imaginary half that ``star_product`` checks for realness, from
+        the same GEMM and scatter as the real one, is the imaginary part of
+        the complex product for a non-Hermitian operator."""
+        from cylwig import phasespace
+
+        w = OamWindow(-half, half)
+        rho, sigma = (to_density(random_pure_state(w, s)) for s in (43, 44))
+        A = rho.elements @ sigma.elements
+        W = wigner_from_oam(rho, default_pad(w), default_angle_grid(w))
+        values, _ = complex_reference(SimpleNamespace(window=w, elements=A), W)
+        assert np.max(np.abs(values.imag)) > 1e-3
+        both = phasespace._wigner_of_operator(A, w, W.l_lo, W.l_hi, W.grid, with_imag=True)
+        n = W.grid.n_phi
+        assert np.max(np.abs(both[:, :n] - values.real)) <= 1e-15
+        assert np.max(np.abs(both[:, n:] - values.imag)) <= 1e-15
 
     @pytest.mark.parametrize("l_min, l_max, lo, hi", [
         (-4, 4, -36, 36), (-3, 7, 5, 5), (-3, 7, 40, 40), (0, 0, -2, 2), (2, 9, -300, -290)])

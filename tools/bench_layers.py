@@ -3,12 +3,13 @@
 Each case (one layer at one window, for one source tree) runs in a fresh
 interpreter with one BLAS thread.  It builds its inputs, makes one untimed
 call, then times calls with ``time.perf_counter`` until at least
-``--min-seconds`` have passed and at least five calls have run.  It reports
+``MIN_SECONDS`` have passed and at least five calls have run.  It reports
 the median and quartiles of the call times and the process's peak RSS from
 ``resource.getrusage`` (inputs included).
 
 Several source trees can be measured in one run; for every case the trees
-take turns, so a slow period of a shared machine falls on all of them::
+take turns, in reversed order on every other case, so a slow period of a
+shared machine falls on all of them and neither always runs first::
 
     python3 tools/bench_layers.py --tree parent=../parent/src --tree change=src \\
         -o BENCH.json
@@ -38,6 +39,7 @@ LAYERS = (
 )
 WINDOWS = (4, 16, 64)
 SEED = 1
+MIN_SECONDS = 1.0
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -60,12 +62,12 @@ def _call(layer: str, half: int):
     return lambda: cw.reconstruct_density(W, w, method=method)
 
 
-def run_case(layer: str, half: int, min_seconds: float) -> dict:
+def run_case(layer: str, half: int) -> dict:
     call = _call(layer, half)
     call()
     times = []
     start = time.perf_counter()
-    while len(times) < 5 or time.perf_counter() - start < min_seconds:
+    while len(times) < 5 or time.perf_counter() - start < MIN_SECONDS:
         t0 = time.perf_counter()
         call()
         times.append(time.perf_counter() - t0)
@@ -80,11 +82,10 @@ def run_case(layer: str, half: int, min_seconds: float) -> dict:
     }
 
 
-def spawn_case(src: str, layer: str, half: int, min_seconds: float) -> dict:
+def spawn_case(src: str, layer: str, half: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **BLAS_ENV)
     cp = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--case", layer, str(half),
-         "--min-seconds", str(min_seconds)],
+        [sys.executable, os.path.abspath(__file__), "--case", layer, str(half)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(cp.stdout.splitlines()[-1])
@@ -94,31 +95,30 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
                         help="a source tree (the directory holding cylwig/); repeatable")
-    parser.add_argument("--min-seconds", type=float, default=1.0)
     parser.add_argument("--case", nargs=2, metavar=("LAYER", "HALF"), help=argparse.SUPPRESS)
     parser.add_argument("-o", "--output", default=None)
     args = parser.parse_args()
     if args.case:
-        print(json.dumps(run_case(args.case[0], int(args.case[1]), args.min_seconds)))
+        print(json.dumps(run_case(args.case[0], int(args.case[1]))))
         return
     trees = [t.split("=", 1) for t in args.tree or ["this=src"]]
     import numpy
 
     cases = []
-    for half in WINDOWS:
-        for layer in LAYERS:
-            for label, src in trees:
-                case = {"layer": layer, "window": f"-{half}:{half}", "tree": label}
-                case.update(spawn_case(src, layer, half, args.min_seconds))
-                print(json.dumps(case), file=sys.stderr)
-                cases.append(case)
+    todo = [(half, layer) for half in WINDOWS for layer in LAYERS]
+    for i, (half, layer) in enumerate(todo):
+        for label, src in trees if i % 2 == 0 else trees[::-1]:
+            case = {"layer": layer, "window": f"-{half}:{half}", "tree": label}
+            case.update(spawn_case(src, layer, half))
+            print(json.dumps(case), file=sys.stderr)
+            cases.append(case)
     result = {
         "what": "per-call wall time of library layers, default grid and pad, "
                 "random pure state (seed 1); median and quartiles in ms; peak "
                 "RSS of the case's process in MB",
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
                 "numpy": numpy.__version__, "blas_threads": 1,
-                "min_seconds": args.min_seconds},
+                "min_seconds": MIN_SECONDS},
         "trees": [label for label, _ in trees],
         "cases": cases,
     }

@@ -94,7 +94,8 @@ def negativity(W: WignerGrid, tolerance: float = DEFAULT_TOLERANCE) -> Negativit
     i, j = divmod(flat_idx, W.grid.n_phi)
     min_value = float(W.values[i, j])
     argmin = (int(W.l_lo + i), float(W.grid.node(j)))
-    negative_volume = float(W.grid.spacing * np.clip(-W.values, 0.0, None).sum())
+    # one grid-sized temporary; 0.0 - sum is exact and never -0.0
+    negative_volume = float(W.grid.spacing * (0.0 - np.minimum(W.values, 0.0).sum()))
     populations = marginal_oam(W)
     src = W.source_window
     lo, hi = src.l_min - W.l_lo, src.l_max - W.l_lo

@@ -162,8 +162,7 @@ def wigner(input_file, nphi, pad, method, output):
 @_cli_errors
 def check(input_file, nphi, pad, tol, output):
     """Certify one state file; emits a negativity report (JSON)."""
-    with open(input_file, "r", encoding="utf-8") as fh:
-        psi = states.state_from_json(fh.read())
+    psi = states.read_state(input_file)
     report = analysis.hudson_certify(psi, n_phi=nphi, pad=pad, tolerance=tol)
     _write_text(analysis.report_to_json(report) + "\n", output)
 

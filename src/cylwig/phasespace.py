@@ -16,26 +16,31 @@ coordinates, ``R[t, d] = rho_mn`` for ``d = m - n``, the map reads
 the harmonic ``d``.  The point kernel, the closed-form tail and both inverses
 are built on the same ``G``.
 
-``G`` is real and so is ``W``, so the map is computed real-first:
-``W = G @ X`` with ``X = Re(R @ E) = Re R @ cos(d phi) - Im R @ sin(d phi)``,
-shape ``(2*span + 1, n_phi)``.  An even ``t`` column of ``G`` is one-hot
-(``1/2pi`` on row ``t/2``), so that part of the product is a scatter of
-``X[even t]`` onto the window rows; only the odd columns, the Cauchy tail,
-need a GEMM: ``W = G[:, odd] @ X[odd] + scatter(X[even] / 2pi)``.  The tail
-is ``weight @ X``.
+Only the odd columns of ``G`` are stored: the Cauchy block
+``K = G[:, odd t]``, shape ``(rows, span)``, which spreads each odd ``t``
+over every row.  An even column is the constant ``1/2pi`` on the one row
+``t/2``; it is never stored, and each consumer adds it on the window rows.
+That constant is why an OAM eigenstate's grid is ``delta_{l,l0}/2pi >= 0``.
+
+``G`` is real and so is ``W``, so the map is computed real-first, with
+``X = Re(R @ E) = Re R @ cos(d phi) - Im R @ sin(d phi)``, shape
+``(2*span + 1, n_phi)``: ``W = K @ X[odd t]``, one GEMM, plus
+``X[even t] / 2pi`` added onto the window rows.  The tail is
+``(1/2pi - K.sum(0)) @ X[odd t]``.
 
 Both inverses start from ``B = (G^T W) @ E^H / n_phi``, the angle harmonics
-of ``G^T W``, with the real product taken first (again a GEMM over the odd
-columns and a gather for the even ones).  The columns of one harmonic share
-the parity of ``d``, and over all rows such columns are orthogonal,
-``sum_j 1/((j + 1/2)(j + k + 1/2)) = pi^2 delta_k0``, so their Gram matrix is
-``I/4pi^2``.  The literal inverse ``4pi^2 B`` is the least-squares fit with the
-stored rows' Gram matrix ``G^T G`` replaced by that limit; the rows dropped
-beyond ``|l| = l_max + P`` carry ``sum 1/l^2 = O(1/P)`` of each odd entry,
-which is the literal inverse's error.  Least squares keeps the stored Gram
-matrix and solves its normal equations: harmonics ``+d`` and ``-d`` use the
-same columns and so the same block, one ``eigh`` per odd ``|d|``; an even
-``d`` block is diagonal, its one-hot columns sitting on distinct rows.
+of ``G^T W``, with the real product taken first: ``K^T W`` for the odd
+``t`` and the window rows of ``W`` over ``2pi`` for the even ones.  The
+columns of one harmonic share the parity of ``d``, and over all rows such
+columns are orthogonal, ``sum_j 1/((j + 1/2)(j + k + 1/2)) = pi^2 delta_k0``,
+so their Gram matrix is ``I/4pi^2``.  The literal inverse is ``4pi^2 B``.
+Least squares keeps the stored rows' Gram matrix ``G^T G``.  For an even
+``d`` that is exactly ``I/4pi^2`` (the constant on distinct window rows),
+so least squares is the literal inverse there, bit for bit.  For an odd
+``d`` the stored rows miss those beyond ``|l| = l_max + P``, which carry
+``sum 1/l^2 = O(1/P)`` of each entry; that is the literal inverse's error,
+and least squares corrects it by solving the block's normal equations, one
+``eigh`` per odd ``|d|`` serving ``+d`` and ``-d``.
 
 ``wigner_from_oam`` evaluates exactly this; ``wigner_from_angle`` evaluates
 the equivalent angle-representation integral
@@ -185,40 +190,31 @@ def _check_budget(what: str, n_floats: int) -> None:
         )
 
 
-def _diagonal_rows(window: OamWindow, l_lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(row index, column)`` of each even column's one-hot, ``t = 2l`` on
-    row ``l``, for rows starting at ``l_lo``."""
-    r = np.arange(window.size)
-    return r + (window.l_min - l_lo), 2 * r
-
-
 def _row_kernel(window: OamWindow, rows: np.ndarray) -> np.ndarray:
-    """Row kernel ``G[l, t]``: the weight of every ``rho_mn`` with ``m + n = t``
-    in row ``l``, for ``t = 2*l_min .. 2*l_max`` and consecutive ascending
-    ``rows``.  Shape (n_rows, 2*span + 1).
+    """Odd columns of the row kernel ``G[l, t]``, the weight of every
+    ``rho_mn`` with ``m + n = t`` in row ``l``: the Cauchy block
+    ``K[i, k] = G[rows[i], 2*l_min + 1 + 2k]`` for consecutive ascending
+    ``rows``, shape (n_rows, span).
 
-    Odd ``t`` (the odd columns ``G[:, 1::2]``) carry the Cauchy tail
-    ``(-1)^j / (j + 1/2) / 2pi^2`` with ``j = (t-1)/2 - l`` on every row; it
-    depends on ``j`` alone, so it is evaluated once per ``j`` and laid out
-    as a Toeplitz block.  Even ``t`` is one-hot: ``1/2pi`` on row ``l = t/2``
-    where it is stored, written by scatter.  Each column sums to ``1/2pi``
-    over all rows.
+    The weight ``(-1)^j / (j + 1/2) / 2pi^2`` with ``j = (t-1)/2 - l``
+    depends on ``j`` alone, so it is evaluated once per ``j`` and laid out as
+    a Toeplitz block.  The even columns of ``G`` are not stored: column
+    ``t = 2l`` is the constant ``1/2pi`` on row ``l`` and zero elsewhere, which
+    every consumer adds on the window rows itself.  Each column of ``G``, odd
+    or even, sums to ``1/2pi`` over all rows.
     """
-    span = window.span
-    G = np.zeros((len(rows), 2 * span + 1))
+    span, n_rows = window.span, len(rows)
+    if not span:  # no odd t, and the view below would start before cauchy
+        return np.zeros((n_rows, 0))
     j = np.arange(window.l_max - 1 - rows[0], window.l_min - 1 - rows[-1], -1)
     cauchy = (1.0 - 2.0 * (j & 1)) / (j + 0.5) / (2.0 * np.pi**2)
-    # row i, odd column k: j = l_min + k - rows[i], which is cauchy[span - 1 + i - k],
-    # read through a view of cauchy with strides of +1 and -1 elements
-    if span:
-        step = cauchy.itemsize
-        G[:, 1::2] = np.ndarray(
-            (len(rows), span), float, cauchy, step * (span - 1), (step, -step)
-        )
-    r, c = _diagonal_rows(window, rows[0])
-    hit = (r >= 0) & (r < len(rows))
-    G[r[hit], c[hit]] = 1.0 / TWO_PI
-    return G
+    # row i, column k: j = l_min + k - rows[i], which is cauchy[span - 1 + i - k],
+    # read through a view of cauchy with strides of +1 and -1 elements and
+    # copied to a C-contiguous block for BLAS
+    step = cauchy.itemsize
+    return np.ndarray(
+        (n_rows, span), float, cauchy, step * (span - 1), (step, -step)
+    ).copy()
 
 
 def _sum_diff_index(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,15 +269,16 @@ def _wigner_of_operator(
     ``X = Re(R(A) @ E)``, for rows ``l_lo..l_hi`` covering the window.
 
     That is the real part of ``G @ R(A) @ E`` (all of it for a Hermitian
-    ``A``): one GEMM over the odd columns of ``G`` plus a scatter of the
-    even rows of ``X``, each onto its one row.  ``with_imag`` appends the
-    imaginary part along the angle axis, through the same GEMM and scatter.
+    ``A``): one GEMM of the Cauchy block with the odd rows of ``X``, plus
+    the even rows times the constant ``1/2pi``, row ``t`` added onto window
+    row ``t/2``.  ``with_imag`` appends the imaginary part along the angle
+    axis, through the same GEMM and addition.
     """
-    G = _row_kernel(window, np.arange(l_lo, l_hi + 1))
+    K = _row_kernel(window, np.arange(l_lo, l_hi + 1))
     X = _angle_sums(A, window, grid, with_imag)
-    values = G[:, 1::2] @ X[1::2]
-    r, c = _diagonal_rows(window, l_lo)
-    values[r] += G[r, c][:, None] * X[c]
+    values = K @ X[1::2]
+    lo = window.l_min - l_lo
+    values[lo : lo + window.size] += X[::2] * (1.0 / TWO_PI)
     return values
 
 
@@ -300,9 +297,12 @@ def kernel_matrix(l: int, phi: float, window: OamWindow) -> KernelMatrix:
     ``Tr[rho w(l,phi)]`` reproduces ``W(l,phi)``; kernels are Hermitian and
     covariant under displacements.
     """
-    G = _row_kernel(window, np.array([l]))[0]
+    g = np.zeros(2 * window.span + 1)  # the row G[l, t]
+    g[1::2] = _row_kernel(window, np.array([l]))[0]
+    if window.l_min <= l <= window.l_max:
+        g[2 * (l - window.l_min)] = 1.0 / TWO_PI
     t, d = _sum_diff_index(window.size)
-    return KernelMatrix(l, phi, window, G[t] * np.exp(-1j * (d - window.span) * phi))
+    return KernelMatrix(l, phi, window, g[t] * np.exp(-1j * (d - window.span) * phi))
 
 
 def wigner_from_oam(rho: DensityMatrix, l_pad: int, grid: AngleGrid) -> WignerGrid:
@@ -315,9 +315,9 @@ def wigner_from_oam(rho: DensityMatrix, l_pad: int, grid: AngleGrid) -> WignerGr
     _check_band_limit(rho.window, grid)
     l_lo = rho.window.l_min - l_pad
     l_hi = rho.window.l_max + l_pad
-    # the grid and the row kernel
+    # the grid and the Cauchy block of the row kernel
     n_rows = l_hi - l_lo + 1
-    _check_budget("Wigner grid", n_rows * (grid.n_phi + 2 * rho.window.span + 1))
+    _check_budget("Wigner grid", n_rows * (grid.n_phi + rho.window.span))
     values = _wigner_of_operator(rho.elements, rho.window, l_lo, l_hi, grid)
     return WignerGrid(l_lo, l_hi, grid, values, rho.window, l_pad)
 
@@ -390,15 +390,16 @@ def angle_marginal_tail(rho: DensityMatrix, W: WignerGrid) -> np.ndarray:
     """Exact ``sum_{l not stored} W(l, phi_j)`` for the grid's angle nodes.
 
     Every column of the row kernel sums to ``1/2pi`` over all rows;
-    subtracting the stored rows' sums leaves the tail in closed form.  Adding
-    this to :func:`marginal_angle` recovers the angle marginal identity to
-    machine precision at any padding.
+    subtracting the stored rows' sums leaves the tail in closed form.  The
+    even columns lie wholly on the stored window rows, so only the odd ones
+    leave a tail.  Adding this to :func:`marginal_angle` recovers the angle
+    marginal identity to machine precision at any padding.
     """
     window = rho.window
     if W.l_lo > window.l_min or W.l_hi < window.l_max:
         raise ValueError("stored rows must cover the source window")
     weight = 1.0 / TWO_PI - _row_kernel(window, W.rows()).sum(axis=0)
-    return weight @ _angle_sums(rho.elements, window, W.grid)
+    return weight @ _angle_sums(rho.elements, window, W.grid)[1::2]
 
 
 def overlap(W_rho: WignerGrid, W_sigma: WignerGrid) -> float:
@@ -447,32 +448,30 @@ class ReconstructionResult:
 
 def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
     """Both inverses from one ``B = (G^T W) @ E^H / n_phi``, the real product
-    taken first: ``literal`` is ``4 pi^2 B``, ``lstsq`` solves each harmonic's
+    taken first: ``literal`` is ``4 pi^2 B``; ``lstsq`` is the same matrix
+    with each odd harmonic replaced by the solve of
     ``(G^T G)[ts, ts] x = B[ts, d]``.
 
-    Harmonics ``+d`` and ``-d`` share their ``ts`` and so their Gram block:
-    odd ``|d|`` takes one ``eigh`` for both; even ``|d|`` has one-hot columns
-    on distinct rows, so its block is the diagonal of column norms.
+    An even harmonic's columns are the constant ``1/2pi`` on distinct window
+    rows, so its Gram block is exactly ``I/4pi^2`` and least squares is the
+    literal inverse there.  Harmonics ``+d`` and ``-d`` share their ``ts`` and
+    so their Gram block: one ``eigh`` per odd ``|d|`` serves both.
     """
     span = window.span
-    G = _row_kernel(window, W.rows())
-    r, c = _diagonal_rows(window, W.l_lo)
+    K = _row_kernel(window, W.rows())
+    lo = window.l_min - W.l_lo
     GtW = np.empty((2 * span + 1, W.grid.n_phi))
-    GtW[1::2] = G[:, 1::2].T @ W.values
-    GtW[c] = G[r, c][:, None] * W.values[r]
+    GtW[1::2] = K.T @ W.values
+    GtW[::2] = W.values[lo : lo + window.size] * (1.0 / TWO_PI)
     C, S = _cos_sin(span, W.grid)
     B = (GtW @ C.T - 1j * (GtW @ S.T)) / W.grid.n_phi
+    R = 4.0 * np.pi**2 * B
     if method == "literal":
-        return 4.0 * np.pi**2 * B[_sum_diff_index(window.size)]
-    gram = G[:, 1::2].T @ G[:, 1::2]
-    norms = np.einsum("ij,ij->j", G[:, ::2], G[:, ::2])
-    R = np.zeros_like(B)
-    for d in range(-span, 1):  # the block of -d serves +d too
+        return R[_sum_diff_index(window.size)]
+    gram = K.T @ K
+    for d in range(-span | 1, 0, 2):  # odd d < 0; the block of -d serves +d too
         ts = np.arange(-d, 2 * span + d + 1, 2)
-        if d % 2:
-            lam, V = np.linalg.eigh(gram[np.ix_(ts // 2, ts // 2)])
-        else:  # one-hot columns on distinct rows: a diagonal block
-            lam = norms[ts // 2]
+        lam, V = np.linalg.eigh(gram[np.ix_(ts // 2, ts // 2)])
         rank = int(np.sum(lam > lam.max() * len(ts) * np.finfo(float).eps))
         if rank < len(ts):
             m0 = window.l_min
@@ -483,10 +482,7 @@ def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
                 deficient_directions=pairs,
             )
         block = np.ix_(ts, [span + d, span - d])
-        if d % 2:
-            R[block] = V @ ((V.T @ B[block]) / lam[:, None])
-        else:
-            R[block] = B[block] / lam[:, None]
+        R[block] = V @ ((V.T @ B[block]) / lam[:, None])
     return R[_sum_diff_index(window.size)]
 
 
@@ -502,14 +498,15 @@ def reconstruct_density(
     splits into one system per harmonic ``d`` over the ``t = m + n`` of the
     d-th diagonal, solved by its normal equations
     ``(G^T G)[ts, ts] x = (G^T yhat)[ts, d]``, where ``G^T yhat`` is formed
-    real-first as ``(G^T W) @ E^H / n_phi``.  Even ``d`` gives distinct
-    rows of ``1/2pi``, a diagonal Gram block solved by division; odd ``d``
-    gives a sign-scaled Cauchy matrix ``1/(s - l + 1/2)`` with distinct
-    nodes, one ``eigh`` serving both ``+d`` and ``-d``.  Every block has full
-    column rank (checked; a deficient block raises naming ``d`` and its
-    ``(m, n)`` pairs), and an odd block's Gram matrix is close to the
-    all-rows limit ``I/4pi^2`` (well conditioned).  ``method="literal"``
-    evaluates the textbook inverse as a truncated sum over stored rows,
+    real-first as ``(G^T W) @ E^H / n_phi``.  Even ``d`` gives the constant
+    ``1/2pi`` on distinct window rows, whose Gram block is exactly
+    ``I/4pi^2``: there the fit is the literal inverse, bit for bit.  Odd
+    ``d`` gives a sign-scaled Cauchy matrix ``1/(s - l + 1/2)`` with
+    distinct nodes, one ``eigh`` serving both ``+d`` and ``-d``; each such
+    block has full column rank (checked; a deficient block raises naming
+    ``d`` and its ``(m, n)`` pairs) and a Gram matrix close to the all-rows
+    limit ``I/4pi^2`` (well conditioned).  ``method="literal"`` evaluates
+    the textbook inverse as a truncated sum over stored rows,
     ``4pi^2 G^T yhat``: the same equations with the Gram matrix replaced by
     ``I/4pi^2``, which misses the ``O(1/P)`` share of the dropped rows in
     its odd matrix elements.  The residual is the real forward map of the

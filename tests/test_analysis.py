@@ -36,6 +36,7 @@ class TestNegativity:
         assert rep.min_value == 0.0
         assert rep.is_nonnegative
         assert rep.negative_volume == 0.0
+        assert not np.signbit(rep.negative_volume)  # printed as 0, never -0
         assert rep.nearest_eigenstate == (1, 1.0)
         assert rep.classification == "inconclusive"  # promotion is the certifier's job
 

@@ -164,14 +164,15 @@ class TestRealFirstMap:
     @pytest.mark.parametrize("l_min, l_max, lo, hi", [
         (-4, 4, -36, 36), (-3, 7, 5, 5), (-3, 7, 40, 40), (0, 0, -2, 2), (2, 9, -300, -290)])
     def test_row_kernel_bit_identical(self, l_min, l_max, lo, hi):
-        """The Toeplitz layout of the odd columns and the scatter of the even
-        one-hots give the whole-table formula's bits, also for rows that do
-        not cover the window (the point kernel's single row)."""
+        """The Toeplitz layout of the Cauchy block gives the whole-table
+        formula's bits in its odd columns, also for rows that do not cover
+        the window (the point kernel's single row)."""
         from cylwig import phasespace
 
         w, rows = OamWindow(l_min, l_max), np.arange(lo, hi + 1)
-        G = phasespace._row_kernel(w, rows)
-        assert np.array_equal(G.view(np.uint64), reference_kernel(w, rows).view(np.uint64))
+        K = phasespace._row_kernel(w, rows)
+        want = reference_kernel(w, rows)[:, 1::2]
+        assert np.array_equal(K.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("half", [4, 16])
     @pytest.mark.parametrize("ld, phid", [(0, 0.0), (2, 0.7), (-3, -2.1), (1, 3.0)])
@@ -436,6 +437,26 @@ class TestReconstruction:
             assert np.max(np.abs(res2.matrix - rho2.elements)) < 1e-9
             assert res2.to_density().window == w
 
+    @pytest.mark.parametrize("half", [4, 8, 16])
+    @pytest.mark.parametrize("kind", ["pure", "mixture"])
+    def test_lstsq_is_literal_on_even_harmonics(self, kind, half):
+        """An even harmonic's Gram block is exactly ``I/4pi^2``, so least
+        squares corrects only the odd harmonics and leaves every even-``d``
+        entry, the diagonal (and so the trace) among them, with the literal
+        inverse's bits."""
+        w = OamWindow(-half, half)
+        if kind == "pure":
+            rho = to_density(random_pure_state(w, 50 + half))
+        else:
+            rho = mix([(0.3, random_pure_state(w, 51)), (0.7, random_pure_state(w, 52))])
+        W = wigner_from_oam(rho, default_pad(w), default_angle_grid(w))
+        lstsq = reconstruct_density(W, w, "lstsq").matrix
+        literal = reconstruct_density(W, w, "literal").matrix
+        d = np.subtract.outer(np.arange(w.size), np.arange(w.size))
+        even = d % 2 == 0
+        assert np.array_equal(lstsq[even].view(np.uint64), literal[even].view(np.uint64))
+        assert not np.array_equal(lstsq[~even], literal[~even])
+
     def test_rank_guard_names_harmonic(self, monkeypatch):
         from cylwig import phasespace
 
@@ -443,15 +464,15 @@ class TestReconstruction:
         W = wigner_from_oam(to_density(random_pure_state(w, 4)), 4, AngleGrid(24))
         kernel = phasespace._row_kernel
 
-        def without_t0(window, rows):
-            G = kernel(window, rows).copy()
-            G[:, -2 * window.l_min] = 0.0  # column t = m + n = 0
-            return G
+        def without_t_minus_1(window, rows):
+            K = kernel(window, rows).copy()
+            K[:, -window.l_min - 1] = 0.0  # odd column t = m + n = -1
+            return K
 
-        monkeypatch.setattr(phasespace, "_row_kernel", without_t0)
-        with pytest.raises(ReconstructionError, match="harmonic d=-4") as exc:
+        monkeypatch.setattr(phasespace, "_row_kernel", without_t_minus_1)
+        with pytest.raises(ReconstructionError, match="harmonic d=-3") as exc:
             reconstruct_density(W, w)
-        assert exc.value.deficient_directions == [(-2, 2)]
+        assert exc.value.deficient_directions == [(-2, 1), (-1, 2)]
 
     @pytest.mark.parametrize("pad", [1, 4])
     @pytest.mark.parametrize("half", [2, 3])

@@ -1,15 +1,20 @@
 """Time the library's layers at windows -4:4, -16:16 and -64:64.
 
-Each case (one layer at one window, for one source tree) runs in a fresh
-interpreter with one BLAS thread.  It builds its inputs, makes one untimed
-call, then times calls with ``time.perf_counter`` until at least
-``MIN_SECONDS`` have passed and at least five calls have run.  It reports
-the median and quartiles of the call times and the process's peak RSS from
-``resource.getrusage`` (inputs included).
+Each case (one layer at one window, for one source tree) runs ``ROUNDS``
+times, each in a fresh interpreter with one BLAS thread.  A round builds
+its inputs, makes one untimed call, then times calls with
+``time.perf_counter`` until at least ``MIN_SECONDS`` have passed and at
+least five calls have run.  The case reports the median and quartiles of
+the call times of all its rounds and the largest peak RSS of a round's
+process from ``resource.getrusage`` (inputs included).  ``read_wigner``
+reads a grid that each round writes once to a temporary directory, removed
+at its end.
 
-Several source trees can be measured in one run; for every case the trees
-take turns, in reversed order on every other case, so a slow period of a
-shared machine falls on all of them and neither always runs first::
+Several source trees can be measured in one run; in every round of a case
+the trees take turns, in reversed order on every other round, so a slow
+period of a shared machine falls on all of them and neither always runs
+first.  Pooling the rounds keeps a slow layer, timed only five times per
+round, from being judged on one period of the machine::
 
     python3 tools/bench_layers.py --tree parent=../parent/src --tree change=src \\
         -o BENCH.json
@@ -28,23 +33,29 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 LAYERS = (
     "wigner_from_oam",
+    "wigner_from_angle",
     "angle_marginal_tail",
     "reconstruct_density.lstsq",
     "reconstruct_density.literal",
     "hudson_certify",
+    "wigner_to_csv",
+    "read_wigner",
 )
 WINDOWS = (4, 16, 64)
 SEED = 1
 MIN_SECONDS = 1.0
+ROUNDS = 3
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def _call(layer: str, half: int):
-    """The timed call of one case, with its inputs built."""
+def _call(layer: str, half: int, tmp: str):
+    """The timed call of one case, with its inputs built; ``read_wigner``
+    reads a grid written once to a file in the directory ``tmp``."""
     import cylwig as cw
 
     w = cw.OamWindow(-half, half)
@@ -53,9 +64,17 @@ def _call(layer: str, half: int):
     rho = cw.to_density(psi)
     if layer == "wigner_from_oam":
         return lambda: cw.wigner_from_oam(rho, pad, grid)
+    if layer == "wigner_from_angle":
+        return lambda: cw.wigner_from_angle(psi, pad, grid)
     if layer == "hudson_certify":
         return lambda: cw.hudson_certify(psi)
     W = cw.wigner_from_oam(rho, pad, grid)
+    if layer == "wigner_to_csv":
+        return lambda: cw.phasespace.wigner_to_csv(W)
+    if layer == "read_wigner":
+        path = os.path.join(tmp, "grid.csv")
+        cw.write_wigner(W, path)
+        return lambda: cw.read_wigner(path)
     if layer == "angle_marginal_tail":
         return lambda: cw.angle_marginal_tail(rho, W)
     method = layer.rpartition(".")[2]
@@ -63,22 +82,31 @@ def _call(layer: str, half: int):
 
 
 def run_case(layer: str, half: int) -> dict:
-    call = _call(layer, half)
-    call()
-    times = []
-    start = time.perf_counter()
-    while len(times) < 5 or time.perf_counter() - start < MIN_SECONDS:
-        t0 = time.perf_counter()
+    """Call times in seconds and peak RSS in MB of one process's run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        call = _call(layer, half, tmp)
         call()
-        times.append(time.perf_counter() - t0)
-    q1, median, q3 = statistics.quantiles(times, n=4)
+        times = []
+        start = time.perf_counter()
+        while len(times) < 5 or time.perf_counter() - start < MIN_SECONDS:
+            t0 = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t0)
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    return {"times": times, "peak_rss_mb": round(peak_kb / 1024, 1)}
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Median and quartiles of the pooled call times of a tree's rounds, and
+    the largest peak RSS among them."""
+    times = [t for run in runs for t in run["times"]]
+    q1, median, q3 = statistics.quantiles(times, n=4)
     return {
         "calls": len(times),
         "median_ms": round(1e3 * median, 4),
         "q1_ms": round(1e3 * q1, 4),
         "q3_ms": round(1e3 * q3, 4),
-        "peak_rss_mb": round(peak_kb / 1024, 1),
+        "peak_rss_mb": max(run["peak_rss_mb"] for run in runs),
     }
 
 
@@ -107,9 +135,13 @@ def main() -> None:
     cases = []
     todo = [(half, layer) for half in WINDOWS for layer in LAYERS]
     for i, (half, layer) in enumerate(todo):
-        for label, src in trees if i % 2 == 0 else trees[::-1]:
+        runs = {label: [] for label, _ in trees}
+        for r in range(ROUNDS):
+            for label, src in trees if (i + r) % 2 == 0 else trees[::-1]:
+                runs[label].append(spawn_case(src, layer, half))
+        for label, _ in trees:
             case = {"layer": layer, "window": f"-{half}:{half}", "tree": label}
-            case.update(spawn_case(src, layer, half))
+            case.update(summarize(runs[label]))
             print(json.dumps(case), file=sys.stderr)
             cases.append(case)
     result = {
@@ -118,7 +150,7 @@ def main() -> None:
                 "RSS of the case's process in MB",
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
                 "numpy": numpy.__version__, "blas_threads": 1,
-                "min_seconds": MIN_SECONDS},
+                "min_seconds": MIN_SECONDS, "rounds": ROUNDS},
         "trees": [label for label, _ in trees],
         "cases": cases,
     }

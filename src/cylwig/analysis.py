@@ -27,6 +27,7 @@ import numpy as np
 from .numerics import AngleGrid
 from .phasespace import (
     WignerGrid,
+    _check_budget,
     default_angle_grid,
     default_pad,
     marginal_oam,
@@ -123,10 +124,13 @@ def flatness_check(psi: PureState, grid: AngleGrid | None = None) -> FlatnessChe
     half-angle points live on the doubled grid and are evaluated by the exact
     coefficient sum.  A flat-modulus state passes with violation ~1e-16; any
     state whose angle density has a interior minimum fails with a witness.
+    The ``(n_phi, n_phi)`` index and value arrays, at most four at a time,
+    must fit the memory budget.
     """
     if grid is None:
         grid = default_angle_grid(psi.window)
     n = grid.n_phi
+    _check_budget("flatness check", 4 * n * n)
     double = AngleGrid(2 * n)
     mod = np.abs(angle_wavefunction_at(psi, double.nodes))
     js = np.arange(n)[:, None]

@@ -47,9 +47,13 @@ the equivalent angle-representation integral
 
     W(l, phi) = (1/2pi) int psi(phi + u/2) conj(psi(phi - u/2)) e^{-i l u} du
 
-through exact wavefunction sums at half angles and closed-form integrals of
-harmonics over the half period.  The two paths share no index bookkeeping and
-cross-validate each other.
+from separable samples: ``psi`` is a finite sum of exponentials, so
+``psi(phi_j +- u_k) = sum_l terms[j, l] e^{+-i l u_k}`` with
+``terms[j, l] = c_l e^{i l phi_j} / sqrt(2pi)``, two complex GEMMs; the
+harmonics of the product over ``u`` meet closed-form integrals over the half
+period.  It uses no ``G`` and no ``(t, d)`` coordinates, so the two paths
+share no index bookkeeping and cross-validate each other.  Both maps share
+one preamble, whose memory estimate bounds the peak of either.
 
 Rows beyond the source window carry only the odd part, whose ``1/l`` tails
 are the reason for the padding parameter ``P``: marginals in angle and
@@ -78,7 +82,7 @@ from .errors import (
     ReconstructionError,
 )
 from .numerics import TWO_PI, AngleGrid, PeriodicSamples
-from .states import DensityMatrix, OamWindow, PureState, angle_wavefunction_at
+from .states import DensityMatrix, OamWindow, PureState
 from .states import _f17, _payload
 
 __all__ = [
@@ -171,16 +175,8 @@ def default_pad(window: OamWindow) -> int:
     return 8 * window.span
 
 
-def _check_band_limit(window: OamWindow, grid: AngleGrid) -> None:
-    if grid.n_phi <= 2 * window.span + 2:
-        raise BandLimitError(
-            f"n_phi={grid.n_phi} cannot hold the band limit of window "
-            f"[{window.l_min}, {window.l_max}]; need n_phi > {2 * window.span + 2}"
-        )
-
-
 def _check_budget(what: str, n_floats: int) -> None:
-    """Refuse a forward map whose largest arrays together hold more than
+    """Refuse a request whose largest arrays together hold more than
     MEMORY_BUDGET bytes, before any of them is allocated."""
     need = 8 * n_floats
     if need > MEMORY_BUDGET:
@@ -188,6 +184,36 @@ def _check_budget(what: str, n_floats: int) -> None:
             f"{what} needs about {need / 2**30:.3g} GiB, over the "
             f"{MEMORY_BUDGET / 2**30:.0f} GiB memory budget"
         )
+
+
+def _stored_rows(window: OamWindow, l_pad: int, grid: AngleGrid) -> tuple[int, int]:
+    """Rows ``l_lo, l_hi`` that a forward map stores, as Python ints, once
+    the checks both maps share pass: ``l_pad >= 0``, the band limit, and the
+    memory budget.
+
+    With ``n_t = 2*span + 1`` harmonics, the estimate bounds the peak of
+    either map: ``2 * rows * (n_phi + n_t)`` floats for the grid, its copy
+    into the WignerGrid (or the imaginary grid) and the per-row weights (the
+    Cauchy block or the half-period integrals and their index arithmetic),
+    plus ``8 * (n_t + 1) * n_phi`` for the per-angle tables (cos/sin of
+    ``d phi`` and their products, or the complex wavefunction samples and
+    their harmonics).
+    """
+    if l_pad < 0:
+        raise ValueError(f"l_pad must be >= 0, got {l_pad}")
+    span = window.span
+    if grid.n_phi <= 2 * span + 2:
+        raise BandLimitError(
+            f"n_phi={grid.n_phi} cannot hold the band limit of window "
+            f"[{window.l_min}, {window.l_max}]; need n_phi > {2 * span + 2}"
+        )
+    l_lo, l_hi = int(window.l_min - l_pad), int(window.l_max + l_pad)
+    n_t = 2 * span + 1
+    _check_budget(
+        "Wigner map",
+        2 * (l_hi - l_lo + 1) * (grid.n_phi + n_t) + 8 * (n_t + 1) * grid.n_phi,
+    )
+    return l_lo, l_hi
 
 
 def _row_kernel(window: OamWindow, rows: np.ndarray) -> np.ndarray:
@@ -284,7 +310,8 @@ def _wigner_of_operator(
 
 def _check_real(imag: np.ndarray, what: str) -> None:
     """Refuse a grid that must be real whose imaginary part exceeds IMAG_TOL."""
-    imag_max = float(np.max(np.abs(imag))) if imag.size else 0.0
+    # max |imag| from two reductions: no grid-sized temporary
+    imag_max = max(float(imag.max()), -float(imag.min())) if imag.size else 0.0
     if imag_max > IMAG_TOL:
         raise RealnessError(
             f"{what} has imaginary part {imag_max:.3e} > {IMAG_TOL:.0e}"
@@ -310,14 +337,7 @@ def wigner_from_oam(rho: DensityMatrix, l_pad: int, grid: AngleGrid) -> WignerGr
 
     Stores rows ``l_min - l_pad .. l_max + l_pad``.
     """
-    if l_pad < 0:
-        raise ValueError(f"l_pad must be >= 0, got {l_pad}")
-    _check_band_limit(rho.window, grid)
-    l_lo = rho.window.l_min - l_pad
-    l_hi = rho.window.l_max + l_pad
-    # the grid and the Cauchy block of the row kernel
-    n_rows = l_hi - l_lo + 1
-    _check_budget("Wigner grid", n_rows * (grid.n_phi + rho.window.span))
+    l_lo, l_hi = _stored_rows(rho.window, l_pad, grid)
     values = _wigner_of_operator(rho.elements, rho.window, l_lo, l_hi, grid)
     return WignerGrid(l_lo, l_hi, grid, values, rho.window, l_pad)
 
@@ -340,39 +360,35 @@ def _half_period_integral(k: np.ndarray) -> np.ndarray:
 def wigner_from_angle(psi: PureState, l_pad: int, grid: AngleGrid) -> WignerGrid:
     """Forward map through the angle representation.
 
-    Builds ``Q(phi, u) = psi(phi+u) conj(psi(phi-u))`` from exact
-    half-angle wavefunction sums, extracts its harmonics in ``u`` on a
-    uniform grid, and combines them with closed-form half-period integrals.
-    Agrees with :func:`wigner_from_oam` pointwise to ~1e-13; the two paths
-    share no index conventions.
+    Builds ``Q(phi, u) = psi(phi+u) conj(psi(phi-u))`` on the grid angles
+    and ``n_u`` uniform shifts from separable samples: each shifted
+    wavefunction is ``terms @ shift`` (or ``shift`` conjugated), with
+    ``terms[j, l] = c_l e^{i l phi_j} / sqrt(2pi)`` and
+    ``shift[l, k] = e^{i l u_k}``, so no array has more than two axes.  It
+    extracts the harmonics of ``Q`` in ``u`` and combines them with
+    closed-form half-period integrals, in one real GEMM for the grid and one
+    for the imaginary grid, which must vanish.  Agrees with
+    :func:`wigner_from_oam` pointwise to ~1e-15 at window +-64; the two
+    paths share no index conventions, and this one does not use ``G``.
     """
-    if l_pad < 0:
-        raise ValueError(f"l_pad must be >= 0, got {l_pad}")
     window = psi.window
-    _check_band_limit(window, grid)
-    span = window.span
-    n_u = max(4, 2 * span + 2)
-    # the grid, the half-period integrals, and per wavefunction sample the
-    # (n_phi, n_u, size) real phase, its complex product and exponential
-    n_rows = window.size + 2 * l_pad
-    _check_budget(
-        "angle-path Wigner grid",
-        n_rows * (grid.n_phi + 2 * span + 1) + 5 * grid.n_phi * n_u * window.size,
-    )
+    l_lo, l_hi = _stored_rows(window, l_pad, grid)
+    n_u = max(4, 2 * window.span + 2)
     u = AngleGrid(n_u).nodes
-    phis = grid.nodes
-    a = angle_wavefunction_at(psi, phis[:, None] + u[None, :])
-    b = angle_wavefunction_at(psi, phis[:, None] - u[None, :])
-    q_samples = a * np.conj(b)
+    ls = window.values()
     ks = np.arange(2 * window.l_min, 2 * window.l_max + 1)
-    # harmonics of Q over u: Q = sum_k q_k(phi) e^{i k u}
-    proj = np.exp(-1j * np.outer(u, ks)) / n_u
-    q = q_samples @ proj  # (n_phi, n_k)
-    rows = np.arange(window.l_min - l_pad, window.l_max + l_pad + 1)
-    sig = _half_period_integral(ks[None, :] - 2 * rows[:, None])
-    values = (sig @ q.T) / np.pi
-    _check_real(values.imag, "Wigner grid")
-    return WignerGrid(rows[0], rows[-1], grid, values.real, window, l_pad)
+    sig = _half_period_integral(ks[None, :] - 2 * np.arange(l_lo, l_hi + 1)[:, None])
+    # psi(phi_j + u_k) = sum_l terms[j, l] shift[l, k], and psi(phi_j - u_k)
+    # the same with shift conjugated: Q = psi(phi + u) conj(psi(phi - u))
+    terms = np.exp(1j * np.outer(grid.nodes, ls)) * (psi.coefficients / np.sqrt(TWO_PI))
+    shift = np.exp(1j * np.outer(ls, u))
+    q_samples = terms @ shift
+    q_samples *= terms.conj() @ shift
+    # harmonics of Q over u: Q = sum_k q_k(phi) e^{i k u}, over pi
+    q = q_samples @ (np.exp(-1j * np.outer(u, ks)) / (n_u * np.pi))
+    values = sig @ q.real.T
+    _check_real(sig @ q.imag.T, "Wigner grid")
+    return WignerGrid(l_lo, l_hi, grid, values, window, l_pad)
 
 
 def marginal_angle(W: WignerGrid) -> PeriodicSamples:

@@ -112,6 +112,11 @@ class PureState:
                 f"window size {self.window.size} does not match "
                 f"{coeffs.shape[0]} coefficients"
             )
+        bad = ~np.isfinite(coeffs)
+        if bad.any():
+            i = int(np.argmax(bad))
+            l = self.window.l_min + i
+            raise ValueError(f"coefficient {i} (l={l}) is not finite: {coeffs[i]}")
         norm = np.linalg.norm(coeffs)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
@@ -146,6 +151,13 @@ class DensityMatrix:
         size = self.window.size
         if mat.shape != (size, size):
             raise ValueError(f"expected {size}x{size} matrix, got {mat.shape}")
+        bad = ~np.isfinite(mat)
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), size)
+            m, n = self.window.l_min + i, self.window.l_min + j
+            raise ValueError(
+                f"density element ({i}, {j}) (m={m}, n={n}) is not finite: {mat[i, j]}"
+            )
         if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian at 1e-12")
         trace = np.trace(mat).real
@@ -313,7 +325,7 @@ def mix(states: Iterable[tuple[float, PureState]]) -> DensityMatrix:
 
 def angle_wavefunction_at(state: PureState, phi) -> np.ndarray | complex:
     """Exact wavefunction ``(1/sqrt(2 pi)) sum_l c_l e^{i l phi}`` at arbitrary
-    angles (this is the half-angle evaluation path: no interpolation)."""
+    angles, by the coefficient sum itself: no interpolation."""
     ls = state.window.values()
     phi_arr = np.asarray(phi, dtype=float)
     out = (np.exp(1j * phi_arr[..., None] * ls) @ state.coefficients) / np.sqrt(TWO_PI)

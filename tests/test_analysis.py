@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cylwig import (
     AngleGrid,
+    MemoryBudgetError,
     OamWindow,
     apply_phase_function,
     autocorrelation_check,
@@ -22,6 +25,7 @@ from cylwig import (
     von_mises_state,
     wigner_from_oam,
 )
+from cylwig import phasespace
 
 TWO_PI = 2 * np.pi
 
@@ -95,6 +99,32 @@ class TestFlatness:
         res = flatness_check(psi)
         assert res.flat
         assert res.max_violation <= 1e-10
+
+
+    def test_budget_refuses_before_allocating(self):
+        """At 40000 angles the (n_phi, n_phi) arrays need tens of GiB; the
+        forward map of an eigenstate fits the budget, the flatness gate not."""
+        psi = oam_eigenstate(0, OamWindow(-4, 4))
+        with pytest.raises(MemoryBudgetError, match="flatness check needs about"):
+            flatness_check(psi, AngleGrid(40000))
+        with pytest.raises(MemoryBudgetError, match="GiB memory budget"):
+            hudson_certify(psi, n_phi=40000)
+
+    def test_estimate_bounds_peak(self, monkeypatch):
+        psi = oam_eigenstate(1, OamWindow(-4, 4))
+        grid = AngleGrid(1000)
+        flatness_check(psi, grid)
+        tracemalloc.start()
+        try:
+            flatness_check(psi, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(phasespace, "MEMORY_BUDGET", peak - 1)
+        with pytest.raises(MemoryBudgetError):
+            flatness_check(psi, grid)
+        monkeypatch.setattr(phasespace, "MEMORY_BUDGET", 4 * peak)
+        assert flatness_check(psi, grid).flat
 
 
 class TestAutocorrelation:

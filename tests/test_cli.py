@@ -292,6 +292,40 @@ class TestMemoryBudget:
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
         assert "memory budget" in cp.stderr
 
+    def test_flatness_gate_exit_3(self, tmp_path):
+        state = tmp_path / "e.json"
+        run("state", "--kind", "eigen", "--window", "-4:4", "-o", str(state))
+        cp = run("check", str(state), "--nphi", "40000", check=False)
+        assert cp.returncode == 3
+        assert cp.stdout == ""
+        assert "Traceback" not in cp.stderr
+        assert cp.stderr.startswith("error: flatness check needs about ")
+        assert cp.stderr.count("\n") == 1 and "memory budget" in cp.stderr
+
+
+class TestNonFiniteState:
+    """Non-finite coefficients exit 2 with nothing written, whether the
+    state command computes them or a state file holds them."""
+
+    NAN_STATE = '{"format":"cylwig-state-v1","l_min":0,"coefficients":[[NaN,0],[1,0]]}'
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    @pytest.mark.parametrize("command", ["state", "wigner"])
+    def test_exit_2_nothing_written(self, tmp_path, command, to_file):
+        if command == "state":
+            args = ["state", "--kind", "vonmises", "--kappa", "1000", "--window", "-4:4"]
+        else:
+            path = tmp_path / "nan.json"
+            path.write_text(self.NAN_STATE + "\n")
+            args = ["wigner", str(path), "--method", "angle"]
+        out = tmp_path / "out"
+        cp = run(*args, *(["-o", str(out)] if to_file else []), check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == "" and not out.exists()
+        assert "Traceback" not in cp.stderr
+        last = cp.stderr.splitlines()[-1]
+        assert last.startswith("error: coefficient 0 (l=") and "is not finite" in last
+
 
 class TestRender:
     def test_delta_has_one_nonwhite_row(self, tmp_path):

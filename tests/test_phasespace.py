@@ -1,4 +1,6 @@
+import json
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +38,7 @@ from cylwig import (
     wigner_from_oam,
     write_wigner,
 )
+from cylwig import phasespace
 from cylwig.phasespace import WignerGrid, wigner_to_csv
 from cylwig.states import _f17
 
@@ -209,12 +212,39 @@ class TestMemoryBudget:
         with pytest.raises(MemoryBudgetError, match="GiB memory budget"):
             wigner_from_angle(random_pure_state(w, 1), 10**12, default_angle_grid(w))
 
-    def test_angle_path_counts_exponentials(self):
-        """A small pad over a huge grid: the (n_phi, n_u, size) tensors alone
-        are over the budget."""
-        w = OamWindow(-100, 100)
-        with pytest.raises(MemoryBudgetError):
-            wigner_from_angle(random_pure_state(w, 1), 1, AngleGrid(4000))
+    @pytest.mark.parametrize("path", ["oam", "angle"])
+    @pytest.mark.parametrize(
+        "half, pad, n_phi",
+        [(4, 2000, 36), (16, 1, 4096), (32, 0, 2048), (32, 512, 260), (64, 0, 2064)],
+    )
+    def test_estimate_bounds_peak(self, monkeypatch, path, half, pad, n_phi):
+        """The one estimate both maps share is never below what the map
+        allocates (tracemalloc peak) and at most four times it, from a large
+        pad to pad 0 over a fine grid, where the per-angle tables dominate."""
+        # on smaller grids, fixed interpreter allocations weigh on the peak
+        assert (2 * half + 1 + 2 * pad) * n_phi >= 10**5
+        w = OamWindow(-half, half)
+        psi = random_pure_state(w, 1)
+        rho = to_density(psi)
+        grid = AngleGrid(n_phi)
+
+        def call():
+            if path == "oam":
+                return wigner_from_oam(rho, pad, grid)
+            return wigner_from_angle(psi, pad, grid)
+
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(phasespace, "MEMORY_BUDGET", peak - 1)
+        with pytest.raises(MemoryBudgetError, match="GiB memory budget"):
+            call()
+        monkeypatch.setattr(phasespace, "MEMORY_BUDGET", 4 * peak)
+        assert call().values.shape == (w.size + 2 * pad, n_phi)
 
 
 class TestKernel:
@@ -272,15 +302,29 @@ class TestForwardMaps:
         assert np.max(np.abs(Wo.values - delta_target(Wo, l0))) == 0.0
         assert np.max(np.abs(Wa.values - delta_target(Wa, l0))) < 1e-12
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_two_path_agreement(self, seed):
-        w = OamWindow(-4, 4)
+    @pytest.mark.parametrize(
+        "half, seed",
+        [(4, seed) for seed in range(10)] + [(32, 0), (64, 0)],
+        ids=[str(seed) for seed in range(10)] + ["-32:32", "-64:64"],
+    )
+    def test_two_path_agreement(self, half, seed):
+        w = OamWindow(-half, half)
         psi = random_pure_state(w, seed)
         grid = default_angle_grid(w)
         pad = default_pad(w)
         Wa = wigner_from_angle(psi, pad, grid)
         Wo = wigner_from_oam(to_density(psi), pad, grid)
-        assert np.max(np.abs(Wa.values - Wo.values)) < 1e-10
+        assert np.max(np.abs(Wa.values - Wo.values)) < 1e-13
+
+    def test_row_bounds_are_python_ints(self):
+        w = OamWindow(-3, 4)
+        psi = random_pure_state(w, 2)
+        grid = default_angle_grid(w)
+        for W in (wigner_from_oam(to_density(psi), 5, grid),
+                  wigner_from_angle(psi, 5, grid)):
+            assert type(W.l_lo) is int and type(W.l_hi) is int
+            assert (W.l_lo, W.l_hi) == (-8, 9)
+            assert json.dumps({"l_lo": W.l_lo, "l_hi": W.l_hi}) == '{"l_lo": -8, "l_hi": 9}'
 
     def test_plus_state_closed_form(self):
         # derived by hand from the double sum: W(0, phi) = 1/(4 pi) + cos(phi)/pi^2

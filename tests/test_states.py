@@ -274,6 +274,23 @@ class TestDensity:
             DensityMatrix(w, np.array([[1.5, 0], [0, -0.5]]))  # not PSD
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        w = OamWindow(-1, 1)
+        coeffs = np.array([0.6, bad, 0.8])
+        with pytest.raises(ValueError, match=r"coefficient 1 \(l=0\) is not finite"):
+            PureState(w, coeffs)
+        mat = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        mat[2, 1] = bad
+        with pytest.raises(ValueError, match=r"density element \(2, 1\) \(m=1, n=0\)"):
+            DensityMatrix(w, mat)
+
+    def test_non_finite_payload_rejected(self):
+        text = '{"format":"cylwig-state-v1","l_min":0,"coefficients":[[NaN,0],[1,0]]}'
+        with pytest.raises(ValueError, match=r"coefficient 0 \(l=0\) is not finite"):
+            state_from_json(text)
+
+
 class TestAngleWavefunction:
     def test_eigenstate_flat_modulus(self):
         psi = oam_eigenstate(3, OamWindow(-4, 4))

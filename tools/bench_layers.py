@@ -20,7 +20,11 @@ round, from being judged on one period of the machine::
         -o BENCH.json
 
 Only the standard library and numpy are used.  Inputs use the default grid
-(``4*span + 4`` angles) and padding (``8*span`` rows).
+(``4*span + 4`` angles) and padding (``8*span`` rows).  The state is random
+(seed 1), except in ``hudson_certify.eigenstate``: a random state stops at
+the negativity gate, while the eigenstate ``|0>`` passes through every gate,
+the ``(n_phi, n_phi)`` flatness check included.  ``random_pure_state`` times
+state construction with its validation.
 """
 
 from __future__ import annotations
@@ -37,12 +41,14 @@ import tempfile
 import time
 
 LAYERS = (
+    "random_pure_state",
     "wigner_from_oam",
     "wigner_from_angle",
     "angle_marginal_tail",
     "reconstruct_density.lstsq",
     "reconstruct_density.literal",
     "hudson_certify",
+    "hudson_certify.eigenstate",
     "wigner_to_csv",
     "read_wigner",
 )
@@ -60,6 +66,11 @@ def _call(layer: str, half: int, tmp: str):
 
     w = cw.OamWindow(-half, half)
     grid, pad = cw.default_angle_grid(w), cw.default_pad(w)
+    if layer == "random_pure_state":
+        return lambda: cw.random_pure_state(w, SEED)
+    if layer == "hudson_certify.eigenstate":
+        eigen = cw.oam_eigenstate(0, w)
+        return lambda: cw.hudson_certify(eigen)
     psi = cw.random_pure_state(w, SEED)
     rho = cw.to_density(psi)
     if layer == "wigner_from_oam":
@@ -146,8 +157,9 @@ def main() -> None:
             cases.append(case)
     result = {
         "what": "per-call wall time of library layers, default grid and pad, "
-                "random pure state (seed 1); median and quartiles in ms; peak "
-                "RSS of the case's process in MB",
+                "random pure state (seed 1) or, for hudson_certify.eigenstate, "
+                "the eigenstate |0>; median and quartiles in ms; peak RSS of "
+                "the case's process in MB",
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
                 "numpy": numpy.__version__, "blas_threads": 1,
                 "min_seconds": MIN_SECONDS, "rounds": ROUNDS},

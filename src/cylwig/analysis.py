@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import _check_budget
 from .numerics import AngleGrid
 from .phasespace import (
     WignerGrid,
-    _check_budget,
     default_angle_grid,
     default_pad,
     marginal_oam,

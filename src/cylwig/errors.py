@@ -5,6 +5,8 @@ Plain precondition violations (bad arguments, incompatible objects) raise
 may want to handle differently (the CLI maps them to exit code 3).
 """
 
+MEMORY_BUDGET = 2 * 2**30  # bytes one request may ask for
+
 
 class CylwigError(Exception):
     """Base class for numerical/limit failures."""
@@ -36,3 +38,14 @@ class RealnessError(CylwigError):
 
 class MemoryBudgetError(CylwigError):
     """A request would allocate more than the fixed memory budget."""
+
+
+def _check_budget(what: str, n_floats: int) -> None:
+    """Refuse a request whose largest arrays together hold more than
+    MEMORY_BUDGET bytes, before any of them is allocated."""
+    need = 8 * n_floats
+    if need > MEMORY_BUDGET:
+        raise MemoryBudgetError(
+            f"{what} needs about {need / 2**30:.3g} GiB, over the "
+            f"{MEMORY_BUDGET / 2**30:.0f} GiB memory budget"
+        )

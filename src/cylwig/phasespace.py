@@ -22,15 +22,22 @@ over every row.  An even column is the constant ``1/2pi`` on the one row
 ``t/2``; it is never stored, and each consumer adds it on the window rows.
 That constant is why an OAM eigenstate's grid is ``delta_{l,l0}/2pi >= 0``.
 
-``G`` is real and so is ``W``, so the map is computed real-first, with
-``X = Re(R @ E) = Re R @ cos(d phi) - Im R @ sin(d phi)``, shape
-``(2*span + 1, n_phi)``: ``W = K @ X[odd t]``, one GEMM, plus
+``G`` is real and so is ``W``, so the map is computed real-first, from the
+harmonics ``d >= 0`` only.  ``Re(z e^{-i d phi}) = Re(conj(z) e^{i d phi})``
+folds harmonic ``-d`` onto ``d``: with ``P[m+n, m-n] = rho_mn + conj(rho_nm)``
+for ``m > n`` and ``rho_mm`` for ``d = 0``,
+``X = Re(R @ E) = Re P @ cos(d phi) - Im P @ sin(d phi)``, shape
+``(2*span + 1, n_phi)``.  Then ``W = K @ X[odd t]``, one GEMM, plus
 ``X[even t] / 2pi`` added onto the window rows.  The tail is
-``(1/2pi - K.sum(0)) @ X[odd t]``.
+``(1/2pi - K.sum(0)) @ X[odd t]``.  The fold takes both triangles, so it is
+exact for any operator, and the imaginary part of the map is the real part
+for ``-i`` times the operator.
 
-Both inverses start from ``B = (G^T W) @ E^H / n_phi``, the angle harmonics
-of ``G^T W``, with the real product taken first: ``K^T W`` for the odd
-``t`` and the window rows of ``W`` over ``2pi`` for the even ones.  The
+Both inverses start from ``B = (G^T W) @ E^H / n_phi`` for ``d >= 0``, the
+angle harmonics of ``G^T W``, with the real product taken first: ``K^T W``
+for the odd ``t`` and the window rows of ``W`` over ``2pi`` for the even
+ones.  ``G^T W`` is real, so harmonic ``-d`` is the conjugate of ``d``:
+element ``(m, n)`` is ``B[m+n, |m-n|]``, conjugated where ``m < n``.  The
 columns of one harmonic share the parity of ``d``, and over all rows such
 columns are orthogonal, ``sum_j 1/((j + 1/2)(j + k + 1/2)) = pi^2 delta_k0``,
 so their Gram matrix is ``I/4pi^2``.  The literal inverse is ``4pi^2 B``.
@@ -40,7 +47,7 @@ so least squares is the literal inverse there, bit for bit.  For an odd
 ``d`` the stored rows miss those beyond ``|l| = l_max + P``, which carry
 ``sum 1/l^2 = O(1/P)`` of each entry; that is the literal inverse's error,
 and least squares corrects it by solving the block's normal equations, one
-``eigh`` per odd ``|d|`` serving ``+d`` and ``-d``.
+``eigh`` per odd ``d`` writing one column.
 
 ``wigner_from_oam`` evaluates exactly this; ``wigner_from_angle`` evaluates
 the equivalent angle-representation integral
@@ -77,9 +84,9 @@ import numpy as np
 
 from .errors import (
     BandLimitError,
-    MemoryBudgetError,
     RealnessError,
     ReconstructionError,
+    _check_budget,
 )
 from .numerics import TWO_PI, AngleGrid, PeriodicSamples
 from .states import DensityMatrix, OamWindow, PureState
@@ -106,7 +113,6 @@ __all__ = [
 
 IMAG_TOL = 1e-11
 RESIDUAL_WARNING = 1e-6
-MEMORY_BUDGET = 2 * 2**30  # bytes a forward map may ask for
 
 
 @dataclass(frozen=True)
@@ -175,17 +181,6 @@ def default_pad(window: OamWindow) -> int:
     return 8 * window.span
 
 
-def _check_budget(what: str, n_floats: int) -> None:
-    """Refuse a request whose largest arrays together hold more than
-    MEMORY_BUDGET bytes, before any of them is allocated."""
-    need = 8 * n_floats
-    if need > MEMORY_BUDGET:
-        raise MemoryBudgetError(
-            f"{what} needs about {need / 2**30:.3g} GiB, over the "
-            f"{MEMORY_BUDGET / 2**30:.0f} GiB memory budget"
-        )
-
-
 def _stored_rows(window: OamWindow, l_pad: int, grid: AngleGrid) -> tuple[int, int]:
     """Rows ``l_lo, l_hi`` that a forward map stores, as Python ints, once
     the checks both maps share pass: ``l_pad >= 0``, the band limit, and the
@@ -195,9 +190,9 @@ def _stored_rows(window: OamWindow, l_pad: int, grid: AngleGrid) -> tuple[int, i
     either map: ``2 * rows * (n_phi + n_t)`` floats for the grid, its copy
     into the WignerGrid (or the imaginary grid) and the per-row weights (the
     Cauchy block or the half-period integrals and their index arithmetic),
-    plus ``8 * (n_t + 1) * n_phi`` for the per-angle tables (cos/sin of
-    ``d phi`` and their products, or the complex wavefunction samples and
-    their harmonics).
+    plus ``6 * (n_t + 1) * n_phi`` for the per-angle tables (cos/sin of
+    ``d phi`` and the angle sums, or the complex wavefunction samples and
+    their harmonics, the larger).
     """
     if l_pad < 0:
         raise ValueError(f"l_pad must be >= 0, got {l_pad}")
@@ -211,7 +206,7 @@ def _stored_rows(window: OamWindow, l_pad: int, grid: AngleGrid) -> tuple[int, i
     n_t = 2 * span + 1
     _check_budget(
         "Wigner map",
-        2 * (l_hi - l_lo + 1) * (grid.n_phi + n_t) + 8 * (n_t + 1) * grid.n_phi,
+        2 * (l_hi - l_lo + 1) * (grid.n_phi + n_t) + 6 * (n_t + 1) * grid.n_phi,
     )
     return l_lo, l_hi
 
@@ -244,67 +239,63 @@ def _row_kernel(window: OamWindow, rows: np.ndarray) -> np.ndarray:
 
 
 def _sum_diff_index(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices ``(m_i + n_i, m_i - n_i + size - 1)`` of each ``(m_i, n_i)`` in
-    the sum/difference coordinates ``(t, d)`` of a ``size x size`` operator."""
+    """Sum/difference coordinates ``(t, d) = (i + j, i - j)`` of each element
+    ``(i, j)`` of a ``size x size`` operator, with ``i`` and ``j`` counted
+    from the window's first harmonic."""
     i = np.arange(size)
-    return i[:, None] + i[None, :], i[:, None] - i[None, :] + size - 1
+    return i[:, None] + i[None, :], i[:, None] - i[None, :]
 
 
-def _sum_diff(A: np.ndarray) -> np.ndarray:
-    """Operator in ``(t, d)`` coordinates, zero where ``t`` and ``d`` differ in
-    parity; the columns are the harmonics ``d = -span .. span``."""
-    size = A.shape[0]
-    R = np.zeros((2 * size - 1, 2 * size - 1), dtype=complex)
-    R[_sum_diff_index(size)] = A
-    return R
-
-
-def _cos_sin(span: int, grid: AngleGrid) -> tuple[np.ndarray, np.ndarray]:
-    """``cos(d phi_j)`` and ``sin(d phi_j)`` for ``d = -span .. span``: the real
-    and imaginary parts of ``E[d, j] = e^{i d phi_j}``."""
+def _cos_sin(span: int, grid: AngleGrid) -> np.ndarray:
+    """``cos(d phi_j)`` in row ``2d`` and ``-sin(d phi_j)`` in row ``2d + 1``
+    for ``d = 0 .. span``, laid out like the real view of
+    ``conj(E[d, j]) = e^{-i d phi_j}``, so one real GEMM takes a complex
+    operand on either side: ``P.view(float) @ table`` is ``Re(P @ E)`` and
+    ``(Y @ table.T).view(complex)`` is ``Y @ E^H`` for a real ``Y``."""
     phase = np.arange(span + 1)[:, None] * grid.nodes[None, :]
-    c, s = np.cos(phase), np.sin(phase)
-    return np.concatenate((c[:0:-1], c)), np.concatenate((-s[:0:-1], s))
+    table = np.empty((span + 1, 2, grid.n_phi))
+    np.cos(phase, out=table[:, 0])
+    np.negative(np.sin(phase, out=table[:, 1]), out=table[:, 1])
+    return table.reshape(-1, grid.n_phi)
 
 
-def _angle_sums(
-    A: np.ndarray, window: OamWindow, grid: AngleGrid, with_imag: bool = False
-) -> np.ndarray:
-    """``X = Re(R(A) @ E)``, shape (2*span + 1, n_phi): row ``t`` is the real
-    angle dependence that every ``rho_mn`` with ``m + n = t`` contributes.
+def _angle_sums(A: np.ndarray, window: OamWindow, grid: AngleGrid) -> np.ndarray:
+    """``X = Re(R(A) @ E)``, shape (..., 2*span + 1, n_phi), for an operator
+    or a stack of operators ``A``: row ``t`` is the real angle dependence that
+    every ``rho_mn`` with ``m + n = t`` contributes.
 
-    ``with_imag`` appends ``Im(R(A) @ E)`` along the angle axis, shape
-    (2*span + 1, 2*n_phi)."""
-    R = _sum_diff(A)
-    C, S = _cos_sin(window.span, grid)
-    X = R.real @ C - R.imag @ S
-    if not with_imag:
-        return X
-    return np.concatenate((X, R.real @ S + R.imag @ C), axis=1)
+    ``Re(z e^{-i d phi}) = Re(conj(z) e^{i d phi})``, so harmonic ``-d`` folds
+    onto ``d``: ``P[m+n, m-n] = A_mn + conj(A_nm)`` for ``m > n`` and ``A_mm``
+    for ``d = 0``, and ``X = Re P @ cos(d phi) - Im P @ sin(d phi)`` over
+    ``d = 0 .. span``.  Both triangles enter, so this holds for any ``A``, not
+    only a Hermitian one.
+    """
+    size = A.shape[-1]
+    i = np.arange(size)
+    m, n = np.nonzero(i[:, None] > i)
+    P = np.zeros(A.shape[:-2] + (2 * size - 1, size), dtype=complex)
+    P[..., m + n, m - n] = A[..., m, n] + A[..., n, m].conj()
+    P[..., ::2, 0] = A.diagonal(axis1=-2, axis2=-1)
+    return P.view(float) @ _cos_sin(window.span, grid)
 
 
 def _wigner_of_operator(
-    A: np.ndarray,
-    window: OamWindow,
-    l_lo: int,
-    l_hi: int,
-    grid: AngleGrid,
-    with_imag: bool = False,
+    A: np.ndarray, window: OamWindow, l_lo: int, l_hi: int, grid: AngleGrid
 ) -> np.ndarray:
-    """Real Wigner values ``G @ X`` of an operator on the window, with
-    ``X = Re(R(A) @ E)``, for rows ``l_lo..l_hi`` covering the window.
+    """Real Wigner values ``G @ X`` of an operator, or of each operator of a
+    stack, on the window, with ``X = Re(R(A) @ E)``, for rows ``l_lo..l_hi``
+    covering the window.
 
     That is the real part of ``G @ R(A) @ E`` (all of it for a Hermitian
-    ``A``): one GEMM of the Cauchy block with the odd rows of ``X``, plus
-    the even rows times the constant ``1/2pi``, row ``t`` added onto window
-    row ``t/2``.  ``with_imag`` appends the imaginary part along the angle
-    axis, through the same GEMM and addition.
+    ``A``; the imaginary part is the real part for ``-iA``): one GEMM of the
+    Cauchy block with the odd rows of ``X``, plus the even rows times the
+    constant ``1/2pi``, row ``t`` added onto window row ``t/2``.
     """
     K = _row_kernel(window, np.arange(l_lo, l_hi + 1))
-    X = _angle_sums(A, window, grid, with_imag)
-    values = K @ X[1::2]
+    X = _angle_sums(A, window, grid)
+    values = K @ X[..., 1::2, :]
     lo = window.l_min - l_lo
-    values[lo : lo + window.size] += X[::2] * (1.0 / TWO_PI)
+    values[..., lo : lo + window.size, :] += X[..., ::2, :] * (1.0 / TWO_PI)
     return values
 
 
@@ -329,7 +320,7 @@ def kernel_matrix(l: int, phi: float, window: OamWindow) -> KernelMatrix:
     if window.l_min <= l <= window.l_max:
         g[2 * (l - window.l_min)] = 1.0 / TWO_PI
     t, d = _sum_diff_index(window.size)
-    return KernelMatrix(l, phi, window, g[t] * np.exp(-1j * (d - window.span) * phi))
+    return KernelMatrix(l, phi, window, g[t] * np.exp(-1j * d * phi))
 
 
 def wigner_from_oam(rho: DensityMatrix, l_pad: int, grid: AngleGrid) -> WignerGrid:
@@ -463,15 +454,16 @@ class ReconstructionResult:
 
 
 def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
-    """Both inverses from one ``B = (G^T W) @ E^H / n_phi``, the real product
-    taken first: ``literal`` is ``4 pi^2 B``; ``lstsq`` is the same matrix
-    with each odd harmonic replaced by the solve of
-    ``(G^T G)[ts, ts] x = B[ts, d]``.
+    """Both inverses from one ``B = (G^T W) @ E^H / n_phi`` over the harmonics
+    ``d >= 0``, the real product taken first: ``literal`` is ``4 pi^2 B``;
+    ``lstsq`` is the same matrix with each odd harmonic's column replaced by
+    the solve of ``(G^T G)[ts, ts] x = B[ts, d]``.  Element ``(m, n)`` is
+    ``R[m+n, |m-n|]``, conjugated where ``m < n``: ``G^T W`` is real, so
+    harmonic ``-d`` is the conjugate of ``d``.
 
     An even harmonic's columns are the constant ``1/2pi`` on distinct window
     rows, so its Gram block is exactly ``I/4pi^2`` and least squares is the
-    literal inverse there.  Harmonics ``+d`` and ``-d`` share their ``ts`` and
-    so their Gram block: one ``eigh`` per odd ``|d|`` serves both.
+    literal inverse there.  One ``eigh`` per odd ``d`` writes one column.
     """
     span = window.span
     K = _row_kernel(window, W.rows())
@@ -479,27 +471,26 @@ def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
     GtW = np.empty((2 * span + 1, W.grid.n_phi))
     GtW[1::2] = K.T @ W.values
     GtW[::2] = W.values[lo : lo + window.size] * (1.0 / TWO_PI)
-    C, S = _cos_sin(span, W.grid)
-    B = (GtW @ C.T - 1j * (GtW @ S.T)) / W.grid.n_phi
+    B = (GtW @ _cos_sin(span, W.grid).T).view(complex) / W.grid.n_phi
     R = 4.0 * np.pi**2 * B
-    if method == "literal":
-        return R[_sum_diff_index(window.size)]
-    gram = K.T @ K
-    for d in range(-span | 1, 0, 2):  # odd d < 0; the block of -d serves +d too
-        ts = np.arange(-d, 2 * span + d + 1, 2)
-        lam, V = np.linalg.eigh(gram[np.ix_(ts // 2, ts // 2)])
-        rank = int(np.sum(lam > lam.max() * len(ts) * np.finfo(float).eps))
-        if rank < len(ts):
-            m0 = window.l_min
-            pairs = [(m0 + (t + d) // 2, m0 + (t - d) // 2) for t in ts.tolist()]
-            raise ReconstructionError(
-                f"harmonic d={d}: kernel block rank {rank} < {len(ts)}; "
-                f"deficient matrix-element directions (m, n): {pairs}",
-                deficient_directions=pairs,
-            )
-        block = np.ix_(ts, [span + d, span - d])
-        R[block] = V @ ((V.T @ B[block]) / lam[:, None])
-    return R[_sum_diff_index(window.size)]
+    if method == "lstsq":
+        gram = K.T @ K
+        for d in reversed(range(1, span + 1, 2)):  # odd d, largest first
+            ts = np.arange(d, 2 * span - d + 1, 2)
+            lam, V = np.linalg.eigh(gram[np.ix_(ts // 2, ts // 2)])
+            rank = int(np.sum(lam > lam.max() * len(ts) * np.finfo(float).eps))
+            if rank < len(ts):
+                m0 = window.l_min
+                pairs = [(m0 + (t - d) // 2, m0 + (t + d) // 2) for t in ts.tolist()]
+                raise ReconstructionError(
+                    f"harmonic d={-d}: kernel block rank {rank} < {len(ts)}; "
+                    f"deficient matrix-element directions (m, n): {pairs}",
+                    deficient_directions=pairs,
+                )
+            R[ts, d] = V @ ((V.T @ B[ts, d]) / lam)
+    t, d = _sum_diff_index(window.size)
+    M = R[t, np.abs(d)]
+    return np.where(d < 0, M.conj(), M)
 
 
 def reconstruct_density(
@@ -518,11 +509,13 @@ def reconstruct_density(
     ``1/2pi`` on distinct window rows, whose Gram block is exactly
     ``I/4pi^2``: there the fit is the literal inverse, bit for bit.  Odd
     ``d`` gives a sign-scaled Cauchy matrix ``1/(s - l + 1/2)`` with
-    distinct nodes, one ``eigh`` serving both ``+d`` and ``-d``; each such
-    block has full column rank (checked; a deficient block raises naming
-    ``d`` and its ``(m, n)`` pairs) and a Gram matrix close to the all-rows
-    limit ``I/4pi^2`` (well conditioned).  ``method="literal"`` evaluates
-    the textbook inverse as a truncated sum over stored rows,
+    distinct nodes; each such block has full column rank (checked; a
+    deficient block raises naming ``-d`` and its ``(m, n)`` pairs) and a
+    Gram matrix close to the all-rows limit ``I/4pi^2`` (well conditioned).
+    Only ``d >= 0`` is solved, one ``eigh`` and one column per odd ``d``:
+    the data are real, so harmonic ``-d`` is the conjugate of ``d``.
+    ``method="literal"`` evaluates the textbook inverse as a truncated sum
+    over stored rows,
     ``4pi^2 G^T yhat``: the same equations with the Gram matrix replaced by
     ``I/4pi^2``, which misses the ``O(1/P)`` share of the dropped rows in
     its odd matrix elements.  The residual is the real forward map of the
@@ -567,7 +560,9 @@ def star_product(
 
     The product of two states is representable on a real grid only when it
     is (numerically) Hermitian, e.g. self-star or orthogonal states; a
-    genuinely complex product raises :class:`RealnessError`.
+    genuinely complex product raises :class:`RealnessError`.  The imaginary
+    grid checked is the map of ``-i rho sigma``, the imaginary part of the
+    map of ``rho sigma``; both are mapped as one stack.
     """
     if W_rho.grid.n_phi != W_sigma.grid.n_phi:
         raise ValueError(
@@ -595,10 +590,9 @@ def star_product(
     l_hi = min(W_rho.l_hi, W_sigma.l_hi)
     if l_lo > window.l_min or l_hi < window.l_max:
         raise ValueError("grid row ranges do not cover the union window")
-    both = _wigner_of_operator(
-        product, window, l_lo, l_hi, W_rho.grid, with_imag=True
+    values, imag = _wigner_of_operator(
+        np.stack((product, -1j * product)), window, l_lo, l_hi, W_rho.grid
     )
-    values, imag = np.hsplit(both, 2)
     _check_real(imag, "star product")
     pad = min(window.l_min - l_lo, l_hi - window.l_max)
     return WignerGrid(l_lo, l_hi, W_rho.grid, values, window, pad)

@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import TruncationError, _check_budget
 from .numerics import TWO_PI, AngleGrid, PeriodicSamples
 
 __all__ = [
@@ -185,6 +185,8 @@ def oam_eigenstate(l0: int, window: OamWindow) -> PureState:
     """The OAM eigenstate ``|l0>`` embedded in ``window``."""
     if l0 not in window:
         raise ValueError(f"l0={l0} outside window [{window.l_min}, {window.l_max}]")
+    # the complex coefficients and their validated copy
+    _check_budget("OAM eigenstate", 5 * window.size)
     coeffs = np.zeros(window.size, dtype=complex)
     coeffs[window.index(l0)] = 1.0
     return PureState(window, coeffs)
@@ -205,11 +207,14 @@ def coherent_state(
         raise ValueError("window is required")
     if l0 not in window:
         raise ValueError(f"l0={l0} outside window [{window.l_min}, {window.l_max}]")
-    ls = window.values()
-    weights = np.exp(-((ls - l0) ** 2) / (sigma * sigma))
     # Tail mass over the excluded lattice points, summed far enough out that
     # the remainder is irrelevant at the 1e-12 threshold.
     reach = int(np.ceil(8 * sigma + abs(l0) + window.span)) + 8
+    # window-sized weights and complex factors; the probe lattice, its mask
+    # and the Gaussian over its excluded points
+    _check_budget("coherent state", 9 * window.size + 4 * (2 * reach + 1))
+    ls = window.values()
+    weights = np.exp(-((ls - l0) ** 2) / (sigma * sigma))
     probe = np.arange(l0 - reach, l0 + reach + 1)
     outside = (probe < window.l_min) | (probe > window.l_max)
     tail = float(np.sum(np.exp(-((probe[outside] - l0) ** 2) / (sigma * sigma))))
@@ -231,10 +236,12 @@ def von_mises_state(kappa: float, window: OamWindow) -> PureState:
 
     Coefficients are obtained by projecting the sampled wavefunction onto the
     harmonics of the window (they decay like Bessel ``I_l(kappa)``), then
-    renormalizing.
+    renormalizing.  The samples are taken as ``exp(kappa (cos phi - 1))``, at
+    most 1, so none overflows: the factor ``e^kappa`` cancels in the
+    normalization and in the tail ratio.
     """
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if not (np.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     if window.l_min != -window.l_max:
         raise ValueError("von Mises window must be symmetric about 0")
     if kappa == 0.0:
@@ -242,9 +249,11 @@ def von_mises_state(kappa: float, window: OamWindow) -> PureState:
         return oam_eigenstate(0, window)
     reach = window.l_max + 128
     n_phi = max(256, 4 * reach + 4)
+    # the complex (reach + 1, n_phi) projection table and its exponent
+    _check_budget("von Mises state", 5 * (reach + 1) * n_phi)
     grid = AngleGrid(n_phi)
     phi = grid.nodes
-    raw = np.exp(kappa * np.cos(phi))
+    raw = np.exp(kappa * (np.cos(phi) - 1.0))
     # c_l is proportional to (F raw)(-l) = (1/n) sum raw e^{-i l phi};
     # the function is even so c is real and symmetric in l.
     wide_ls = np.arange(0, reach + 1)
@@ -271,6 +280,8 @@ def von_mises_state(kappa: float, window: OamWindow) -> PureState:
 def random_pure_state(window: OamWindow, seed: int) -> PureState:
     """Haar-like random state: i.i.d. complex Gaussian coefficients from a
     PCG64 generator seeded with ``seed``, then normalized."""
+    # two real draws, their complex sum, its normalized and validated copies
+    _check_budget("random state", 9 * window.size)
     rng = np.random.Generator(np.random.PCG64(seed))
     re = rng.standard_normal(window.size)
     im = rng.standard_normal(window.size)

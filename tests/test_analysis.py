@@ -25,7 +25,7 @@ from cylwig import (
     von_mises_state,
     wigner_from_oam,
 )
-from cylwig import phasespace
+from cylwig import errors
 
 TWO_PI = 2 * np.pi
 
@@ -120,10 +120,10 @@ class TestFlatness:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        monkeypatch.setattr(phasespace, "MEMORY_BUDGET", peak - 1)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", peak - 1)
         with pytest.raises(MemoryBudgetError):
             flatness_check(psi, grid)
-        monkeypatch.setattr(phasespace, "MEMORY_BUDGET", 4 * peak)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 4 * peak)
         assert flatness_check(psi, grid).flat
 
 

@@ -292,6 +292,15 @@ class TestMemoryBudget:
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
         assert "memory budget" in cp.stderr
 
+    @pytest.mark.parametrize("kind", ["random", "eigen"])
+    def test_huge_window_state_exit_3(self, kind):
+        cp = run("state", "--kind", kind, "--window", "-100000000:100000000", check=False)
+        assert cp.returncode == 3
+        assert cp.stdout == ""
+        assert "Traceback" not in cp.stderr
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+        assert "memory budget" in cp.stderr
+
     def test_flatness_gate_exit_3(self, tmp_path):
         state = tmp_path / "e.json"
         run("state", "--kind", "eigen", "--window", "-4:4", "-o", str(state))
@@ -304,8 +313,8 @@ class TestMemoryBudget:
 
 
 class TestNonFiniteState:
-    """Non-finite coefficients exit 2 with nothing written, whether the
-    state command computes them or a state file holds them."""
+    """A non-finite input exits 2 with nothing written, whether it is the
+    state command's parameter or a coefficient in a state file."""
 
     NAN_STATE = '{"format":"cylwig-state-v1","l_min":0,"coefficients":[[NaN,0],[1,0]]}'
 
@@ -313,7 +322,7 @@ class TestNonFiniteState:
     @pytest.mark.parametrize("command", ["state", "wigner"])
     def test_exit_2_nothing_written(self, tmp_path, command, to_file):
         if command == "state":
-            args = ["state", "--kind", "vonmises", "--kappa", "1000", "--window", "-4:4"]
+            args = ["state", "--kind", "vonmises", "--kappa", "nan", "--window", "-4:4"]
         else:
             path = tmp_path / "nan.json"
             path.write_text(self.NAN_STATE + "\n")
@@ -324,7 +333,20 @@ class TestNonFiniteState:
         assert cp.stdout == "" and not out.exists()
         assert "Traceback" not in cp.stderr
         last = cp.stderr.splitlines()[-1]
-        assert last.startswith("error: coefficient 0 (l=") and "is not finite" in last
+        if command == "state":
+            assert last == "error: kappa must be finite and >= 0, got nan"
+        else:
+            assert last.startswith("error: coefficient 0 (l=") and "is not finite" in last
+
+    def test_large_kappa_exit_3(self):
+        """``exp(kappa cos phi)`` would overflow here: the window is refused by
+        name, with no RuntimeWarning on stderr."""
+        cp = run("state", "--kind", "vonmises", "--kappa", "1000", "--window", "-4:4",
+                 check=False)
+        assert cp.returncode == 3
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+        assert "for kappa=1000" in cp.stderr
 
 
 class TestRender:

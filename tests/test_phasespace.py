@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from cylwig import (
     AngleGrid,
     BandLimitError,
+    DensityMatrix,
     MemoryBudgetError,
     OamWindow,
     PureState,
@@ -38,7 +39,7 @@ from cylwig import (
     wigner_from_oam,
     write_wigner,
 )
-from cylwig import phasespace
+from cylwig import errors, phasespace
 from cylwig.phasespace import WignerGrid, wigner_to_csv
 from cylwig.states import _f17
 
@@ -130,14 +131,25 @@ def complex_reference(rho, W):
 class TestRealFirstMap:
     """The real, parity-split map against the complex ``G @ R @ E``."""
 
-    @pytest.mark.parametrize("half", [4, 8, 16])
-    @pytest.mark.parametrize("kind", ["pure", "mixture", "displaced_eigenstate"])
+    @pytest.mark.parametrize("half", [4, 8, 16, 32])
+    @pytest.mark.parametrize(
+        "kind", ["pure", "mixture", "displaced_eigenstate", "anti_hermitian_part"])
     def test_matches_complex_product(self, kind, half):
+        """The map folds harmonic ``-d`` onto ``d``; the reference keeps both.
+        A density may carry an anti-Hermitian part below the 1e-12 check,
+        which doubling one triangle instead of folding would misplace."""
         w = OamWindow(-half, half)
         if kind == "pure":
             rho = to_density(random_pure_state(w, 40 + half))
         elif kind == "mixture":
             rho = mix([(0.4, random_pure_state(w, 41)), (0.6, random_pure_state(w, 42))])
+        elif kind == "anti_hermitian_part":
+            rng = np.random.default_rng(half)
+            Z = rng.standard_normal((w.size, w.size)) + 1j * rng.standard_normal((w.size, w.size))
+            skew = 0.25e-13 * (Z - Z.conj().T)
+            skew -= np.diag(np.diag(skew))  # keep the trace at 1 exactly
+            rho = DensityMatrix(w, to_density(random_pure_state(w, 45)).elements + skew)
+            assert np.max(np.abs(rho.elements - rho.elements.conj().T)) > 1e-13
         else:
             inner = OamWindow(-half + 2, half - 2)
             rho = to_density(displace(oam_eigenstate(1, inner), 2, 0.7))
@@ -148,9 +160,9 @@ class TestRealFirstMap:
 
     @pytest.mark.parametrize("half", [4, 16])
     def test_imaginary_grid_of_a_product(self, half):
-        """The imaginary half that ``star_product`` checks for realness, from
-        the same GEMM and scatter as the real one, is the imaginary part of
-        the complex product for a non-Hermitian operator."""
+        """The imaginary grid that ``star_product`` checks for realness is
+        the map of ``-i`` times the product: for a non-Hermitian operator it
+        is the imaginary part of the complex product."""
         from cylwig import phasespace
 
         w = OamWindow(-half, half)
@@ -159,10 +171,9 @@ class TestRealFirstMap:
         W = wigner_from_oam(rho, default_pad(w), default_angle_grid(w))
         values, _ = complex_reference(SimpleNamespace(window=w, elements=A), W)
         assert np.max(np.abs(values.imag)) > 1e-3
-        both = phasespace._wigner_of_operator(A, w, W.l_lo, W.l_hi, W.grid, with_imag=True)
-        n = W.grid.n_phi
-        assert np.max(np.abs(both[:, :n] - values.real)) <= 1e-15
-        assert np.max(np.abs(both[:, n:] - values.imag)) <= 1e-15
+        for B, want in ((A, values.real), (-1j * A, values.imag)):
+            got = phasespace._wigner_of_operator(B, w, W.l_lo, W.l_hi, W.grid)
+            assert np.max(np.abs(got - want)) <= 1e-15
 
     @pytest.mark.parametrize("l_min, l_max, lo, hi", [
         (-4, 4, -36, 36), (-3, 7, 5, 5), (-3, 7, 40, 40), (0, 0, -2, 2), (2, 9, -300, -290)])
@@ -240,10 +251,10 @@ class TestMemoryBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        monkeypatch.setattr(phasespace, "MEMORY_BUDGET", peak - 1)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", peak - 1)
         with pytest.raises(MemoryBudgetError, match="GiB memory budget"):
             call()
-        monkeypatch.setattr(phasespace, "MEMORY_BUDGET", 4 * peak)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 4 * peak)
         assert call().values.shape == (w.size + 2 * pad, n_phi)
 
 

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +9,7 @@ from scipy.special import iv
 from cylwig import (
     AngleGrid,
     DensityMatrix,
+    MemoryBudgetError,
     OamWindow,
     PureState,
     TruncationError,
@@ -30,6 +34,7 @@ from cylwig import (
     von_mises_state,
     write_state,
 )
+from cylwig import errors
 
 TWO_PI = 2 * np.pi
 
@@ -148,6 +153,20 @@ class TestVonMises:
         with pytest.raises(TruncationError):
             von_mises_state(6.0, OamWindow(-3, 3))
 
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), -1.0])
+    def test_kappa_must_be_finite_and_non_negative(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            von_mises_state(kappa, OamWindow(-8, 8))
+
+    def test_large_kappa_truncates_without_overflow(self):
+        """``exp(kappa cos phi)`` overflows at kappa = 1000; with ``e^kappa``
+        divided out of the samples the window is refused by name, and no
+        RuntimeWarning is raised on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationError, match="kappa=1000"):
+                von_mises_state(1000.0, OamWindow(-4, 4))
+
 
 class TestRandomState:
     def test_deterministic(self):
@@ -172,6 +191,49 @@ class TestRandomState:
             acc += np.abs(random_pure_state(w, seed).coefficients) ** 2
         mean = acc / n
         assert np.max(np.abs(mean - 1.0 / w.size)) / (1.0 / w.size) < 0.05
+
+
+class TestMemoryBudget:
+    """Each constructor refuses a window over the memory budget before it
+    allocates the window-sized arrays."""
+
+    MAKERS = {
+        "eigen": lambda w: oam_eigenstate(0, w),
+        "random": lambda w: random_pure_state(w, 1),
+        "coherent": lambda w: coherent_state(0, 0.3, 1.0, w),
+        "coherent_wide": lambda w: coherent_state(0, 0.3, w.l_max / 20, w),
+        "vonmises": lambda w: von_mises_state(1.0, w),
+    }
+
+    @pytest.mark.parametrize(
+        "kind, half", [(kind, 10**8) for kind in MAKERS] + [("vonmises", 10**5)])
+    def test_huge_window_refused(self, kind, half):
+        """At +-10^8 every window-sized array is over the budget; at +-10^5
+        the von Mises projection table alone would take hundreds of GB."""
+        with pytest.raises(MemoryBudgetError, match="GiB memory budget"):
+            self.MAKERS[kind](OamWindow(-half, half))
+
+    @pytest.mark.parametrize("kind", list(MAKERS))
+    def test_estimate_bounds_peak(self, monkeypatch, kind):
+        """The estimate is never below what the constructor allocates
+        (tracemalloc peak) and at most four times it."""
+        w = OamWindow(-200, 200) if kind == "vonmises" else OamWindow(-50_000, 50_000)
+
+        def make():
+            return self.MAKERS[kind](w)
+
+        make()
+        tracemalloc.start()
+        try:
+            make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", peak - 1)
+        with pytest.raises(MemoryBudgetError, match="GiB memory budget"):
+            make()
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 4 * peak)
+        assert make().window == w
 
 
 class TestUnitaries:

@@ -24,7 +24,8 @@ Only the standard library and numpy are used.  Inputs use the default grid
 (seed 1), except in ``hudson_certify.eigenstate``: a random state stops at
 the negativity gate, while the eigenstate ``|0>`` passes through every gate,
 the ``(n_phi, n_phi)`` flatness check included.  ``random_pure_state`` times
-state construction with its validation.
+state construction with its validation; ``star_product`` is the self-star
+of the random state's grid by the operator method.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ LAYERS = (
     "angle_marginal_tail",
     "reconstruct_density.lstsq",
     "reconstruct_density.literal",
+    "star_product",
     "hudson_certify",
     "hudson_certify.eigenstate",
     "wigner_to_csv",
@@ -88,6 +90,8 @@ def _call(layer: str, half: int, tmp: str):
         return lambda: cw.read_wigner(path)
     if layer == "angle_marginal_tail":
         return lambda: cw.angle_marginal_tail(rho, W)
+    if layer == "star_product":
+        return lambda: cw.star_product(W, W, method="operator")
     method = layer.rpartition(".")[2]
     return lambda: cw.reconstruct_density(W, w, method=method)
 
@@ -157,9 +161,9 @@ def main() -> None:
             cases.append(case)
     result = {
         "what": "per-call wall time of library layers, default grid and pad, "
-                "random pure state (seed 1) or, for hudson_certify.eigenstate, "
-                "the eigenstate |0>; median and quartiles in ms; peak RSS of "
-                "the case's process in MB",
+                "random pure state (seed 1; star_product its self-star) or, "
+                "for hudson_certify.eigenstate, the eigenstate |0>; median "
+                "and quartiles in ms; peak RSS of the case's process in MB",
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
                 "numpy": numpy.__version__, "blas_threads": 1,
                 "min_seconds": MIN_SECONDS, "rounds": ROUNDS},

@@ -25,18 +25,21 @@ That constant is why an OAM eigenstate's grid is ``delta_{l,l0}/2pi >= 0``.
 ``G`` is real and so is ``W``, so the map is computed real-first, from the
 harmonics ``d >= 0`` only.  ``Re(z e^{-i d phi}) = Re(conj(z) e^{i d phi})``
 folds harmonic ``-d`` onto ``d``: with ``P[m+n, m-n] = rho_mn + conj(rho_nm)``
-for ``m > n`` and ``rho_mm`` for ``d = 0``,
-``X = Re(R @ E) = Re P @ cos(d phi) - Im P @ sin(d phi)``, shape
-``(2*span + 1, n_phi)``.  Then ``W = K @ X[odd t]``, one GEMM, plus
-``X[even t] / 2pi`` added onto the window rows.  The tail is
-``(1/2pi - K.sum(0)) @ X[odd t]``.  The fold takes both triangles, so it is
-exact for any operator, and the imaginary part of the map is the real part
-for ``-i`` times the operator.
+for ``m > n`` and ``rho_mm`` for ``d = 0``, ``X = Re(R @ E) = Re(P @ E)``,
+shape ``(2*span + 1, n_phi)``.  On the uniform nodes that sum over ``d`` is
+a discrete Fourier transform: one real inverse FFT per row ``t`` (``irfft``),
+with the sign ``(-1)^d`` of the first node ``phi_0 = -pi`` and the factor
+``1/2`` of the conjugate harmonic that ``irfft`` adds applied beforehand.  Then
+``W = K @ X[odd t]``, one GEMM, plus ``X[even t] / 2pi`` added onto the
+window rows.  The tail is ``(1/2pi - K.sum(0)) @ X[odd t]``.  The fold takes
+both triangles, so it is exact for any operator, and the imaginary part of
+the map is the real part for ``-i`` times the operator.
 
 Both inverses start from ``B = (G^T W) @ E^H / n_phi`` for ``d >= 0``, the
-angle harmonics of ``G^T W``, with the real product taken first: ``K^T W``
-for the odd ``t`` and the window rows of ``W`` over ``2pi`` for the even
-ones.  ``G^T W`` is real, so harmonic ``-d`` is the conjugate of ``d``:
+angle harmonics of ``G^T W``: ``K^T W`` for the odd ``t`` and the window
+rows of ``W`` over ``2pi`` for the even ones, then one real FFT per row
+(``rfft``) with the odd ``d`` negated.  ``G^T W`` is real, so harmonic ``-d``
+is the conjugate of ``d``:
 element ``(m, n)`` is ``B[m+n, |m-n|]``, conjugated where ``m < n``.  The
 columns of one harmonic share the parity of ``d``, and over all rows such
 columns are orthogonal, ``sum_j 1/((j + 1/2)(j + k + 1/2)) = pi^2 delta_k0``,
@@ -117,7 +120,11 @@ RESIDUAL_WARNING = 1e-6
 
 @dataclass(frozen=True)
 class WignerGrid:
-    """Real Wigner values on rows ``l_lo..l_hi`` times an angle grid."""
+    """Real Wigner values on rows ``l_lo..l_hi`` times an angle grid.
+
+    The rows cover the source window and ``pad`` is the number of rows they
+    add on its narrower side, ``min(l_min - l_lo, l_hi - l_max) >= 0``.
+    """
 
     l_lo: int
     l_hi: int
@@ -127,6 +134,14 @@ class WignerGrid:
     pad: int
 
     def __post_init__(self):
+        lo, hi = self.source_window.l_min, self.source_window.l_max
+        margin = min(lo - self.l_lo, self.l_hi - hi)
+        if margin < 0 or self.pad != margin:
+            fit = f"pad it by {margin}" if margin >= 0 else f"miss it (margin {margin})"
+            raise ValueError(
+                f"pad {self.pad} does not match the rows: [{self.l_lo}, {self.l_hi}] "
+                f"about source window [{lo}, {hi}] {fit}"
+            )
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.n_rows, self.grid.n_phi):
             raise ValueError(
@@ -183,16 +198,17 @@ def default_pad(window: OamWindow) -> int:
 
 def _stored_rows(window: OamWindow, l_pad: int, grid: AngleGrid) -> tuple[int, int]:
     """Rows ``l_lo, l_hi`` that a forward map stores, as Python ints, once
-    the checks both maps share pass: ``l_pad >= 0``, the band limit, and the
-    memory budget.
+    the checks both maps share pass: ``l_pad >= 0``, the band limit (which
+    keeps every harmonic ``d <= span`` below the FFT's Nyquist column
+    ``n_phi/2``), and the memory budget.
 
     With ``n_t = 2*span + 1`` harmonics, the estimate bounds the peak of
     either map: ``2 * rows * (n_phi + n_t)`` floats for the grid, its copy
     into the WignerGrid (or the imaginary grid) and the per-row weights (the
     Cauchy block or the half-period integrals and their index arithmetic),
-    plus ``6 * (n_t + 1) * n_phi`` for the per-angle tables (cos/sin of
-    ``d phi`` and the angle sums, or the complex wavefunction samples and
-    their harmonics, the larger).
+    plus ``6 * (n_t + 1) * n_phi`` for the per-angle arrays (the folded
+    harmonics and the angle sums of the inverse FFT, or the complex
+    wavefunction samples and their harmonics, the larger).
     """
     if l_pad < 0:
         raise ValueError(f"l_pad must be >= 0, got {l_pad}")
@@ -246,37 +262,27 @@ def _sum_diff_index(size: int) -> tuple[np.ndarray, np.ndarray]:
     return i[:, None] + i[None, :], i[:, None] - i[None, :]
 
 
-def _cos_sin(span: int, grid: AngleGrid) -> np.ndarray:
-    """``cos(d phi_j)`` in row ``2d`` and ``-sin(d phi_j)`` in row ``2d + 1``
-    for ``d = 0 .. span``, laid out like the real view of
-    ``conj(E[d, j]) = e^{-i d phi_j}``, so one real GEMM takes a complex
-    operand on either side: ``P.view(float) @ table`` is ``Re(P @ E)`` and
-    ``(Y @ table.T).view(complex)`` is ``Y @ E^H`` for a real ``Y``."""
-    phase = np.arange(span + 1)[:, None] * grid.nodes[None, :]
-    table = np.empty((span + 1, 2, grid.n_phi))
-    np.cos(phase, out=table[:, 0])
-    np.negative(np.sin(phase, out=table[:, 1]), out=table[:, 1])
-    return table.reshape(-1, grid.n_phi)
-
-
-def _angle_sums(A: np.ndarray, window: OamWindow, grid: AngleGrid) -> np.ndarray:
+def _angle_sums(A: np.ndarray, grid: AngleGrid) -> np.ndarray:
     """``X = Re(R(A) @ E)``, shape (..., 2*span + 1, n_phi), for an operator
     or a stack of operators ``A``: row ``t`` is the real angle dependence that
     every ``rho_mn`` with ``m + n = t`` contributes.
 
     ``Re(z e^{-i d phi}) = Re(conj(z) e^{i d phi})``, so harmonic ``-d`` folds
     onto ``d``: ``P[m+n, m-n] = A_mn + conj(A_nm)`` for ``m > n`` and ``A_mm``
-    for ``d = 0``, and ``X = Re P @ cos(d phi) - Im P @ sin(d phi)`` over
-    ``d = 0 .. span``.  Both triangles enter, so this holds for any ``A``, not
-    only a Hermitian one.
+    for ``d = 0``.  Both triangles enter, so this holds for any ``A``, not
+    only a Hermitian one.  On the nodes ``phi_j = -pi + 2pi j/n_phi``,
+    ``e^{i d phi_j} = (-1)^d e^{2pi i d j/n_phi}``, and ``irfft`` adds the
+    conjugate of every harmonic ``d >= 1``, so the scatter writes
+    ``(-1)^d P / 2`` there and one real inverse FFT gives ``X`` (the
+    imaginary part of the ``d = 0`` column is dropped, as ``Re`` asks).
     """
     size = A.shape[-1]
     i = np.arange(size)
     m, n = np.nonzero(i[:, None] > i)
-    P = np.zeros(A.shape[:-2] + (2 * size - 1, size), dtype=complex)
-    P[..., m + n, m - n] = A[..., m, n] + A[..., n, m].conj()
+    P = np.zeros(A.shape[:-2] + (2 * size - 1, grid.n_phi // 2 + 1), dtype=complex)
+    P[..., m + n, m - n] = (A[..., m, n] + A[..., n, m].conj()) * (0.5 - ((m - n) & 1))
     P[..., ::2, 0] = A.diagonal(axis1=-2, axis2=-1)
-    return P.view(float) @ _cos_sin(window.span, grid)
+    return np.fft.irfft(P, grid.n_phi, norm="forward")
 
 
 def _wigner_of_operator(
@@ -292,7 +298,7 @@ def _wigner_of_operator(
     constant ``1/2pi``, row ``t`` added onto window row ``t/2``.
     """
     K = _row_kernel(window, np.arange(l_lo, l_hi + 1))
-    X = _angle_sums(A, window, grid)
+    X = _angle_sums(A, grid)
     values = K @ X[..., 1::2, :]
     lo = window.l_min - l_lo
     values[..., lo : lo + window.size, :] += X[..., ::2, :] * (1.0 / TWO_PI)
@@ -406,7 +412,7 @@ def angle_marginal_tail(rho: DensityMatrix, W: WignerGrid) -> np.ndarray:
     if W.l_lo > window.l_min or W.l_hi < window.l_max:
         raise ValueError("stored rows must cover the source window")
     weight = 1.0 / TWO_PI - _row_kernel(window, W.rows()).sum(axis=0)
-    return weight @ _angle_sums(rho.elements, window, W.grid)[1::2]
+    return weight @ _angle_sums(rho.elements, W.grid)[1::2]
 
 
 def overlap(W_rho: WignerGrid, W_sigma: WignerGrid) -> float:
@@ -455,7 +461,9 @@ class ReconstructionResult:
 
 def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
     """Both inverses from one ``B = (G^T W) @ E^H / n_phi`` over the harmonics
-    ``d >= 0``, the real product taken first: ``literal`` is ``4 pi^2 B``;
+    ``d >= 0``: the real product ``G^T W`` first, then one real FFT per row,
+    as ``e^{-i d phi_j} = (-1)^d e^{-2pi i d j/n_phi}`` on the nodes
+    ``phi_j = -pi + 2pi j/n_phi``.  ``literal`` is ``4 pi^2 B``;
     ``lstsq`` is the same matrix with each odd harmonic's column replaced by
     the solve of ``(G^T G)[ts, ts] x = B[ts, d]``.  Element ``(m, n)`` is
     ``R[m+n, |m-n|]``, conjugated where ``m < n``: ``G^T W`` is real, so
@@ -471,7 +479,8 @@ def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
     GtW = np.empty((2 * span + 1, W.grid.n_phi))
     GtW[1::2] = K.T @ W.values
     GtW[::2] = W.values[lo : lo + window.size] * (1.0 / TWO_PI)
-    B = (GtW @ _cos_sin(span, W.grid).T).view(complex) / W.grid.n_phi
+    B = np.fft.rfft(GtW, norm="forward")[:, : span + 1]
+    B[:, 1::2] *= -1.0  # e^{-i d phi_j} = (-1)^d e^{-2pi i d j/n_phi}
     R = 4.0 * np.pi**2 * B
     if method == "lstsq":
         gram = K.T @ K
@@ -505,13 +514,14 @@ def reconstruct_density(
     splits into one system per harmonic ``d`` over the ``t = m + n`` of the
     d-th diagonal, solved by its normal equations
     ``(G^T G)[ts, ts] x = (G^T yhat)[ts, d]``, where ``G^T yhat`` is formed
-    real-first as ``(G^T W) @ E^H / n_phi``.  Even ``d`` gives the constant
-    ``1/2pi`` on distinct window rows, whose Gram block is exactly
-    ``I/4pi^2``: there the fit is the literal inverse, bit for bit.  Odd
-    ``d`` gives a sign-scaled Cauchy matrix ``1/(s - l + 1/2)`` with
-    distinct nodes; each such block has full column rank (checked; a
-    deficient block raises naming ``-d`` and its ``(m, n)`` pairs) and a
-    Gram matrix close to the all-rows limit ``I/4pi^2`` (well conditioned).
+    real-first, as the angle harmonics of ``G^T W`` by one real FFT per row.
+    Even ``d`` gives the constant ``1/2pi`` on distinct window rows, whose
+    Gram block is exactly ``I/4pi^2``: there the fit is the literal inverse,
+    bit for bit.  Odd ``d`` gives a sign-scaled Cauchy matrix
+    ``1/(s - l + 1/2)`` with distinct nodes; each such block has full column
+    rank (checked; a deficient block raises naming ``-d`` and its ``(m, n)``
+    pairs) and a Gram matrix close to the all-rows limit ``I/4pi^2`` (well
+    conditioned).
     Only ``d >= 0`` is solved, one ``eigh`` and one column per odd ``d``:
     the data are real, so harmonic ``-d`` is the conjugate of ``d``.
     ``method="literal"`` evaluates the textbook inverse as a truncated sum

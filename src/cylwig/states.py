@@ -201,8 +201,8 @@ def coherent_state(
     normalization satisfies ``N^-2 = theta3(0 | 1/e)``.  The window must hold
     all but ``< 1e-12`` of the squared-coefficient mass.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     if window is None:
         raise ValueError("window is required")
     if l0 not in window:
@@ -234,11 +234,14 @@ def coherent_state(
 def von_mises_state(kappa: float, window: OamWindow) -> PureState:
     """State with angle wavefunction ``exp(kappa cos phi)/sqrt(2 pi I0(2 kappa))``.
 
-    Coefficients are obtained by projecting the sampled wavefunction onto the
-    harmonics of the window (they decay like Bessel ``I_l(kappa)``), then
-    renormalizing.  The samples are taken as ``exp(kappa (cos phi - 1))``, at
-    most 1, so none overflows: the factor ``e^kappa`` cancels in the
-    normalization and in the tail ratio.
+    Coefficients are the angle harmonics of the sampled wavefunction (they
+    decay like Bessel ``I_l(kappa)``, with width ``sqrt(kappa)``), from one
+    real FFT, then renormalized.  The harmonics are computed up to
+    ``reach = l_max + 128 + 8 ceil(sqrt(kappa))``, well past that width, so
+    a window too small for the state is refused naming one that holds it.  The
+    samples are taken as ``exp(kappa (cos phi - 1))``, at most 1, so none
+    overflows: the factor ``e^kappa`` cancels in the normalization and in
+    the tail ratio.
     """
     if not (np.isfinite(kappa) and kappa >= 0):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
@@ -247,24 +250,24 @@ def von_mises_state(kappa: float, window: OamWindow) -> PureState:
     if kappa == 0.0:
         # Psi_0 = 1/sqrt(2 pi) is the l = 0 eigenstate exactly.
         return oam_eigenstate(0, window)
-    reach = window.l_max + 128
+    reach = window.l_max + 128 + 8 * int(np.ceil(np.sqrt(kappa)))
     n_phi = max(256, 4 * reach + 4)
-    # the complex (reach + 1, n_phi) projection table and its exponent
-    _check_budget("von Mises state", 5 * (reach + 1) * n_phi)
-    grid = AngleGrid(n_phi)
-    phi = grid.nodes
-    raw = np.exp(kappa * (np.cos(phi) - 1.0))
-    # c_l is proportional to (F raw)(-l) = (1/n) sum raw e^{-i l phi};
-    # the function is even so c is real and symmetric in l.
-    wide_ls = np.arange(0, reach + 1)
-    wide = np.real(np.exp(-1j * wide_ls[:, None] * phi[None, :]) @ raw) / n_phi
+    # the samples and their temporaries, the complex harmonics, and the
+    # window-sized coefficients with their normalized and validated copies
+    _check_budget("von Mises state", 6 * n_phi + 6 * window.size)
+    raw = np.exp(kappa * (np.cos(AngleGrid(n_phi).nodes) - 1.0))
+    # c_l is proportional to (1/n) sum_j raw_j e^{-i l phi_j}, and
+    # e^{-i l phi_j} = (-1)^l e^{-2pi i l j/n}; the function is even, so c is
+    # real and symmetric in l.
+    wide = np.fft.rfft(raw, norm="forward")[: reach + 1].real
+    wide[1::2] *= -1.0
     power = wide**2
     total = power[0] + 2.0 * power[1:].sum()
     tail = 2.0 * power[window.l_max + 1 :].sum() / total
     if tail >= TAIL_TOL:
         suffix = 2.0 * np.cumsum(power[::-1])[::-1] / total
-        enough = np.nonzero(suffix < TAIL_TOL)[0]
-        need = int(enough[0]) if len(enough) else reach
+        # suffix falls with l: its first index below TAIL_TOL, if any
+        need = int(np.argmax(suffix < TAIL_TOL)) if suffix[-1] < TAIL_TOL else reach
         required = OamWindow(-need, need)
         raise TruncationError(
             f"window [{window.l_min}, {window.l_max}] leaves coefficient tail "
@@ -272,9 +275,7 @@ def von_mises_state(kappa: float, window: OamWindow) -> PureState:
             f"[{required.l_min}, {required.l_max}]",
             required_window=required,
         )
-    ls = window.values()
-    coeffs = wide[np.abs(ls)].astype(complex)
-    return _normalized(window, coeffs)
+    return _normalized(window, wide[np.abs(window.values())].astype(complex))
 
 
 def random_pure_state(window: OamWindow, seed: int) -> PureState:

@@ -255,6 +255,30 @@ class TestMalformedInput:
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "header, fit",
+        [("source_l_min=-3 source_l_max=3 pad=0", "pad it by 2"),
+         ("source_l_min=-5 source_l_max=5 pad=2", "pad it by 0")],
+        ids=["pad_lowered", "window_widened"],
+    )
+    @pytest.mark.parametrize("method", ["direct", "operator"])
+    def test_header_pad_mismatch_exit_2(self, tmp_path, header, fit, method):
+        """A +-3 grid stored at pad 2 whose header misstates the pad, or the
+        source window, is refused on reading: the star product would
+        otherwise judge the padding by the header."""
+        state = tmp_path / "r.json"
+        grid = tmp_path / "r.csv"
+        run("state", "--kind", "random", "--seed", "1", "--window", "-3:3", "-o", str(state))
+        run("wigner", str(state), "--pad", "2", "-o", str(grid))
+        lines = grid.read_text().splitlines()
+        lines[1] = "# l_lo=-5 l_hi=5 n_phi=28 " + header
+        grid.write_text("\n".join(lines) + "\n")
+        cp = run("star", str(grid), str(grid), "--method", method, check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("error: pad ") and cp.stderr.count("\n") == 1
+        assert fit in cp.stderr
+
+    @pytest.mark.parametrize(
         "command, payload",
         [
             ("check", '{"format":"cylwig-state-v1","coefficients":[[1,0]]}'),
@@ -337,6 +361,14 @@ class TestNonFiniteState:
             assert last == "error: kappa must be finite and >= 0, got nan"
         else:
             assert last.startswith("error: coefficient 0 (l=") and "is not finite" in last
+
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_non_finite_sigma_exit_2(self, sigma):
+        cp = run("state", "--kind", "coherent", "--sigma", sigma, "--window", "-4:4",
+                 check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr == f"error: sigma must be finite and positive, got {sigma}\n"
 
     def test_large_kappa_exit_3(self):
         """``exp(kappa cos phi)`` would overflow here: the window is refused by

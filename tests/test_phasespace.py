@@ -113,6 +113,16 @@ def reference_kernel(w, rows):
     return np.where(t % 2 != 0, odd, np.where(t == 2 * l, 1.0 / TWO_PI, 0.0))
 
 
+def exact_harmonics(ds, n_phi):
+    """``E[d, j] = e^{i d phi_j}`` on the nodes ``phi_j = -pi + 2pi j/n_phi``,
+    from the exact argument ``(-1)^d e^{2pi i ((d j) mod n_phi)/n_phi}``: the
+    product ``d phi_j`` of a rounded node would carry an error growing with
+    ``d``."""
+    j = np.arange(n_phi)
+    sign = 1.0 - 2.0 * (ds[:, None] & 1)
+    return sign * np.exp(2j * np.pi * ((ds[:, None] * j) % n_phi) / n_phi)
+
+
 def complex_reference(rho, W):
     """The complex product ``G @ R @ E`` over every column of the row kernel,
     and the tail it implies; the map under test keeps only the real part,
@@ -124,14 +134,14 @@ def complex_reference(rho, W):
     for a, m in enumerate(w.values()):
         for b, n in enumerate(w.values()):
             R[m + n - 2 * w.l_min, m - n + w.span] = rho.elements[a, b]
-    E = np.exp(1j * np.arange(-w.span, w.span + 1)[:, None] * W.grid.nodes[None, :])
+    E = exact_harmonics(np.arange(-w.span, w.span + 1), W.grid.n_phi)
     return G @ R @ E, (1.0 / TWO_PI - G.sum(axis=0)) @ R @ E
 
 
 class TestRealFirstMap:
     """The real, parity-split map against the complex ``G @ R @ E``."""
 
-    @pytest.mark.parametrize("half", [4, 8, 16, 32])
+    @pytest.mark.parametrize("half", [4, 8, 16, 32, 64])
     @pytest.mark.parametrize(
         "kind", ["pure", "mixture", "displaced_eigenstate", "anti_hermitian_part"])
     def test_matches_complex_product(self, kind, half):
@@ -865,6 +875,39 @@ class TestWignerFiles:
             read_wigner(path)
         assert "\n" not in str(info.value)
 
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "source, pad, message",
+        [
+            ((-2, 2), 0, r"pad 0 does not match the rows: \[-6, 6\] about source "
+                         r"window \[-2, 2\] pad it by 4"),
+            ((-6, 6), 4, r"pad 4 does not match the rows: \[-6, 6\] about source "
+                         r"window \[-6, 6\] pad it by 0"),
+            ((-2, 3), 4, r"pad 4 does not match .* pad it by 3"),
+            ((-8, 8), 4, r"pad 4 does not match .* miss it \(margin -2\)"),
+            ((-8, 8), -2, r"pad -2 does not match .* miss it \(margin -2\)"),
+        ],
+        ids=["pad_low", "window_widened", "asymmetric", "rows_miss_window",
+             "negative_pad"],
+    )
+    def test_header_pad_must_match_rows(self, tmp_path, fmt, source, pad, message):
+        """The header's pad is what the rows add on the source window's
+        narrower side; a header that says otherwise is refused, naming both."""
+        W, lines = _small_csv_lines()
+        path = tmp_path / f"bad.{fmt}"
+        if fmt == "csv":
+            lines[1] = (f"# l_lo=-6 l_hi=6 n_phi=24 source_l_min={source[0]} "
+                        f"source_l_max={source[1]} pad={pad}")
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            path.write_text(json.dumps({
+                "format": "cylwig-wigner-v1", "l_lo": -6, "l_hi": 6, "n_phi": 24,
+                "source_l_min": source[0], "source_l_max": source[1], "pad": pad,
+                "values": W.values.tolist(),
+            }))
+        with pytest.raises(ValueError, match=message):
+            read_wigner(path)
 
     @pytest.mark.parametrize(
         "build",

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import iv
+from scipy.special import iv, ive
 
 from cylwig import (
     AngleGrid,
@@ -105,6 +105,11 @@ class TestCoherent:
         with pytest.raises(ValueError):
             coherent_state(0, 0.0, -1.0, OamWindow(-8, 8))
 
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan"), float("-inf")])
+    def test_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            coherent_state(0, 0.0, sigma, OamWindow(-8, 8))
+
 
 class TestVonMises:
     def test_kappa_zero_is_ground_eigenstate(self):
@@ -158,6 +163,26 @@ class TestVonMises:
         with pytest.raises(ValueError, match="kappa must be finite"):
             von_mises_state(kappa, OamWindow(-8, 8))
 
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 10.0, 50.0])
+    def test_coefficients_match_scaled_bessel(self, kappa):
+        """``c_l = I_l(kappa) / sqrt(sum_l I_l(kappa)^2)``, from the
+        exponentially scaled ``ive``, to the last bits."""
+        w = OamWindow(-40, 40)
+        want = ive(np.abs(w.values()), kappa)
+        want /= np.linalg.norm(want)
+        psi = von_mises_state(kappa, w)
+        assert np.max(np.abs(psi.coefficients - want)) <= 2e-16
+
+    @pytest.mark.parametrize("kappa", [100.0, 1000.0, 1e4])
+    def test_suggested_window_holds_the_state(self, kappa):
+        """The window a refusal names is enough: a state too wide for the
+        ``+-4`` window builds on the one the error suggests."""
+        with pytest.raises(TruncationError) as err:
+            von_mises_state(kappa, OamWindow(-4, 4))
+        required = err.value.required_window
+        psi = von_mises_state(kappa, required)
+        assert psi.window == required
+
     def test_large_kappa_truncates_without_overflow(self):
         """``exp(kappa cos phi)`` overflows at kappa = 1000; with ``e^kappa``
         divided out of the samples the window is refused by name, and no
@@ -205,13 +230,19 @@ class TestMemoryBudget:
         "vonmises": lambda w: von_mises_state(1.0, w),
     }
 
-    @pytest.mark.parametrize(
-        "kind, half", [(kind, 10**8) for kind in MAKERS] + [("vonmises", 10**5)])
+    @pytest.mark.parametrize("kind, half", [(kind, 10**8) for kind in MAKERS])
     def test_huge_window_refused(self, kind, half):
-        """At +-10^8 every window-sized array is over the budget; at +-10^5
-        the von Mises projection table alone would take hundreds of GB."""
+        """At +-10^8 every window-sized array is over the budget."""
         with pytest.raises(MemoryBudgetError, match="GiB memory budget"):
             self.MAKERS[kind](OamWindow(-half, half))
+
+    def test_wide_von_mises_window_builds(self):
+        """The von Mises harmonics come from one FFT of ``O(n_phi)`` floats,
+        so a +-10^5 window needs megabytes, not a projection table."""
+        w = OamWindow(-10**5, 10**5)
+        psi = von_mises_state(1.0, w)
+        assert psi.window == w
+        assert psi.coefficient(1) / psi.coefficient(0) == pytest.approx(iv(1, 1.0) / iv(0, 1.0))
 
     @pytest.mark.parametrize("kind", list(MAKERS))
     def test_estimate_bounds_peak(self, monkeypatch, kind):

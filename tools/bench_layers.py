@@ -5,8 +5,9 @@ times, each in a fresh interpreter with one BLAS thread.  A round builds
 its inputs, makes one untimed call, then times calls with
 ``time.perf_counter`` until at least ``MIN_SECONDS`` have passed and at
 least five calls have run.  The case reports the median and quartiles of
-the call times of all its rounds and the largest peak RSS of a round's
-process from ``resource.getrusage`` (inputs included).  ``read_wigner``
+the call times of all its rounds, the median of each round
+(``round_medians_ms``) and the largest peak RSS of a round's process from
+``resource.getrusage`` (inputs included).  ``read_wigner``
 reads a grid that each round writes once to a temporary directory, removed
 at its end.
 
@@ -14,7 +15,10 @@ Several source trees can be measured in one run; in every round of a case
 the trees take turns, in reversed order on every other round, so a slow
 period of a shared machine falls on all of them and neither always runs
 first.  Pooling the rounds keeps a slow layer, timed only five times per
-round, from being judged on one period of the machine::
+round, from being judged on one period of the machine.  The pooled
+quartiles miss the spread between processes, which the round medians show:
+a layer has moved only when every round median of one tree lies outside the
+range of the other tree's round medians::
 
     python3 tools/bench_layers.py --tree parent=../parent/src --tree change=src \\
         -o BENCH.json
@@ -57,7 +61,7 @@ LAYERS = (
 WINDOWS = (4, 16, 64)
 SEED = 1
 MIN_SECONDS = 1.0
-ROUNDS = 3
+ROUNDS = 5
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -112,8 +116,8 @@ def run_case(layer: str, half: int) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Median and quartiles of the pooled call times of a tree's rounds, and
-    the largest peak RSS among them."""
+    """Median and quartiles of the pooled call times of a tree's rounds, the
+    median of each round in order, and the largest peak RSS among them."""
     times = [t for run in runs for t in run["times"]]
     q1, median, q3 = statistics.quantiles(times, n=4)
     return {
@@ -121,6 +125,8 @@ def summarize(runs: list[dict]) -> dict:
         "median_ms": round(1e3 * median, 4),
         "q1_ms": round(1e3 * q1, 4),
         "q3_ms": round(1e3 * q3, 4),
+        "round_medians_ms": [round(1e3 * statistics.median(run["times"]), 4)
+                             for run in runs],
         "peak_rss_mb": max(run["peak_rss_mb"] for run in runs),
     }
 
@@ -163,7 +169,8 @@ def main() -> None:
         "what": "per-call wall time of library layers, default grid and pad, "
                 "random pure state (seed 1; star_product its self-star) or, "
                 "for hudson_certify.eigenstate, the eigenstate |0>; median "
-                "and quartiles in ms; peak RSS of the case's process in MB",
+                "and quartiles of the pooled calls and each round's median in "
+                "ms; peak RSS of the case's process in MB",
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
                 "numpy": numpy.__version__, "blas_threads": 1,
                 "min_seconds": MIN_SECONDS, "rounds": ROUNDS},

@@ -54,6 +54,15 @@ def _write_text(text: str, output: str | None) -> None:
             fh.write(text)
 
 
+def _write_grid(W: phasespace.WignerGrid, output: str | None) -> None:
+    """Stream a grid's CSV to ``output``, or else to the current stdout."""
+    if output is None:
+        phasespace.write_wigner(W, sys.stdout)
+        sys.stdout.flush()
+    else:
+        phasespace.write_wigner(W, output)
+
+
 def _load_state_or_density(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -150,7 +159,7 @@ def wigner(input_file, nphi, pad, method, output):
     else:
         rho = source if isinstance(source, states.DensityMatrix) else states.to_density(source)
         W = phasespace.wigner_from_oam(rho, l_pad, grid)
-    _write_text(phasespace.wigner_to_csv(W), output)
+    _write_grid(W, output)
 
 
 @cli.command()
@@ -246,7 +255,7 @@ def star(grid_a, grid_b, method, output):
     """Star product of two grids; writes a Wigner grid (CSV)."""
     wa, wb = _read_pair(grid_a, grid_b)
     result = phasespace.star_product(wa, wb, method=method)
-    _write_text(phasespace.wigner_to_csv(result), output)
+    _write_grid(result, output)
 
 
 def _render_ppm(W: phasespace.WignerGrid, w_min: float, w_max: float) -> bytes:

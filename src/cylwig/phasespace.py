@@ -80,7 +80,9 @@ like ``O(1/P^3)``.
 from __future__ import annotations
 
 import json
+import os
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -625,15 +627,34 @@ def star_product(
 # exactly once, phi is the grid node phi_index to within 1e-12, and the value
 # is finite.  A header that needs more cells than the file has rows is
 # refused before any array is sized from it.
+#
+# Both ways the text is streamed: the writer formats one grid row at a time
+# and the reader parses ``_READ_BLOCK`` data rows per ``np.loadtxt`` call, so
+# neither holds the file's text or all its parsed rows at once.
+
+# Data rows per ``np.loadtxt`` call.  loadtxt sizes its result for this many
+# rows before it reads any, so a larger block slows the read of a small grid;
+# a grid of +-8 at pad 8 (2,376 rows) is still one call.
+_READ_BLOCK = 4096
 
 
 def write_wigner(W: WignerGrid, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(wigner_to_csv(W))
+    """Write ``W`` as cylwig-wigner-v1 CSV to a path or an open text handle."""
+    if isinstance(path, (str, bytes, os.PathLike)):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(_csv_pieces(W))
+    else:
+        path.writelines(_csv_pieces(W))
 
 
 def wigner_to_csv(W: WignerGrid) -> str:
-    header = (
+    return "".join(_csv_pieces(W))
+
+
+def _csv_pieces(W: WignerGrid):
+    """The CSV text of ``W``: the header, then one piece per grid row, then
+    the final newline."""
+    yield (
         "# format=cylwig-wigner-v1\n"
         f"# l_lo={W.l_lo} l_hi={W.l_hi} n_phi={W.grid.n_phi} "
         f"source_l_min={W.source_window.l_min} "
@@ -642,11 +663,9 @@ def wigner_to_csv(W: WignerGrid) -> str:
     # One "%" template per row: "\nl,j,phi_j,%.17g" for every j.
     nodes = W.grid.nodes.tolist()
     cells = ["", *(f",{j},{_f17(phi)},%.17g" for j, phi in enumerate(nodes))]
-    body = "".join(
-        f"\n{l}".join(cells) % tuple(row)
-        for l, row in zip(W.rows().tolist(), W.values.tolist())
-    )
-    return header + body + "\n"
+    for l, row in zip(W.rows().tolist(), W.values):
+        yield f"\n{l}".join(cells) % tuple(row.tolist())
+    yield "\n"
 
 
 def _finite(W: WignerGrid) -> WignerGrid:
@@ -697,14 +716,54 @@ def read_wigner(path) -> WignerGrid:
         if not line:
             raise ValueError("wigner CSV has no data rows")
         fh.seek(start)
-        try:
-            cells = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
-        except ValueError as exc:
-            raise ValueError(_csv_row_error(str(exc))) from None
-    if cells.shape[1] != 4:
+        n_cells = (l_hi - l_lo + 1) * n_phi
+        # Every data row takes at least 8 bytes ("l,j,p,v\n"), so a header
+        # that needs more cells than that is refused once the rows are
+        # counted, and no array is sized from it.
+        fits = 0 <= n_cells <= os.fstat(fh.fileno()).st_size // 8
+        values = np.empty(n_cells) if fits else None
+        seen = np.zeros(n_cells, dtype=bool) if fits else None
+        n_rows = 0
+        with warnings.catch_warnings():
+            # loadtxt warns of blank or comment lines, and of a final block
+            # that holds nothing else.
+            warnings.filterwarnings(
+                "ignore", r"(Input line \d+|loadtxt: input) contained no data", UserWarning
+            )
+            while True:
+                try:
+                    cells = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2,
+                                       max_rows=_READ_BLOCK)
+                except ValueError as exc:
+                    raise ValueError(_csv_row_error(str(exc), n_rows)) from None
+                if not len(cells):
+                    break
+                if cells.shape[1] != 4:
+                    raise ValueError(
+                        f"malformed wigner CSV data row {n_rows + 1}: expected 4 "
+                        f"fields, got {cells.shape[1]}"
+                    )
+                _check_cells(cells, l_lo, l_hi, grid, values, seen)
+                n_rows += len(cells)
+                if len(cells) < _READ_BLOCK:
+                    break
+    if n_rows < n_cells:
         raise ValueError(
-            f"malformed wigner CSV data row 1: expected 4 fields, got {cells.shape[1]}"
+            "wigner CSV does not cover every (l, phi_index) cell: the header "
+            f"needs {n_cells} cells, the file has {n_rows} rows"
         )
+    # No cell repeats and there are at least n_cells rows: every cell is covered.
+    window = OamWindow(int(meta["source_l_min"]), int(meta["source_l_max"]))
+    return _finite(
+        WignerGrid(l_lo, l_hi, grid, values.reshape(-1, n_phi), window, int(meta["pad"]))
+    )
+
+
+def _check_cells(cells, l_lo: int, l_hi: int, grid: AngleGrid, values, seen) -> None:
+    """Check one block of parsed rows ``l, phi_index, phi, value`` and
+    scatter its values into the flat grid ``values``, marking each cell in
+    ``seen``.  With ``values`` None only the indices are checked."""
+    n_phi = grid.n_phi
     ls, js, phis = cells[:, 0], cells[:, 1], cells[:, 2]
     for bad, what in (
         ((ls < l_lo) | (ls > l_hi) | (js < 0) | (js >= n_phi),
@@ -716,21 +775,21 @@ def read_wigner(path) -> WignerGrid:
             raise ValueError(
                 f"wigner CSV cell (l={_f17(ls[k])}, phi_index={_f17(js[k])}) {what}"
             )
-    n_cells = (l_hi - l_lo + 1) * n_phi
-    if n_cells > len(cells):
-        raise ValueError(
-            "wigner CSV does not cover every (l, phi_index) cell: the header "
-            f"needs {n_cells} cells, the file has {len(cells)} rows"
-        )
+    if values is None:
+        return
     js = js.astype(np.int64)
     flat = (ls - l_lo).astype(np.int64) * n_phi + js
-    counts = np.bincount(flat, minlength=n_cells)
-    if counts.max() > 1:
-        k = int(np.argmax(counts))
+    # A cell repeats if an earlier block set it, or if a later row of this
+    # block overwrites the row position scattered here.
+    position = np.arange(len(flat), dtype=float)
+    values[flat] = position
+    repeats = seen[flat] | (values[flat] != position)
+    if repeats.any():
+        k = int(flat[np.argmax(repeats)])
         raise ValueError(
             f"wigner CSV repeats cell (l={l_lo + k // n_phi}, phi_index={k % n_phi})"
         )
-    # No cell repeats and there are at least n_cells rows: every cell is covered.
+    seen[flat] = True
     node = grid.nodes[js]
     bad = ~(np.abs(phis - node) <= 1e-12)
     if bad.any():
@@ -739,30 +798,29 @@ def read_wigner(path) -> WignerGrid:
             f"wigner CSV cell (l={_f17(ls[k])}, phi_index={js[k]}) has phi "
             f"{_f17(phis[k])}, not the grid node {_f17(node[k])}"
         )
-    values = np.empty(n_cells)
     values[flat] = cells[:, 3]
-    window = OamWindow(int(meta["source_l_min"]), int(meta["source_l_max"]))
-    return _finite(
-        WignerGrid(l_lo, l_hi, grid, values.reshape(-1, n_phi), window, int(meta["pad"]))
-    )
 
 
-def _csv_row_error(message: str) -> str:
-    """One-line message for a row ``np.loadtxt`` cannot parse.  Data rows are
-    counted from 1, skipping blank and comment lines."""
+def _csv_row_error(message: str, offset: int) -> str:
+    """One-line message for a row ``np.loadtxt`` cannot parse in a block that
+    follows ``offset`` data rows.  Data rows are counted from 1 over the whole
+    file, skipping blank and comment lines."""
     m = re.match(r"the number of columns changed from (\d+) to (\d+) at row (\d+)",
                  message)
     if m:
         before, after, row = (int(g) for g in m.groups())
         if before != 4:  # the first row was the odd one
             after, row = before, 1
-        return f"malformed wigner CSV data row {row}: expected 4 fields, got {after}"
+        return (
+            f"malformed wigner CSV data row {offset + row}: expected 4 fields, "
+            f"got {after}"
+        )
     m = re.match(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)",
                  message)
     if m:
         text, row, column = m.groups()
         return (
-            f"malformed wigner CSV data row {int(row) + 1}, field {column}: "
+            f"malformed wigner CSV data row {offset + int(row) + 1}, field {column}: "
             f"{text} is not a number"
         )
     return "malformed wigner CSV: " + message.split(";")[0].splitlines()[0]

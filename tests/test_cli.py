@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -189,6 +190,45 @@ class TestReconstructOverlapStar:
     def test_rank_deficiency_exit_3(self, delta_grid):
         cp = run("reconstruct", str(delta_grid), "--window", "-9:9", check=False)
         assert cp.returncode == 3
+
+
+class TestGridOutput:
+    """``wigner`` and ``star`` stream the grid to ``-o`` or to stdout."""
+
+    @pytest.fixture()
+    def grid(self, tmp_path):
+        state = tmp_path / "r.json"
+        grid = tmp_path / "r.csv"
+        run("state", "--kind", "random", "--seed", "3", "--window", "-3:3", "-o", str(state))
+        run("wigner", str(state), "--pad", "8", "-o", str(grid))
+        return state, grid
+
+    @pytest.mark.parametrize(
+        "command",
+        [["wigner", "{state}", "--method", "oam"], ["wigner", "{state}", "--method", "angle"],
+         ["star", "{grid}", "{grid}", "--method", "operator"],
+         ["star", "{grid}", "{grid}", "--method", "direct"]],
+        ids=["wigner_oam", "wigner_angle", "star_operator", "star_direct"],
+    )
+    def test_stdout_matches_file(self, tmp_path, grid, command):
+        args = [a.format(state=grid[0], grid=grid[1]) for a in command]
+        out = tmp_path / "out.csv"
+        to_file = run_bytes(*args, "-o", str(out))
+        to_stdout = run_bytes(*args)
+        assert to_file.returncode == 0 and to_file.stdout == b""
+        assert to_stdout.returncode == 0
+        assert to_stdout.stdout == out.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["wigner", "star"])
+    def test_failed_write_exit_2(self, grid, command):
+        """A write that fails part way through is one error line, exit 2."""
+        state, grid = grid
+        args = ["wigner", str(state)] if command == "wigner" else ["star", str(grid), str(grid)]
+        cp = run(*args, "-o", "/dev/full", check=False)
+        assert cp.returncode == 2
+        assert "Traceback" not in cp.stderr
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
 
 
 class TestMalformedInput:

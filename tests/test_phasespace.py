@@ -1,6 +1,8 @@
+import io
 import json
 import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -933,3 +935,135 @@ class TestWignerFiles:
         assert (back.l_lo, back.l_hi, back.grid, back.pad) == (W.l_lo, W.l_hi, W.grid, W.pad)
         assert back.source_window == W.source_window
         assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+
+
+class TestStreamedCodec:
+    """The CSV codec streams: the writer one grid row at a time, the reader
+    ``_READ_BLOCK`` data rows per parse.  Bytes, checks and messages are
+    those of a whole-file codec."""
+
+    @staticmethod
+    def _grid(half):
+        w = OamWindow(-half, half)
+        rho = to_density(random_pure_state(w, 4))
+        return wigner_from_oam(rho, default_pad(w), default_angle_grid(w))
+
+    def test_path_handle_and_text_agree(self, tmp_path):
+        W = self._grid(6)
+        path = tmp_path / "grid.csv"
+        write_wigner(W, path)
+        with open(tmp_path / "handle.csv", "w", encoding="utf-8", newline="\n") as fh:
+            write_wigner(W, fh)
+        buffer = io.StringIO()
+        write_wigner(W, buffer)
+        text = wigner_to_csv(W).encode()
+        assert W.n_rows > 100
+        assert path.read_bytes() == text
+        assert (tmp_path / "handle.csv").read_bytes() == text
+        assert buffer.getvalue().encode() == text
+
+    def test_memory_bounded(self, tmp_path):
+        """At +-32 (283,140 cells, 14 MB of text) the writer holds one row
+        and the reader its grid plus one block, not the file."""
+        W = self._grid(32)
+        path = tmp_path / "grid.csv"
+        tracemalloc.start()
+        try:
+            write_wigner(W, path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = read_wigner(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+        assert write_peak < 2e6
+        assert read_peak < 3 * W.values.nbytes
+
+
+class TestReadBlocks:
+    """The reader with blocks of a few rows: checks, row numbers and
+    coverage run across block boundaries, and no loadtxt warning escapes."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(phasespace, "_READ_BLOCK", 4)
+
+    @staticmethod
+    def _read(tmp_path, lines):
+        path = tmp_path / "grid.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return read_wigner(path)
+            finally:
+                assert caught == []
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,3,0.5", ": expected 4 fields, got 3"),
+            ("0,3,0.5,1,2", ": expected 4 fields, got 5"),
+            ("0,3,abc,1", ", field 3: 'abc' is not a number"),
+        ],
+        ids=["three_fields", "five_fields", "not_a_number"],
+    )
+    @pytest.mark.parametrize("at", [0, 2], ids=["block_start", "mid_block"])
+    def test_malformed_row_numbered_over_file(self, tmp_path, row, message, at):
+        """Data rows 9..12 form the third block; the blank and comment lines
+        before it are not counted."""
+        _, lines = _small_csv_lines()
+        data = lines[2:]
+        data[8 + at] = row
+        lines = lines[:2] + data[:3] + ["", "# note"] + data[3:6] + [""] + data[6:]
+        with pytest.raises(ValueError, match=f"data row {9 + at}{message}") as info:
+            self._read(tmp_path, lines)
+        assert "\n" not in str(info.value)
+
+    def test_whole_block_short(self, tmp_path):
+        """A block whose every row has three fields parses; its first row is
+        the one named."""
+        _, lines = _small_csv_lines()
+        data = lines[2:]
+        data[8:12] = [x.rsplit(",", 1)[0] for x in data[8:12]]
+        with pytest.raises(ValueError, match="data row 9: expected 4 fields, got 3"):
+            self._read(tmp_path, lines[:2] + data)
+
+    @pytest.mark.parametrize("block", [3, 4, 8], ids=["3", "4", "8"])
+    def test_row_count_multiple_of_block(self, tmp_path, monkeypatch, block):
+        W, lines = _small_csv_lines()
+        assert (len(lines) - 2) % block == 0
+        monkeypatch.setattr(phasespace, "_READ_BLOCK", block)
+        back = self._read(tmp_path, lines)
+        assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+
+    @pytest.mark.parametrize("tail", [["# end"], [""], ["", "# end", ""]],
+                             ids=["comment", "blank", "both"])
+    def test_trailing_lines_after_last_block(self, tmp_path, tail):
+        W, lines = _small_csv_lines()
+        back = self._read(tmp_path, lines + tail)
+        assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+
+    def test_shuffled_rows(self, tmp_path):
+        W, lines = _small_csv_lines()
+        rows = list(np.random.default_rng(5).permutation(lines[2:]))
+        back = self._read(tmp_path, lines[:2] + rows)
+        assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+
+    @pytest.mark.parametrize("at", [3, 7], ids=["same_block", "later_block"])
+    def test_repeated_cell(self, tmp_path, at):
+        """Data row 3 (cell l=-6, phi_index=2) copied over a row of its own
+        block or of the next; the file keeps its row count."""
+        _, lines = _small_csv_lines()
+        data = lines[2:]
+        data[at] = data[2]
+        with pytest.raises(ValueError, match=r"repeats cell \(l=-6, phi_index=2\)"):
+            self._read(tmp_path, lines[:2] + data)
+
+    def test_cell_missing_from_later_block(self, tmp_path):
+        _, lines = _small_csv_lines()
+        del lines[2 + 30]
+        with pytest.raises(ValueError, match=r"does not cover every \(l, phi_index\) cell: "
+                           "the header needs 312 cells, the file has 311 rows"):
+            self._read(tmp_path, lines)

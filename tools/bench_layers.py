@@ -7,9 +7,9 @@ its inputs, makes one untimed call, then times calls with
 least five calls have run.  The case reports the median and quartiles of
 the call times of all its rounds, the median of each round
 (``round_medians_ms``) and the largest peak RSS of a round's process from
-``resource.getrusage`` (inputs included).  ``read_wigner``
-reads a grid that each round writes once to a temporary directory, removed
-at its end.
+``resource.getrusage`` (inputs included).  ``write_wigner`` writes, and
+``read_wigner`` reads, a grid file in a temporary directory that is removed
+at the end of the round; ``wigner_to_csv`` formats the same text in memory.
 
 Several source trees can be measured in one run; in every round of a case
 the trees take turns, in reversed order on every other round, so a slow
@@ -56,6 +56,7 @@ LAYERS = (
     "hudson_certify",
     "hudson_certify.eigenstate",
     "wigner_to_csv",
+    "write_wigner",
     "read_wigner",
 )
 WINDOWS = (4, 16, 64)
@@ -66,8 +67,8 @@ BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREAD
 
 
 def _call(layer: str, half: int, tmp: str):
-    """The timed call of one case, with its inputs built; ``read_wigner``
-    reads a grid written once to a file in the directory ``tmp``."""
+    """The timed call of one case, with its inputs built; ``write_wigner``
+    and ``read_wigner`` use a grid file in the directory ``tmp``."""
     import cylwig as cw
 
     w = cw.OamWindow(-half, half)
@@ -88,8 +89,10 @@ def _call(layer: str, half: int, tmp: str):
     W = cw.wigner_from_oam(rho, pad, grid)
     if layer == "wigner_to_csv":
         return lambda: cw.phasespace.wigner_to_csv(W)
+    path = os.path.join(tmp, "grid.csv")
+    if layer == "write_wigner":
+        return lambda: cw.write_wigner(W, path)
     if layer == "read_wigner":
-        path = os.path.join(tmp, "grid.csv")
         cw.write_wigner(W, path)
         return lambda: cw.read_wigner(path)
     if layer == "angle_marginal_tail":

@@ -524,6 +524,30 @@ class TestReconstruction:
         assert np.array_equal(lstsq[even].view(np.uint64), literal[even].view(np.uint64))
         assert not np.array_equal(lstsq[~even], literal[~even])
 
+    @pytest.mark.parametrize("method", ["lstsq", "literal"])
+    @pytest.mark.parametrize("kind, pad", [("pure", None), ("mixture", None),
+                                           ("noisy", 1), ("noisy", None)])
+    def test_inverse_is_hermitian_as_built(self, kind, pad, method):
+        """``_inverse`` writes element ``(m, n)`` as the conjugate of ``(n, m)``
+        and takes the diagonal from the DC bin of a real FFT, whose imaginary
+        part is exactly 0, so Hermitizing its output changes no bit, even off
+        the range of the map."""
+        w = OamWindow(-5, 5)
+        grid = default_angle_grid(w)
+        pad = default_pad(w) if pad is None else pad
+        if kind == "mixture":
+            rho = mix([(0.3, random_pure_state(w, 61)), (0.7, random_pure_state(w, 62))])
+        else:
+            rho = to_density(random_pure_state(w, 60))
+        W = wigner_from_oam(rho, pad, grid)
+        if kind == "noisy":
+            noise = 1e-3 * np.random.default_rng(pad).standard_normal(W.values.shape)
+            W = WignerGrid(W.l_lo, W.l_hi, grid, W.values + noise, w, pad)
+        raw = phasespace._inverse(W, w, method)
+        assert np.array_equal(raw, raw.conj().T)
+        herm = 0.5 * (raw + raw.conj().T)
+        assert np.array_equal(herm.view(np.uint64), raw.view(np.uint64))
+
     def test_rank_guard_names_harmonic(self, monkeypatch):
         from cylwig import phasespace
 
@@ -844,6 +868,10 @@ class TestWignerFiles:
             _case("non_numeric_value", lambda x: _edit_row(x, 0, 3, 3, "abc"),
                   "'abc' is not a number"),
             _case("empty_value", lambda x: _edit_row(x, 0, 3, 3, ""), "is not a number"),
+            _case("underscore_digits", lambda x: _edit_row(x, 0, 3, 3, "1_000"),
+                  "field 4: '1_000' is not a number"),
+            _case("non_ascii_digit", lambda x: _edit_row(x, 0, 3, 3, "\u0661"),
+                  "field 4: '\u0661' is not a number"),
             _case("non_numeric_phi", lambda x: _edit_row(x, 0, 3, 2, "abc"),
                   "field 3: 'abc' is not a number"),
             _case("fractional_l", lambda x: _edit_row(x, 0, 3, 0, "1.5"),
@@ -939,8 +967,8 @@ class TestWignerFiles:
 
 class TestStreamedCodec:
     """The CSV codec streams: the writer one grid row at a time, the reader
-    ``_READ_BLOCK`` data rows per parse.  Bytes, checks and messages are
-    those of a whole-file codec."""
+    ``_READ_BLOCK`` lines per parse.  Bytes, checks and messages are those
+    of a whole-file codec."""
 
     @staticmethod
     def _grid(half):
@@ -982,7 +1010,7 @@ class TestStreamedCodec:
 
 
 class TestReadBlocks:
-    """The reader with blocks of a few rows: checks, row numbers and
+    """The reader with blocks of a few lines: checks, data row numbers and
     coverage run across block boundaries, and no loadtxt warning escapes."""
 
     @pytest.fixture(autouse=True)
@@ -1000,7 +1028,7 @@ class TestReadBlocks:
             finally:
                 assert caught == []
 
-    @pytest.mark.parametrize(
+    bad_rows = pytest.mark.parametrize(
         "row, message",
         [
             ("0,3,0.5", ": expected 4 fields, got 3"),
@@ -1009,10 +1037,12 @@ class TestReadBlocks:
         ],
         ids=["three_fields", "five_fields", "not_a_number"],
     )
+
+    @bad_rows
     @pytest.mark.parametrize("at", [0, 2], ids=["block_start", "mid_block"])
     def test_malformed_row_numbered_over_file(self, tmp_path, row, message, at):
-        """Data rows 9..12 form the third block; the blank and comment lines
-        before it are not counted."""
+        """Data row 9 ends the third block of four lines and row 11 is inside
+        the fourth; the blank and comment lines before them are not counted."""
         _, lines = _small_csv_lines()
         data = lines[2:]
         data[8 + at] = row
@@ -1020,6 +1050,39 @@ class TestReadBlocks:
         with pytest.raises(ValueError, match=f"data row {9 + at}{message}") as info:
             self._read(tmp_path, lines)
         assert "\n" not in str(info.value)
+
+    @bad_rows
+    def test_malformed_row_named_without_numpy_message(
+        self, tmp_path, monkeypatch, row, message
+    ):
+        """Row and field are named from the block's own lines, not from the
+        text of loadtxt's error, which here says nothing."""
+        loadtxt = np.loadtxt
+
+        def opaque(*args, **kwargs):
+            try:
+                return loadtxt(*args, **kwargs)
+            except ValueError:
+                raise ValueError("opaque") from None
+
+        monkeypatch.setattr(np, "loadtxt", opaque)
+        _, lines = _small_csv_lines()
+        data = lines[2:]
+        data[10] = row
+        with pytest.raises(ValueError, match=f"data row 11{message}"):
+            self._read(tmp_path, lines[:2] + data)
+
+    def test_refused_block_without_bad_row_named_by_its_rows(self, tmp_path, monkeypatch):
+        """A block that loadtxt refuses though every row reads as four
+        numbers is named by the range of its data rows."""
+
+        def refuse(*args, **kwargs):
+            raise ValueError("opaque")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        _, lines = _small_csv_lines()
+        with pytest.raises(ValueError, match="^malformed wigner CSV data rows 1 to 4$"):
+            self._read(tmp_path, lines)
 
     def test_whole_block_short(self, tmp_path):
         """A block whose every row has three fields parses; its first row is

@@ -120,12 +120,21 @@ IMAG_TOL = 1e-11
 RESIDUAL_WARNING = 1e-6
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only; a WignerGrid adopts a frozen array that owns its
+    data without copying it."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class WignerGrid:
     """Real Wigner values on rows ``l_lo..l_hi`` times an angle grid.
 
     The rows cover the source window and ``pad`` is the number of rows they
     add on its narrower side, ``min(l_min - l_lo, l_hi - l_max) >= 0``.
+    ``values`` that are already a read-only float64 array owning its data
+    are adopted as they are; anything else is copied.
     """
 
     l_lo: int
@@ -149,8 +158,8 @@ class WignerGrid:
             raise ValueError(
                 f"expected shape {(self.n_rows, self.grid.n_phi)}, got {vals.shape}"
             )
-        vals = vals.copy()
-        vals.flags.writeable = False
+        if vals.flags.writeable or not vals.flags.owndata:
+            vals = _frozen(vals.copy())
         object.__setattr__(self, "values", vals)
 
     @property
@@ -338,7 +347,7 @@ def wigner_from_oam(rho: DensityMatrix, l_pad: int, grid: AngleGrid) -> WignerGr
     """
     l_lo, l_hi = _stored_rows(rho.window, l_pad, grid)
     values = _wigner_of_operator(rho.elements, rho.window, l_lo, l_hi, grid)
-    return WignerGrid(l_lo, l_hi, grid, values, rho.window, l_pad)
+    return WignerGrid(l_lo, l_hi, grid, _frozen(values), rho.window, l_pad)
 
 
 def _half_period_integral(k: np.ndarray) -> np.ndarray:
@@ -387,7 +396,7 @@ def wigner_from_angle(psi: PureState, l_pad: int, grid: AngleGrid) -> WignerGrid
     q = q_samples @ (np.exp(-1j * np.outer(u, ks)) / (n_u * np.pi))
     values = sig @ q.real.T
     _check_real(sig @ q.imag.T, "Wigner grid")
-    return WignerGrid(l_lo, l_hi, grid, values, window, l_pad)
+    return WignerGrid(l_lo, l_hi, grid, _frozen(values), window, l_pad)
 
 
 def marginal_angle(W: WignerGrid) -> PeriodicSamples:
@@ -600,10 +609,13 @@ def star_product(
     product = r1.matrix @ r2.matrix
     l_lo = max(W_rho.l_lo, W_sigma.l_lo)
     l_hi = min(W_rho.l_hi, W_sigma.l_hi)
-    values, imag = _wigner_of_operator(
+    grids = _wigner_of_operator(
         np.stack((product, -1j * product)), window, l_lo, l_hi, W_rho.grid
     )
-    _check_real(imag, "star product")
+    _check_real(grids[1], "star product")
+    # The real grid is copied out of the stack, so the result does not keep
+    # the imaginary grid alive.
+    values = _frozen(grids[0].copy())
     pad = min(window.l_min - l_lo, l_hi - window.l_max)
     return WignerGrid(l_lo, l_hi, W_rho.grid, values, window, pad)
 
@@ -616,26 +628,33 @@ def star_product(
 # then rows "l,phi_index,phi,value" ordered l ascending, phi_index ascending,
 # with phi and value printed to 17 significant digits.  A JSON twin of the
 # same payload (keys as in the header plus "values" row-major) is accepted
-# on input.
-#
-# On input the header lines come before the first row.  Rows may come in any
-# order; blank lines and "#" comments between them are skipped, but a line of
-# spaces only is a malformed row.  Every row has four numeric fields; l and
-# phi_index are integers naming each cell of [l_lo, l_hi] x [0, n_phi)
-# exactly once, phi is the grid node phi_index to within 1e-12, and the value
-# is finite.  A header that needs more cells than the file has rows is
-# refused before any array is sized from it.
+# on input.  The rules a file must meet on input are in ``read_wigner``.
 #
 # Both ways the text is streamed: the writer formats one grid row at a time
 # and the reader hands ``_READ_BLOCK`` lines at a time to ``np.loadtxt``, so
-# neither holds the file's text or all its parsed rows at once.  A block that
-# does not parse is scanned again in Python to name its first bad data row.
+# neither holds the file's text or all its parsed rows at once.  loadtxt
+# reads l, phi_index and value as floats and keeps phi as text: phi only
+# names the node that phi_index already gives, so the node's own 17-digit
+# text, the one the writer prints, passes by a comparison of text.  Other
+# text is converted to a number and checked, and once it has passed for a
+# node, its repeats at that node pass by comparison too.  The value is then
+# the one field per row whose conversion the grid needs.  A block that does
+# not parse is scanned again in Python to name its first bad data row.
 
 # Lines per ``np.loadtxt`` call, blank and comment lines included.  The block
 # is held as a list of strings beside its parsed rows: at 4,096 lines the
 # +-8 read's tracemalloc peak was 1.14 MiB against 0.43 MiB at 1,024, while at
-# +-64 the grid itself (19.3 MiB peak) dominates either way.
+# +-64 the grid itself dominates either way.
 _READ_BLOCK = 1024
+
+# Characters of each phi field that loadtxt keeps.  A node's 17-digit text
+# has at most 23 ("-1.2246467991473532e-16"), so it never fills the field; a
+# field that does may have been cut, and is then read again from its line.
+_PHI_WIDTH = 24
+_ROW = np.dtype(
+    [("l", float), ("phi_index", float), ("phi", f"U{_PHI_WIDTH}"), ("value", float)]
+)
+_HEADER_INTS = ("l_lo", "l_hi", "n_phi", "source_l_min", "source_l_max", "pad")
 
 
 def write_wigner(W: WignerGrid, path) -> None:
@@ -669,9 +688,9 @@ def _csv_pieces(W: WignerGrid):
 
 
 def _finite(W: WignerGrid) -> WignerGrid:
-    bad = ~np.isfinite(W.values)
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), W.grid.n_phi)
+    finite = np.isfinite(W.values)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), W.grid.n_phi)
         raise ValueError(
             f"wigner cell (l={W.l_lo + i}, phi_index={j}) holds non-finite "
             f"value {W.values[i, j]}"
@@ -683,12 +702,33 @@ def _wigner_from_json(data) -> WignerGrid:
     with _payload(data, "cylwig-wigner-v1") as data:
         l_lo, l_hi, pad = int(data["l_lo"]), int(data["l_hi"]), int(data["pad"])
         grid = AngleGrid(int(data["n_phi"]))
-        values = np.asarray(data["values"], dtype=float)
+        values = _frozen(np.array(data["values"], dtype=float))
         window = OamWindow(int(data["source_l_min"]), int(data["source_l_max"]))
     return WignerGrid(l_lo, l_hi, grid, values, window, pad)
 
 
 def read_wigner(path) -> WignerGrid:
+    """Read a cylwig-wigner-v1 grid from a CSV file or its JSON twin.
+
+    The two header lines come before the first data row, and each of their
+    six integers must be present and an integer.  Data rows may come in any
+    order; blank lines and ``#`` comments between them are skipped, but a
+    line of spaces only is a malformed row.  Every row has four fields split
+    on ``,``:
+
+    - ``l``, ``phi_index`` and ``value`` are numbers by ``np.loadtxt``'s rules
+      (``float()`` takes the stripped text, which is ASCII and holds no
+      ``_``); ``l`` and ``phi_index`` are integers naming each cell of
+      ``[l_lo, l_hi] x [0, n_phi)`` exactly once, and the value is finite;
+    - ``phi`` is the node ``phi_index``: the node's own 17-digit text, which
+      ``write_wigner`` prints, passes as it stands; any other text must be a
+      number by the same rules within ``1e-12`` of the node.
+
+    A header that needs more cells than the file has rows is refused before
+    any array is sized from it.  Each failure is one ``ValueError`` line
+    naming the header key, the data row (counted from 1 over the file) and
+    field, or the cell.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = []
         while True:  # header lines, up to the first data row
@@ -703,12 +743,13 @@ def read_wigner(path) -> WignerGrid:
         meta = dict(t.split("=", 1) for t in " ".join(header).split() if "=" in t)
         if meta.get("format") != "cylwig-wigner-v1":
             raise ValueError("missing or wrong '# format=cylwig-wigner-v1' header")
-        for key in ("l_lo", "l_hi", "n_phi", "source_l_min", "source_l_max", "pad"):
+        for key in _HEADER_INTS:
             if key not in meta:
                 raise ValueError(f"wigner CSV header is missing {key}")
-        l_lo, l_hi = int(meta["l_lo"]), int(meta["l_hi"])
-        grid = AngleGrid(int(meta["n_phi"]))
-        n_phi = grid.n_phi
+        l_lo, l_hi, n_phi, source_l_min, source_l_max, pad = (
+            _header_int(meta, key) for key in _HEADER_INTS
+        )
+        grid = AngleGrid(n_phi)
         if max(abs(l_lo), abs(l_hi), n_phi) >= 2**53:
             raise ValueError("wigner CSV header l_lo, l_hi or n_phi beyond 2**53")
         if not line:
@@ -718,8 +759,16 @@ def read_wigner(path) -> WignerGrid:
         # that needs more cells than that is refused once the rows are
         # counted, and no array is sized from it.
         fits = 0 <= n_cells <= os.fstat(fh.fileno()).st_size // 8
-        values = np.empty(n_cells) if fits else None
+        values = np.empty((l_hi - l_lo + 1, n_phi)) if fits else None
+        flat = values.reshape(-1) if fits else None
         seen = np.zeros(n_cells, dtype=bool) if fits else None
+        # The nodes' texts take 4 * _PHI_WIDTH bytes each, so at most
+        # n_cells // 12 of them are made: never more bytes than the grid.  The
+        # rows of later nodes (all rows, when the grid is not made) meet the
+        # last entry, the delimiter, which no field holds: they take the
+        # numeric check.
+        nodes = grid.nodes[: n_cells // 12].tolist() if fits else []
+        node_text = np.array([*map(_f17, nodes), ","], dtype=_ROW["phi"])
         n_rows = 0
         lines = itertools.chain([line], fh)
         with warnings.catch_warnings():
@@ -727,38 +776,50 @@ def read_wigner(path) -> WignerGrid:
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             while block := list(itertools.islice(lines, _READ_BLOCK)):
                 try:
-                    cells = np.loadtxt(block, delimiter=",", comments="#", ndmin=2)
+                    cells = np.loadtxt(block, _ROW, delimiter=",", comments="#", ndmin=1)
                 except ValueError:
                     cells = None
-                if cells is None or len(cells) and cells.shape[1] != 4:
+                if cells is None:
                     raise ValueError(_malformed_row(block, n_rows))
-                # A block of blank and comment lines parses as shape (0, 1).
-                _check_cells(cells.reshape(-1, 4), l_lo, l_hi, grid, values, seen)
+                _check_cells(cells, block, n_rows, l_lo, l_hi, grid, node_text, flat, seen)
                 n_rows += len(cells)
     if n_rows < n_cells:
         raise ValueError(
             "wigner CSV does not cover every (l, phi_index) cell: the header "
             f"needs {n_cells} cells, the file has {n_rows} rows"
         )
-    # No cell repeats and there are at least n_cells rows: every cell is covered.
-    window = OamWindow(int(meta["source_l_min"]), int(meta["source_l_max"]))
-    return _finite(
-        WignerGrid(l_lo, l_hi, grid, values.reshape(-1, n_phi), window, int(meta["pad"]))
-    )
+    # No cell repeats and there are at least n_cells rows: every cell is
+    # covered.  The mask goes before _finite makes one of its own.
+    del seen
+    window = OamWindow(source_l_min, source_l_max)
+    return _finite(WignerGrid(l_lo, l_hi, grid, _frozen(values), window, pad))
+
+
+def _header_int(meta: dict, key: str) -> int:
+    try:
+        return int(meta[key])
+    except ValueError:
+        raise ValueError(
+            f"wigner CSV header {key}={meta[key]!r} is not an integer"
+        ) from None
+
+
+def _data_rows(block: list[str]):
+    """The data rows of ``block`` by ``np.loadtxt``'s rules: text from ``#``
+    on is dropped and empty lines are skipped (a line of spaces is a row)."""
+    for line in block:
+        text = line.split("#", 1)[0].rstrip("\n")
+        if text:
+            yield text
 
 
 def _malformed_row(block: list[str], offset: int) -> str:
     """One-line message naming the first data row of ``block`` that is not
-    four numbers, by ``np.loadtxt``'s rules: text from ``#`` on is dropped,
-    empty lines are skipped, a line of spaces is a row of one field, and
-    fields are split on ``,``.  Data rows are counted from 1 over the whole
+    four numbers, by ``np.loadtxt``'s rules (see :func:`_data_rows`), with
+    fields split on ``,``.  Data rows are counted from 1 over the whole
     file, after the ``offset`` rows of earlier blocks."""
     row = offset
-    for line in block:
-        text = line.split("#", 1)[0].rstrip("\n")
-        if not text:
-            continue
-        row += 1
+    for row, text in enumerate(_data_rows(block), offset + 1):
         where, fields = f"malformed wigner CSV data row {row}", text.split(",")
         if len(fields) != 4:
             return f"{where}: expected 4 fields, got {len(fields)}"
@@ -780,25 +841,67 @@ def _is_number(field: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def _check_cells(cells, l_lo: int, l_hi: int, grid: AngleGrid, values, seen) -> None:
-    """Check one block of parsed rows ``l, phi_index, phi, value`` and
+def _phi_fields(block: list[str]) -> list[str]:
+    """The whole ``phi`` field of each data row of a block that parsed."""
+    return [text.split(",")[2] for text in _data_rows(block)]
+
+
+def _phi_numbers(text: np.ndarray, rows: np.ndarray, block: list[str], offset: int):
+    """The ``phi`` of the parsed ``rows`` of ``block``, whose texts are
+    ``text``, read as ``np.loadtxt`` reads a number; a text that is not one
+    raises the block's malformed-row message."""
+    texts = text.tolist()
+    if (np.char.str_len(text) == _PHI_WIDTH).any():
+        fields = _phi_fields(block)  # a field that fills the width may be cut
+        texts = [fields[i] for i in rows.tolist()]
+    try:
+        phis = np.loadtxt(texts, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        phis = None
+    # loadtxt skips an empty text, which is not a number either
+    if phis is None or len(phis) < len(texts):
+        raise ValueError(_malformed_row(block, offset))
+    return phis
+
+
+def _check_cells(
+    cells, block, offset, l_lo: int, l_hi: int, grid: AngleGrid, node_text, values, seen
+) -> None:
+    """Check one block of parsed rows ``l, phi_index, phi, value`` (``block``
+    holds their lines, after the ``offset`` data rows of earlier blocks) and
     scatter its values into the flat grid ``values``, marking each cell in
-    ``seen``.  With ``values`` None only the indices are checked."""
+    ``seen``.  With ``values`` None only the ``phi`` texts and the indices
+    are checked.
+
+    A ``phi`` equal to ``node_text[phi_index]`` names that node; any other
+    ``phi`` must be a number within 1e-12 of it.  The last entry of
+    ``node_text`` stands for every node past the others.
+    """
+    if "\0" in "".join(block) and not all(map(_is_number, _phi_fields(block))):
+        # numpy drops a text field's trailing NULs, which no number holds
+        raise ValueError(_malformed_row(block, offset))
     n_phi = grid.n_phi
-    ls, js, phis = cells[:, 0], cells[:, 1], cells[:, 2]
+    ls, js, text = cells["l"], cells["phi_index"], cells["phi"]
     for bad, what in (
         ((ls < l_lo) | (ls > l_hi) | (js < 0) | (js >= n_phi),
          f"outside [{l_lo}, {l_hi}] x [0, {n_phi})"),
         ((ls != np.floor(ls)) | (js != np.floor(js)), "has a non-integer index"),
     ):
         if bad.any():
+            # a phi that is not a number makes the block malformed first
+            _phi_numbers(text, np.arange(len(text)), block, offset)
             k = int(np.argmax(bad))
             raise ValueError(
                 f"wigner CSV cell (l={_f17(ls[k])}, phi_index={_f17(js[k])}) {what}"
             )
+    js = js.astype(np.int64)
+    n_text = len(node_text) - 1
+    loose = np.flatnonzero(text != node_text[np.minimum(js, n_text)])
+    if len(loose):
+        loose_text = text[loose]
+        phis = _phi_numbers(loose_text, loose, block, offset)
     if values is None:
         return
-    js = js.astype(np.int64)
     flat = (ls - l_lo).astype(np.int64) * n_phi + js
     # A cell repeats if an earlier block set it, or if a later row of this
     # block overwrites the row position scattered here.
@@ -811,12 +914,19 @@ def _check_cells(cells, l_lo: int, l_hi: int, grid: AngleGrid, values, seen) -> 
             f"wigner CSV repeats cell (l={l_lo + k // n_phi}, phi_index={k % n_phi})"
         )
     seen[flat] = True
-    node = grid.nodes[js]
-    bad = ~(np.abs(phis - node) <= 1e-12)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"wigner CSV cell (l={_f17(ls[k])}, phi_index={js[k]}) has phi "
-            f"{_f17(phis[k])}, not the grid node {_f17(node[k])}"
-        )
-    values[flat] = cells[:, 3]
+    if len(loose):
+        node = grid.nodes[js[loose]]
+        bad = ~(np.abs(phis - node) <= 1e-12)
+        if bad.any():
+            i = int(np.argmax(bad))
+            k = loose[i]
+            raise ValueError(
+                f"wigner CSV cell (l={_f17(ls[k])}, phi_index={js[k]}) has phi "
+                f"{_f17(phis[i])}, not the grid node {_f17(node[i])}"
+            )
+        # A text that passed names its node as surely as the node's own
+        # text, so it takes that text's place and later rows that repeat it
+        # pass as text.  A field that filled _PHI_WIDTH may have been cut.
+        kept = (js[loose] < n_text) & (np.char.str_len(loose_text) < _PHI_WIDTH)
+        node_text[js[loose[kept]]] = loose_text[kept]
+    values[flat] = cells["value"]

@@ -275,9 +275,11 @@ class TestMalformedInput:
             lambda lines: [lines[0], "# l_lo=0 l_hi=100000000000 n_phi=4 source_l_min=0 "
                            "source_l_max=0 pad=0", "0,0,-3.1415926535897931,0.25",
                            "0,1,-1.5707963267948966,0.25"],  # huge header
+            lambda lines: [lines[0], lines[1].replace("pad=1", "pad=x")] + lines[2:],
         ],
         ids=["three_fields", "five_fields", "non_numeric_phi", "non_numeric_value",
-             "fractional_l", "no_data_rows", "spaces_line", "huge_header"],
+             "fractional_l", "no_data_rows", "spaces_line", "huge_header",
+             "non_integer_pad"],
     )
     @pytest.mark.parametrize("command", ["render", "overlap"])
     def test_malformed_csv_exit_2(self, tmp_path, edit, command):

@@ -720,6 +720,15 @@ def _edit_row(lines: list[str], l: int, j: int, field: int, text: str) -> list[s
     return out
 
 
+def _edit_phi(lines: list[str], text) -> list[str]:
+    """Copy of CSV ``lines`` with every phi field printed as ``text(phi)``."""
+    out = lines[:2]
+    for line in lines[2:]:
+        l, j, phi, value = line.split(",")
+        out.append(f"{l},{j},{text(float(phi))},{value}")
+    return out
+
+
 def _case(name, build, message):
     return pytest.param(build, message, id=name)
 
@@ -895,6 +904,24 @@ class TestWignerFiles:
                   lambda x: _edit_row(x, 0, 3, 2, _f17(AngleGrid(24).node(3) + 1e-6)),
                   r"cell \(l=0, phi_index=3\) has phi"),
             _case("missing_cell", lambda x: x[:7] + x[8:], "does not cover every"),
+            _case("non_ascii_digit_phi", lambda x: _edit_row(x, 0, 3, 2, "\u0661"),
+                  "data row 148, field 3: '\u0661' is not a number"),
+            _case("phi_trailing_nul",
+                  lambda x: _edit_row(x, 0, 3, 2, _f17(AngleGrid(24).node(3)) + "\0"),
+                  re.escape(f"data row 148, field 3: {_f17(AngleGrid(24).node(3)) + chr(0)!r} "
+                            "is not a number")),
+            # Cut to the text field's width this reads as the node itself.
+            _case("phi_wider_than_field",
+                  lambda x: _edit_row(x, 0, 3, 2, _f17(AngleGrid(24).node(3)) + "0" * 10 + "e5"),
+                  re.escape(f"cell (l=0, phi_index=3) has phi {_f17(AngleGrid(24).node(3) * 1e5)}, "
+                            f"not the grid node {_f17(AngleGrid(24).node(3))}") + "$"),
+            *(
+                _case(f"header_{key}_not_integer",
+                      lambda x, key=key: [x[0], re.sub(f"{key}=\\S+", f"{key}=x", x[1])]
+                      + x[2:5] + ["0,3,0.5"] + x[5:],
+                      f"^wigner CSV header {key}='x' is not an integer$")
+                for key in ("l_lo", "l_hi", "n_phi", "source_l_min", "source_l_max", "pad")
+            ),
         ],
     )
     def test_malformed_csv_rejected(self, tmp_path, build, message):
@@ -947,13 +974,14 @@ class TestWignerFiles:
             lambda lines: lines[:2] + [" " + x.replace(",", " , ") + " " for x in lines[2:]],
             lambda lines: lines[:2] + list(np.random.default_rng(0).permutation(lines[2:])),
             lambda lines: lines[:2] + ["# a comment"] + lines[2:],
-            lambda lines: lines[:2] + [
-                ",".join(p[:2] + [format(float(p[2]), ".13g"), p[3]])
-                for p in (x.split(",") for x in lines[2:])
-            ],
+            lambda lines: _edit_phi(lines, lambda phi: format(phi, ".13g")),
+            # wider than the text field: read again from the line, not cut
+            lambda lines: _edit_phi(lines, lambda phi: format(phi, ".40g")),
+            lambda lines: _edit_phi(lines, lambda phi: format(phi, "+.17g")),
+            lambda lines: _edit_phi(lines, lambda phi: _f17(phi) + "000"),
         ],
         ids=["crlf", "empty_lines", "spaces_around_fields", "shuffled", "comment_line",
-             "phi_13_digits"],
+             "phi_13_digits", "phi_40_digits", "phi_plus_sign", "phi_trailing_zeros"],
     )
     def test_lenient_csv_accepted(self, tmp_path, build):
         W, lines = _small_csv_lines()
@@ -963,6 +991,60 @@ class TestWignerFiles:
         assert (back.l_lo, back.l_hi, back.grid, back.pad) == (W.l_lo, W.l_hi, W.grid, W.pad)
         assert back.source_window == W.source_window
         assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+
+
+class TestGridValues:
+    """A grid adopts a read-only float64 array that owns its data and copies
+    anything else, so a fresh map or read holds its values once."""
+
+    @staticmethod
+    def _grid(values):
+        w = OamWindow(-1, 1)
+        return WignerGrid(-2, 2, AngleGrid(8), values, w, 1)
+
+    def test_frozen_owner_adopted(self):
+        values = np.random.default_rng(0).normal(size=(5, 8))
+        values.flags.writeable = False
+        assert self._grid(values).values is values
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda a: a,  # writeable
+            lambda a: np.asarray(a, dtype=np.float32),  # another dtype
+            lambda a: a.tolist(),
+            lambda a: np.vstack((a, a))[::2],  # a view
+        ],
+        ids=["writeable", "float32", "list", "view"],
+    )
+    def test_anything_else_copied(self, make):
+        values = make(np.random.default_rng(0).normal(size=(5, 8)))
+        if isinstance(values, np.ndarray):
+            values.flags.writeable = values.flags.owndata
+        W = self._grid(values)
+        assert W.values is not values and W.values.dtype == np.float64
+        assert W.values.flags.owndata and not W.values.flags.writeable
+        assert np.array_equal(W.values, np.asarray(values, dtype=np.float64))
+
+    def test_built_grids_are_not_copied(self, tmp_path, monkeypatch):
+        """The forward maps, the star product and the reader freeze an array
+        of their own, and the grid holds that array."""
+        frozen = []
+        freeze = phasespace._frozen
+        monkeypatch.setattr(phasespace, "_frozen", lambda a: frozen.append(freeze(a)) or a)
+        w = OamWindow(-2, 2)
+        psi = random_pure_state(w, 3)
+        W = wigner_from_oam(to_density(psi), 3, AngleGrid(16))
+        write_wigner(W, tmp_path / "grid.csv")
+        for build in (
+            lambda: wigner_from_oam(to_density(psi), 3, AngleGrid(16)),
+            lambda: wigner_from_angle(psi, 3, AngleGrid(16)),
+            lambda: star_product(W, W),
+            lambda: read_wigner(tmp_path / "grid.csv"),
+        ):
+            built = build()
+            assert built.values is frozen[-1]
+            assert built.values.flags.owndata and not built.values.flags.writeable
 
 
 class TestStreamedCodec:
@@ -1006,7 +1088,7 @@ class TestStreamedCodec:
             tracemalloc.stop()
         assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
         assert write_peak < 2e6
-        assert read_peak < 3 * W.values.nbytes
+        assert read_peak < 1.5 * W.values.nbytes
 
 
 class TestReadBlocks:
@@ -1123,6 +1205,49 @@ class TestReadBlocks:
         data[at] = data[2]
         with pytest.raises(ValueError, match=r"repeats cell \(l=-6, phi_index=2\)"):
             self._read(tmp_path, lines[:2] + data)
+
+    @pytest.mark.parametrize("shift", [0.0, 2e-12], ids=["exact", "phi_off_by_2e-12"])
+    def test_node_text_and_13_digit_rows_mixed(self, tmp_path, shift):
+        """Every third row prints phi to 13 digits, so blocks mix rows that
+        pass as their node's text with rows that are converted; the row of
+        cell (l=-6, phi_index=6), in the second block, is 13-digit text moved
+        by ``shift``."""
+        W, lines = _small_csv_lines()
+        data = lines[2:]
+        for k in range(0, len(data), 3):
+            l, j, phi, value = data[k].split(",")
+            phi = float(phi) + (shift if k == 6 else 0.0)
+            data[k] = f"{l},{j},{phi:.13g},{value}"
+        if shift:
+            with pytest.raises(ValueError, match=r"^wigner CSV cell \(l=-6, phi_index=6\) "
+                               r"has phi -1.5707963267930001, not the grid node -1.5707963267948966$"):
+                self._read(tmp_path, lines[:2] + data)
+        else:
+            back = self._read(tmp_path, lines[:2] + data)
+            assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+
+    def test_passed_text_names_only_its_node(self, tmp_path):
+        """A 13-digit phi that passed for node 3 in the first block is not
+        taken for node 4 in a later one."""
+        _, lines = _small_csv_lines()
+        text = format(AngleGrid(24).node(3), ".13g")
+        lines = _edit_row(_edit_row(lines, -6, 3, 2, text), 0, 4, 2, text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"cell (l=0, phi_index=4) has phi {_f17(float(text))}, not the grid node "
+                f"{_f17(AngleGrid(24).node(4))}")):
+            self._read(tmp_path, lines)
+
+    def test_cut_text_is_not_kept(self, tmp_path):
+        """A phi wider than the text field passes for its node by its number;
+        the node's next row, in a later block, whose phi starts the same but
+        ends in ``e5``, is read from its own line and refused."""
+        _, lines = _small_csv_lines()
+        node = _f17(AngleGrid(24).node(3))
+        lines = _edit_row(lines, -6, 3, 2, node + "0" * 10)
+        lines = _edit_row(lines, -5, 3, 2, node + "0" * 10 + "e5")
+        with pytest.raises(ValueError, match=re.escape(
+                f"cell (l=-5, phi_index=3) has phi {_f17(AngleGrid(24).node(3) * 1e5)}")):
+            self._read(tmp_path, lines)
 
     def test_cell_missing_from_later_block(self, tmp_path):
         _, lines = _small_csv_lines()

@@ -778,9 +778,7 @@ def read_wigner(path) -> WignerGrid:
                 try:
                     cells = np.loadtxt(block, _ROW, delimiter=",", comments="#", ndmin=1)
                 except ValueError:
-                    cells = None
-                if cells is None:
-                    raise ValueError(_malformed_row(block, n_rows))
+                    raise ValueError(_malformed_row(block, n_rows)) from None
                 _check_cells(cells, block, n_rows, l_lo, l_hi, grid, node_text, flat, seen)
                 n_rows += len(cells)
     if n_rows < n_cells:

@@ -83,7 +83,7 @@ import itertools
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -120,21 +120,15 @@ IMAG_TOL = 1e-11
 RESIDUAL_WARNING = 1e-6
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` made read-only; a WignerGrid adopts a frozen array that owns its
-    data without copying it."""
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class WignerGrid:
     """Real Wigner values on rows ``l_lo..l_hi`` times an angle grid.
 
     The rows cover the source window and ``pad`` is the number of rows they
     add on its narrower side, ``min(l_min - l_lo, l_hi - l_max) >= 0``.
-    ``values`` that are already a read-only float64 array owning its data
-    are adopted as they are; anything else is copied.
+    ``values`` are copied, except that the module's own builders pass
+    ``_fresh=True`` with a float64 array that nothing else refers to, which
+    the grid freezes and keeps.
     """
 
     l_lo: int
@@ -143,8 +137,9 @@ class WignerGrid:
     values: np.ndarray = field(repr=False)
     source_window: OamWindow
     pad: int
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _fresh: bool):
         lo, hi = self.source_window.l_min, self.source_window.l_max
         margin = min(lo - self.l_lo, self.l_hi - hi)
         if margin < 0 or self.pad != margin:
@@ -158,8 +153,9 @@ class WignerGrid:
             raise ValueError(
                 f"expected shape {(self.n_rows, self.grid.n_phi)}, got {vals.shape}"
             )
-        if vals.flags.writeable or not vals.flags.owndata:
-            vals = _frozen(vals.copy())
+        if not _fresh:
+            vals = vals.copy()
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property
@@ -347,7 +343,7 @@ def wigner_from_oam(rho: DensityMatrix, l_pad: int, grid: AngleGrid) -> WignerGr
     """
     l_lo, l_hi = _stored_rows(rho.window, l_pad, grid)
     values = _wigner_of_operator(rho.elements, rho.window, l_lo, l_hi, grid)
-    return WignerGrid(l_lo, l_hi, grid, _frozen(values), rho.window, l_pad)
+    return WignerGrid(l_lo, l_hi, grid, values, rho.window, l_pad, _fresh=True)
 
 
 def _half_period_integral(k: np.ndarray) -> np.ndarray:
@@ -396,7 +392,7 @@ def wigner_from_angle(psi: PureState, l_pad: int, grid: AngleGrid) -> WignerGrid
     q = q_samples @ (np.exp(-1j * np.outer(u, ks)) / (n_u * np.pi))
     values = sig @ q.real.T
     _check_real(sig @ q.imag.T, "Wigner grid")
-    return WignerGrid(l_lo, l_hi, grid, _frozen(values), window, l_pad)
+    return WignerGrid(l_lo, l_hi, grid, values, window, l_pad, _fresh=True)
 
 
 def marginal_angle(W: WignerGrid) -> PeriodicSamples:
@@ -609,13 +605,10 @@ def star_product(
     product = r1.matrix @ r2.matrix
     l_lo = max(W_rho.l_lo, W_sigma.l_lo)
     l_hi = min(W_rho.l_hi, W_sigma.l_hi)
-    grids = _wigner_of_operator(
+    values, imag = _wigner_of_operator(
         np.stack((product, -1j * product)), window, l_lo, l_hi, W_rho.grid
     )
-    _check_real(grids[1], "star product")
-    # The real grid is copied out of the stack, so the result does not keep
-    # the imaginary grid alive.
-    values = _frozen(grids[0].copy())
+    _check_real(imag, "star product")
     pad = min(window.l_min - l_lo, l_hi - window.l_max)
     return WignerGrid(l_lo, l_hi, W_rho.grid, values, window, pad)
 
@@ -635,11 +628,11 @@ def star_product(
 # neither holds the file's text or all its parsed rows at once.  loadtxt
 # reads l, phi_index and value as floats and keeps phi as text: phi only
 # names the node that phi_index already gives, so the node's own 17-digit
-# text, the one the writer prints, passes by a comparison of text.  Other
-# text is converted to a number and checked, and once it has passed for a
-# node, its repeats at that node pass by comparison too.  The value is then
-# the one field per row whose conversion the grid needs.  A block that does
-# not parse is scanned again in Python to name its first bad data row.
+# text, the one the writer prints, passes by a comparison of text.  Every
+# other phi text of a block is converted to a number in one call and
+# checked.  The value is then the one field per row whose conversion the
+# grid needs.  A block that does not parse is scanned again in Python to
+# name its first bad data row.
 
 # Lines per ``np.loadtxt`` call, blank and comment lines included.  The block
 # is held as a list of strings beside its parsed rows: at 4,096 lines the
@@ -702,9 +695,9 @@ def _wigner_from_json(data) -> WignerGrid:
     with _payload(data, "cylwig-wigner-v1") as data:
         l_lo, l_hi, pad = int(data["l_lo"]), int(data["l_hi"]), int(data["pad"])
         grid = AngleGrid(int(data["n_phi"]))
-        values = _frozen(np.array(data["values"], dtype=float))
+        values = np.array(data["values"], dtype=float)
         window = OamWindow(int(data["source_l_min"]), int(data["source_l_max"]))
-    return WignerGrid(l_lo, l_hi, grid, values, window, pad)
+    return WignerGrid(l_lo, l_hi, grid, values, window, pad, _fresh=True)
 
 
 def read_wigner(path) -> WignerGrid:
@@ -790,7 +783,7 @@ def read_wigner(path) -> WignerGrid:
     # covered.  The mask goes before _finite makes one of its own.
     del seen
     window = OamWindow(source_l_min, source_l_max)
-    return _finite(WignerGrid(l_lo, l_hi, grid, _frozen(values), window, pad))
+    return _finite(WignerGrid(l_lo, l_hi, grid, values, window, pad, _fresh=True))
 
 
 def _header_int(meta: dict, key: str) -> int:
@@ -875,8 +868,10 @@ def _check_cells(
     ``phi`` must be a number within 1e-12 of it.  The last entry of
     ``node_text`` stands for every node past the others.
     """
+    # numpy drops a text field's trailing NULs, which no number holds.  One
+    # join per block costs less than a test per line (15 against 55 us per
+    # 1,024 lines at +-16).
     if "\0" in "".join(block) and not all(map(_is_number, _phi_fields(block))):
-        # numpy drops a text field's trailing NULs, which no number holds
         raise ValueError(_malformed_row(block, offset))
     n_phi = grid.n_phi
     ls, js, text = cells["l"], cells["phi_index"], cells["phi"]
@@ -896,8 +891,7 @@ def _check_cells(
     n_text = len(node_text) - 1
     loose = np.flatnonzero(text != node_text[np.minimum(js, n_text)])
     if len(loose):
-        loose_text = text[loose]
-        phis = _phi_numbers(loose_text, loose, block, offset)
+        phis = _phi_numbers(text[loose], loose, block, offset)
     if values is None:
         return
     flat = (ls - l_lo).astype(np.int64) * n_phi + js
@@ -922,9 +916,4 @@ def _check_cells(
                 f"wigner CSV cell (l={_f17(ls[k])}, phi_index={js[k]}) has phi "
                 f"{_f17(phis[i])}, not the grid node {_f17(node[i])}"
             )
-        # A text that passed names its node as surely as the node's own
-        # text, so it takes that text's place and later rows that repeat it
-        # pass as text.  A field that filled _PHI_WIDTH may have been cut.
-        kept = (js[loose] < n_text) & (np.char.str_len(loose_text) < _PHI_WIDTH)
-        node_text[js[loose[kept]]] = loose_text[kept]
     values[flat] = cells["value"]

@@ -974,7 +974,10 @@ class TestWignerFiles:
             lambda lines: lines[:2] + [" " + x.replace(",", " , ") + " " for x in lines[2:]],
             lambda lines: lines[:2] + list(np.random.default_rng(0).permutation(lines[2:])),
             lambda lines: lines[:2] + ["# a comment"] + lines[2:],
-            lambda lines: _edit_phi(lines, lambda phi: format(phi, ".13g")),
+            lambda lines: lines[:2] + [
+                ",".join(p[:2] + [format(float(p[2]), ".13g"), p[3]])
+                for p in (x.split(",") for x in lines[2:])
+            ],
             # wider than the text field: read again from the line, not cut
             lambda lines: _edit_phi(lines, lambda phi: format(phi, ".40g")),
             lambda lines: _edit_phi(lines, lambda phi: format(phi, "+.17g")),
@@ -994,57 +997,39 @@ class TestWignerFiles:
 
 
 class TestGridValues:
-    """A grid adopts a read-only float64 array that owns its data and copies
-    anything else, so a fresh map or read holds its values once."""
+    """A grid copies the values it is given, so no array the caller keeps
+    can change it; the module's own builders hand over a fresh array, which
+    the grid keeps without a copy."""
 
-    @staticmethod
-    def _grid(values):
-        w = OamWindow(-1, 1)
-        return WignerGrid(-2, 2, AngleGrid(8), values, w, 1)
-
-    def test_frozen_owner_adopted(self):
+    def test_values_copied(self):
         values = np.random.default_rng(0).normal(size=(5, 8))
+        view = values.reshape(-1)
         values.flags.writeable = False
-        assert self._grid(values).values is values
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda a: a,  # writeable
-            lambda a: np.asarray(a, dtype=np.float32),  # another dtype
-            lambda a: a.tolist(),
-            lambda a: np.vstack((a, a))[::2],  # a view
-        ],
-        ids=["writeable", "float32", "list", "view"],
-    )
-    def test_anything_else_copied(self, make):
-        values = make(np.random.default_rng(0).normal(size=(5, 8)))
-        if isinstance(values, np.ndarray):
-            values.flags.writeable = values.flags.owndata
-        W = self._grid(values)
-        assert W.values is not values and W.values.dtype == np.float64
-        assert W.values.flags.owndata and not W.values.flags.writeable
-        assert np.array_equal(W.values, np.asarray(values, dtype=np.float64))
+        W = WignerGrid(-2, 2, AngleGrid(8), values, OamWindow(-1, 1), 1)
+        view[0] = 7.0
+        assert W.values[0, 0] != 7.0
+        assert W.values.dtype == np.float64 and not W.values.flags.writeable
 
     def test_built_grids_are_not_copied(self, tmp_path, monkeypatch):
-        """The forward maps, the star product and the reader freeze an array
-        of their own, and the grid holds that array."""
-        frozen = []
-        freeze = phasespace._frozen
-        monkeypatch.setattr(phasespace, "_frozen", lambda a: frozen.append(freeze(a)) or a)
+        """The forward maps and the reader hand their own array to the grid,
+        which keeps it; the star product's grid is copied out of its stack."""
+        fresh = []
+
+        class Spy(WignerGrid):
+            def __post_init__(self, _fresh):
+                fresh.append(_fresh)
+                super().__post_init__(_fresh)
+
         w = OamWindow(-2, 2)
         psi = random_pure_state(w, 3)
         W = wigner_from_oam(to_density(psi), 3, AngleGrid(16))
         write_wigner(W, tmp_path / "grid.csv")
-        for build in (
-            lambda: wigner_from_oam(to_density(psi), 3, AngleGrid(16)),
-            lambda: wigner_from_angle(psi, 3, AngleGrid(16)),
-            lambda: star_product(W, W),
-            lambda: read_wigner(tmp_path / "grid.csv"),
-        ):
-            built = build()
-            assert built.values is frozen[-1]
-            assert built.values.flags.owndata and not built.values.flags.writeable
+        monkeypatch.setattr(phasespace, "WignerGrid", Spy)
+        wigner_from_oam(to_density(psi), 3, AngleGrid(16))
+        wigner_from_angle(psi, 3, AngleGrid(16))
+        star_product(W, W)
+        read_wigner(tmp_path / "grid.csv")
+        assert fresh == [True, True, False, True]
 
 
 class TestStreamedCodec:
@@ -1225,29 +1210,6 @@ class TestReadBlocks:
         else:
             back = self._read(tmp_path, lines[:2] + data)
             assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
-
-    def test_passed_text_names_only_its_node(self, tmp_path):
-        """A 13-digit phi that passed for node 3 in the first block is not
-        taken for node 4 in a later one."""
-        _, lines = _small_csv_lines()
-        text = format(AngleGrid(24).node(3), ".13g")
-        lines = _edit_row(_edit_row(lines, -6, 3, 2, text), 0, 4, 2, text)
-        with pytest.raises(ValueError, match=re.escape(
-                f"cell (l=0, phi_index=4) has phi {_f17(float(text))}, not the grid node "
-                f"{_f17(AngleGrid(24).node(4))}")):
-            self._read(tmp_path, lines)
-
-    def test_cut_text_is_not_kept(self, tmp_path):
-        """A phi wider than the text field passes for its node by its number;
-        the node's next row, in a later block, whose phi starts the same but
-        ends in ``e5``, is read from its own line and refused."""
-        _, lines = _small_csv_lines()
-        node = _f17(AngleGrid(24).node(3))
-        lines = _edit_row(lines, -6, 3, 2, node + "0" * 10)
-        lines = _edit_row(lines, -5, 3, 2, node + "0" * 10 + "e5")
-        with pytest.raises(ValueError, match=re.escape(
-                f"cell (l=-5, phi_index=3) has phi {_f17(AngleGrid(24).node(3) * 1e5)}")):
-            self._read(tmp_path, lines)
 
     def test_cell_missing_from_later_block(self, tmp_path):
         _, lines = _small_csv_lines()

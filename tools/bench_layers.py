@@ -11,9 +11,8 @@ the call times of all its rounds, the median of each round
 ``read_wigner`` reads, a grid file in a temporary directory that is removed
 at the end of the round; ``wigner_to_csv`` formats the same text in memory.
 ``read_wigner.lenient`` reads the same grid with its ``phi`` column printed
-to 13 significant digits, so that no row's ``phi`` is its node's own text:
-the reader converts and checks each node's first such text, and the node's
-later rows pass by repeating the text it accepted.
+to 13 significant digits, so that no row's ``phi`` is its node's own text
+and the reader converts every row's ``phi`` to a number to check it.
 
 Several source trees can be measured in one run; in every round of a case
 the trees take turns, in reversed order on every other round, so a slow

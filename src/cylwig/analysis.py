@@ -33,7 +33,7 @@ from .phasespace import (
     marginal_oam,
     wigner_from_oam,
 )
-from .states import PureState, _f17, angle_wavefunction_at, displace, to_density
+from .states import PureState, _f17, displace, to_density
 
 __all__ = [
     "NegativityReport",
@@ -89,14 +89,16 @@ def negativity(W: WignerGrid, tolerance: float = DEFAULT_TOLERANCE) -> Negativit
     otherwise; promoting a non-negative grid to ``oam_eigenstate`` is the
     certifier's job.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0.0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     flat_idx = int(np.argmin(W.values))
     i, j = divmod(flat_idx, W.grid.n_phi)
     min_value = float(W.values[i, j])
     argmin = (int(W.l_lo + i), float(W.grid.node(j)))
-    # one grid-sized temporary; 0.0 - sum is exact and never -0.0
-    negative_volume = float(W.grid.spacing * (0.0 - np.minimum(W.values, 0.0).sum()))
+    negative_volume = 0.0
+    if not min_value >= 0.0:  # a NaN minimum takes the sum too
+        # one grid-sized temporary; 0.0 - sum is exact and never -0.0
+        negative_volume = float(W.grid.spacing * (0.0 - np.minimum(W.values, 0.0).sum()))
     populations = marginal_oam(W)
     src = W.source_window
     lo, hi = src.l_min - W.l_lo, src.l_max - W.l_lo
@@ -121,23 +123,35 @@ def flatness_check(psi: PureState, grid: AngleGrid | None = None) -> FlatnessChe
     """Test ``|psi(phi)|^2 >= |psi(phi - a/2)| |psi(phi + a/2)|`` on the grid.
 
     ``phi`` runs over the grid nodes and ``a`` over all grid separations; the
-    half-angle points live on the doubled grid and are evaluated by the exact
-    coefficient sum.  A flat-modulus state passes with violation ~1e-16; any
-    state whose angle density has a interior minimum fails with a witness.
-    The ``(n_phi, n_phi)`` index and value arrays, at most four at a time,
-    must fit the memory budget.
+    half-angle points live on the doubled grid, nodes ``-pi + pi k/n_phi``,
+    where ``psi`` is one inverse FFT: ``c_l (-1)^l`` is added into bin
+    ``l mod 2 n_phi`` (so a window wider than the doubled grid aliases as the
+    samples do); it agrees with the exact coefficient sum
+    (:func:`~cylwig.states.angle_wavefunction_at`) to ~1e-14.  A flat-modulus
+    state passes with violation ~1e-16; any state whose angle density has an
+    interior minimum fails with a witness.  The moduli at ``phi -+ a/2`` are
+    two strided views of one doubled copy of the samples, so the
+    ``(n_phi, n_phi)`` violation array is the only large one: about
+    ``n_phi^2 + 32 n_phi`` floats must fit the memory budget.
     """
     if grid is None:
         grid = default_angle_grid(psi.window)
     n = grid.n_phi
-    _check_budget("flatness check", 4 * n * n)
-    double = AngleGrid(2 * n)
-    mod = np.abs(angle_wavefunction_at(psi, double.nodes))
-    js = np.arange(n)[:, None]
-    ts = np.arange(n)[None, :]
-    lhs = mod[2 * js] ** 2
-    rhs = mod[(2 * js - ts) % (2 * n)] * mod[(2 * js + ts) % (2 * n)]
-    violation = rhs - lhs
+    _check_budget("flatness check", n * n + 32 * n)
+    ls = psi.window.values()
+    spectrum = np.zeros(2 * n, dtype=complex)
+    np.add.at(spectrum, ls % (2 * n), psi.coefficients * (1 - 2 * (ls & 1)))
+    mod = np.abs(np.fft.ifft(spectrum, norm="forward"))
+    mod /= np.sqrt(2.0 * np.pi)
+    # row j, column t: mod[(2j - t) mod 2n] and mod[(2j + t) mod 2n], read
+    # through views of two periods of mod with strides of (2, -1) and (2, +1)
+    # elements; 2n + 2j - t and 2j + t both stay below 4n
+    period2 = np.concatenate((mod, mod))
+    step = period2.itemsize
+    minus = np.ndarray((n, n), float, period2, step * 2 * n, (2 * step, -step))
+    plus = np.ndarray((n, n), float, period2, 0, (2 * step, step))
+    violation = minus * plus
+    violation -= (mod[::2] ** 2)[:, None]
     idx = int(np.argmax(violation))
     jbest, tbest = divmod(idx, n)
     max_violation = float(violation[jbest, tbest])
@@ -176,13 +190,11 @@ def _single_row_support(W: WignerGrid):
     """Row support per angle column: (ok, l0) where ok means every column is
     carried by exactly one row and it is the same row throughout."""
     above = np.abs(W.values) > SUPPORT_TOL
-    counts = above.sum(axis=0)
-    if np.any(counts != 1):
+    # n_phi cells above, all of them on the row that carries column 0
+    row = int(np.argmax(above[:, 0]))
+    if np.count_nonzero(above) != W.grid.n_phi or not above[row].all():
         return False, None
-    rows = np.argmax(above, axis=0)
-    if np.any(rows != rows[0]):
-        return False, None
-    return True, int(W.l_lo + rows[0])
+    return True, int(W.l_lo + row)
 
 
 def hudson_certify(
@@ -197,7 +209,10 @@ def hudson_certify(
     non-negative at tolerance) the flatness inequality, single-row support,
     row constancy over the angle, and the eigenstate fidelity gate.  The
     forward map runs through the OAM-basis sums, whose off-row zeros are
-    exact for eigenstates, so their reported minimum is exactly 0.
+    exact for eigenstates, so their reported minimum is exactly 0.  The
+    flatness gate samples ``psi`` on the doubled grid by one inverse FFT and
+    holds one ``(n_phi, n_phi)`` array, ``n_phi^2 + O(n_phi)`` floats within
+    the memory budget, beside the grid of the forward map.
     """
     grid = AngleGrid(n_phi) if n_phi is not None else default_angle_grid(psi.window)
     l_pad = pad if pad is not None else default_pad(psi.window)

@@ -269,10 +269,10 @@ def _sum_diff_index(size: int) -> tuple[np.ndarray, np.ndarray]:
     return i[:, None] + i[None, :], i[:, None] - i[None, :]
 
 
-def _angle_sums(A: np.ndarray, grid: AngleGrid) -> np.ndarray:
-    """``X = Re(R(A) @ E)``, shape (..., 2*span + 1, n_phi), for an operator
-    or a stack of operators ``A``: row ``t`` is the real angle dependence that
-    every ``rho_mn`` with ``m + n = t`` contributes.
+def _folded_harmonics(A: np.ndarray, grid: AngleGrid) -> np.ndarray:
+    """Half spectrum ``P``, shape (..., 2*span + 1, n_phi//2 + 1), whose real
+    inverse FFT along the last axis is ``X = Re(R(A) @ E)`` (see
+    :func:`_angle_sums`), for an operator or a stack of operators ``A``.
 
     ``Re(z e^{-i d phi}) = Re(conj(z) e^{i d phi})``, so harmonic ``-d`` folds
     onto ``d``: ``P[m+n, m-n] = A_mn + conj(A_nm)`` for ``m > n`` and ``A_mm``
@@ -280,8 +280,8 @@ def _angle_sums(A: np.ndarray, grid: AngleGrid) -> np.ndarray:
     only a Hermitian one.  On the nodes ``phi_j = -pi + 2pi j/n_phi``,
     ``e^{i d phi_j} = (-1)^d e^{2pi i d j/n_phi}``, and ``irfft`` adds the
     conjugate of every harmonic ``d >= 1``, so the scatter writes
-    ``(-1)^d P / 2`` there and one real inverse FFT gives ``X`` (the
-    imaginary part of the ``d = 0`` column is dropped, as ``Re`` asks).
+    ``(-1)^d P / 2`` there (the imaginary part of the ``d = 0`` column is
+    dropped by ``irfft``, as ``Re`` asks).
     """
     size = A.shape[-1]
     i = np.arange(size)
@@ -289,7 +289,16 @@ def _angle_sums(A: np.ndarray, grid: AngleGrid) -> np.ndarray:
     P = np.zeros(A.shape[:-2] + (2 * size - 1, grid.n_phi // 2 + 1), dtype=complex)
     P[..., m + n, m - n] = (A[..., m, n] + A[..., n, m].conj()) * (0.5 - ((m - n) & 1))
     P[..., ::2, 0] = A.diagonal(axis1=-2, axis2=-1)
-    return np.fft.irfft(P, grid.n_phi, norm="forward")
+    return P
+
+
+def _angle_sums(A: np.ndarray, grid: AngleGrid) -> np.ndarray:
+    """``X = Re(R(A) @ E)``, shape (..., 2*span + 1, n_phi), for an operator
+    or a stack of operators ``A``: row ``t`` is the real angle dependence that
+    every ``rho_mn`` with ``m + n = t`` contributes.  One real inverse FFT per
+    row of :func:`_folded_harmonics`.
+    """
+    return np.fft.irfft(_folded_harmonics(A, grid), grid.n_phi, norm="forward")
 
 
 def _wigner_of_operator(
@@ -412,14 +421,17 @@ def angle_marginal_tail(rho: DensityMatrix, W: WignerGrid) -> np.ndarray:
     Every column of the row kernel sums to ``1/2pi`` over all rows;
     subtracting the stored rows' sums leaves the tail in closed form.  The
     even columns lie wholly on the stored window rows, so only the odd ones
-    leave a tail.  Adding this to :func:`marginal_angle` recovers the angle
-    marginal identity to machine precision at any padding.
+    leave a tail.  The inverse FFT is linear, so the weighted sum of the odd
+    rows is taken on their harmonics and transformed once.  Adding this to
+    :func:`marginal_angle` recovers the angle marginal identity to machine
+    precision at any padding.
     """
     window = rho.window
     if W.l_lo > window.l_min or W.l_hi < window.l_max:
         raise ValueError("stored rows must cover the source window")
     weight = 1.0 / TWO_PI - _row_kernel(window, W.rows()).sum(axis=0)
-    return weight @ _angle_sums(rho.elements, W.grid)[1::2]
+    P = _folded_harmonics(rho.elements, W.grid)
+    return np.fft.irfft(weight @ P[1::2], W.grid.n_phi, norm="forward")
 
 
 def overlap(W_rho: WignerGrid, W_sigma: WignerGrid) -> float:

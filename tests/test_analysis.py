@@ -25,7 +25,8 @@ from cylwig import (
     von_mises_state,
     wigner_from_oam,
 )
-from cylwig import errors
+from cylwig import analysis, errors
+from cylwig.states import angle_wavefunction_at
 
 TWO_PI = 2 * np.pi
 
@@ -71,6 +72,12 @@ class TestNegativity:
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):
             negativity(delta_grid(), 0.0)
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf])
+    def test_non_finite_tolerance_refused(self, tolerance):
+        """A NaN tolerance would pass every grid, an infinite one print inf."""
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            negativity(delta_grid(), tolerance)
 
 
 class TestFlatness:
@@ -125,6 +132,95 @@ class TestFlatness:
             flatness_check(psi, grid)
         monkeypatch.setattr(errors, "MEMORY_BUDGET", 4 * peak)
         assert flatness_check(psi, grid).flat
+
+
+def _reference_flatness(psi, grid):
+    """The gates' earlier formulas: exact coefficient sums on the doubled
+    grid and index-array gathers of ``mod[(2j -+ t) mod 2n]``."""
+    n = grid.n_phi
+    mod = np.abs(angle_wavefunction_at(psi, AngleGrid(2 * n).nodes))
+    js = np.arange(n)[:, None]
+    ts = np.arange(n)[None, :]
+    violation = mod[(2 * js - ts) % (2 * n)] * mod[(2 * js + ts) % (2 * n)] - mod[2 * js] ** 2
+    jbest, tbest = divmod(int(np.argmax(violation)), n)
+    max_violation = float(violation[jbest, tbest])
+    flat = max_violation <= analysis.FLATNESS_TOL
+    witness = None if flat else (float(grid.node(jbest)), float(tbest * grid.spacing))
+    return flat, witness, max_violation
+
+
+def _reference_support(W):
+    above = np.abs(W.values) > analysis.SUPPORT_TOL
+    if np.any(above.sum(axis=0) != 1):
+        return False, None
+    rows = np.argmax(above, axis=0)
+    if np.any(rows != rows[0]):
+        return False, None
+    return True, int(W.l_lo + rows[0])
+
+
+# windows +-0..+-16, asymmetric ones, and one wider than the doubled 4-point grid
+GATE_WINDOWS = [OamWindow(-h, h) for h in range(17)] + [
+    OamWindow(-3, 0), OamWindow(0, 5), OamWindow(-7, 2), OamWindow(1, 12),
+    OamWindow(-16, 9), OamWindow(-5, 6),
+]
+GATE_STATES = {
+    "eigen": lambda w, k: oam_eigenstate(w.l_min + k % w.size, w),
+    "displaced": lambda w, k: displace(oam_eigenstate(w.l_min + k % w.size, w), 1,
+                                       0.37 * k),
+    "phase": lambda w, k: apply_phase_function(
+        oam_eigenstate(w.l_max - k % w.size, w), lambda l: 0.13 * l**3 - 0.7 * l),
+    # sigma <= 0.7 leaves a tail below 1e-12 within +-5 of the centre
+    "coherent": lambda w, k: coherent_state(
+        (w.l_min + w.l_max) // 2, 0.25 * k, 0.4 + 0.05 * (k % 7),
+        w.union(OamWindow((w.l_min + w.l_max) // 2 - 5, (w.l_min + w.l_max) // 2 + 5))),
+    "random": lambda w, k: random_pure_state(w, k),
+}
+
+
+class TestGatesMatchReference:
+    """The FFT samples and strided views of ``flatness_check``, and the
+    counting forms of the support and negativity gates, give the verdicts,
+    witnesses and values of the gathers and per-column sums they replaced."""
+
+    @pytest.mark.parametrize("kind", sorted(GATE_STATES))
+    def test_flatness(self, kind):
+        cases = [(w, grid) for w in GATE_WINDOWS
+                 for grid in (AngleGrid(4), AngleGrid(8), AngleGrid(36), AngleGrid(100),
+                              default_angle_grid(w))]
+        cases.append((OamWindow(-30, 30), AngleGrid(8)))  # 61 harmonics, 16 bins
+        for k, (w, grid) in enumerate(cases):
+            psi = GATE_STATES[kind](w, k)
+            flat, witness, max_violation = _reference_flatness(psi, grid)
+            res = flatness_check(psi, grid)
+            assert (res.flat, res.witness) == (flat, witness), (w, grid.n_phi)
+            assert abs(res.max_violation - max_violation) <= 1e-14, (w, grid.n_phi)
+
+    @pytest.mark.parametrize("half", [0, 1, 4, 9, 16])
+    def test_support_and_negativity(self, half):
+        w = OamWindow(-half, half)
+        grid, pad = default_angle_grid(w), default_pad(w)
+        for psi in (oam_eigenstate(half // 2, w), oam_eigenstate(-half, w),
+                    random_pure_state(w, half)):
+            W = wigner_from_oam(to_density(psi), pad, grid)
+            assert analysis._single_row_support(W) == _reference_support(W)
+            rep = negativity(W, 1e-8)
+            volume = float(W.grid.spacing * (0.0 - np.minimum(W.values, 0.0).sum()))
+            assert rep.negative_volume == volume
+            if psi.coefficients[np.argmax(np.abs(psi.coefficients))] == 1.0:
+                assert rep.negative_volume == 0.0 and not np.signbit(rep.negative_volume)
+                assert analysis._single_row_support(W)[0]
+
+    def test_support_drifting_row(self):
+        """Columns carried by one row each, but not the same row, fail."""
+        W = delta_grid()
+        values = np.zeros_like(W.values)
+        values[5, :10] = values[6, 10:] = 0.1
+        from dataclasses import replace
+
+        drifting = replace(W, values=values)
+        assert analysis._single_row_support(drifting) == _reference_support(drifting)
+        assert analysis._single_row_support(drifting) == (False, None)
 
 
 class TestAutocorrelation:

@@ -132,6 +132,21 @@ class TestCheckAndScan:
         cp = run("scan", "--samples", "2", "--window", "-4:4", "--seed", "0")
         assert cp.returncode == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["check", "scan"])
+    def test_non_finite_tolerance_exit_2(self, tmp_path, command, tol):
+        """A NaN tolerance would pass every grid and print invalid JSON."""
+        if command == "check":
+            state = tmp_path / "e.json"
+            run("state", "--kind", "eigen", "--window", "-4:4", "-o", str(state))
+            args = ["check", str(state)]
+        else:
+            args = ["scan", "--samples", "2", "--window", "-4:4"]
+        cp = run(*args, "--tol", tol, check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr == f"error: tolerance must be finite and positive, got {tol}\n"
+
 
 class TestReconstructOverlapStar:
     @pytest.fixture()

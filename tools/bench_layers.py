@@ -28,9 +28,10 @@ range of the other tree's round medians::
 
 Only the standard library and numpy are used.  Inputs use the default grid
 (``4*span + 4`` angles) and padding (``8*span`` rows).  The state is random
-(seed 1), except in ``hudson_certify.eigenstate``: a random state stops at
-the negativity gate, while the eigenstate ``|0>`` passes through every gate,
-the ``(n_phi, n_phi)`` flatness check included.  ``random_pure_state`` times
+(seed 1), except in ``hudson_certify.eigenstate`` and ``flatness_check``: a
+random state stops at the negativity gate, while the eigenstate ``|0>``
+passes through every gate, the ``(n_phi, n_phi)`` flatness check included,
+which ``flatness_check`` times alone.  ``random_pure_state`` times
 state construction with its validation; ``star_product`` is the self-star
 of the random state's grid by the operator method.
 """
@@ -58,6 +59,7 @@ LAYERS = (
     "star_product",
     "hudson_certify",
     "hudson_certify.eigenstate",
+    "flatness_check",
     "wigner_to_csv",
     "write_wigner",
     "read_wigner",
@@ -79,9 +81,11 @@ def _call(layer: str, half: int, tmp: str):
     grid, pad = cw.default_angle_grid(w), cw.default_pad(w)
     if layer == "random_pure_state":
         return lambda: cw.random_pure_state(w, SEED)
+    eigen = cw.oam_eigenstate(0, w)
     if layer == "hudson_certify.eigenstate":
-        eigen = cw.oam_eigenstate(0, w)
         return lambda: cw.hudson_certify(eigen)
+    if layer == "flatness_check":
+        return lambda: cw.flatness_check(eigen, grid)
     psi = cw.random_pure_state(w, SEED)
     rho = cw.to_density(psi)
     if layer == "wigner_from_oam":
@@ -185,7 +189,8 @@ def main() -> None:
     result = {
         "what": "per-call wall time of library layers, default grid and pad, "
                 "random pure state (seed 1; star_product its self-star) or, "
-                "for hudson_certify.eigenstate, the eigenstate |0>; median "
+                "for hudson_certify.eigenstate and flatness_check, the "
+                "eigenstate |0>; median "
                 "and quartiles of the pooled calls and each round's median in "
                 "ms; peak RSS of the case's process in MB",
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),

@@ -270,9 +270,10 @@ def _sum_diff_index(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _folded_harmonics(A: np.ndarray, grid: AngleGrid) -> np.ndarray:
-    """Half spectrum ``P``, shape (..., 2*span + 1, n_phi//2 + 1), whose real
-    inverse FFT along the last axis is ``X = Re(R(A) @ E)`` (see
-    :func:`_angle_sums`), for an operator or a stack of operators ``A``.
+    """Half spectrum ``P``, shape (..., 2*span + 1, n_phi//2 + 1), of an
+    operator or a stack of operators ``A``, whose real inverse FFT along the
+    last axis is ``X = Re(R(A) @ E)``: row ``t`` of ``X`` is the real angle
+    dependence that every ``rho_mn`` with ``m + n = t`` contributes.
 
     ``Re(z e^{-i d phi}) = Re(conj(z) e^{i d phi})``, so harmonic ``-d`` folds
     onto ``d``: ``P[m+n, m-n] = A_mn + conj(A_nm)`` for ``m > n`` and ``A_mm``
@@ -292,15 +293,6 @@ def _folded_harmonics(A: np.ndarray, grid: AngleGrid) -> np.ndarray:
     return P
 
 
-def _angle_sums(A: np.ndarray, grid: AngleGrid) -> np.ndarray:
-    """``X = Re(R(A) @ E)``, shape (..., 2*span + 1, n_phi), for an operator
-    or a stack of operators ``A``: row ``t`` is the real angle dependence that
-    every ``rho_mn`` with ``m + n = t`` contributes.  One real inverse FFT per
-    row of :func:`_folded_harmonics`.
-    """
-    return np.fft.irfft(_folded_harmonics(A, grid), grid.n_phi, norm="forward")
-
-
 def _wigner_of_operator(
     A: np.ndarray, window: OamWindow, l_lo: int, l_hi: int, grid: AngleGrid
 ) -> np.ndarray:
@@ -314,7 +306,7 @@ def _wigner_of_operator(
     constant ``1/2pi``, row ``t`` added onto window row ``t/2``.
     """
     K = _row_kernel(window, np.arange(l_lo, l_hi + 1))
-    X = _angle_sums(A, grid)
+    X = np.fft.irfft(_folded_harmonics(A, grid), grid.n_phi, norm="forward")
     values = K @ X[..., 1::2, :]
     lo = window.l_min - l_lo
     values[..., lo : lo + window.size, :] += X[..., ::2, :] * (1.0 / TWO_PI)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,7 +160,8 @@ def _reference_support(W):
     return True, int(W.l_lo + rows[0])
 
 
-# windows +-0..+-16, asymmetric ones, and one wider than the doubled 4-point grid
+# windows +-0..+-16 and asymmetric ones; on the 4- and 8-angle grids the wider
+# ones alias onto the doubled grid
 GATE_WINDOWS = [OamWindow(-h, h) for h in range(17)] + [
     OamWindow(-3, 0), OamWindow(0, 5), OamWindow(-7, 2), OamWindow(1, 12),
     OamWindow(-16, 9), OamWindow(-5, 6),
@@ -216,8 +218,6 @@ class TestGatesMatchReference:
         W = delta_grid()
         values = np.zeros_like(W.values)
         values[5, :10] = values[6, 10:] = 0.1
-        from dataclasses import replace
-
         drifting = replace(W, values=values)
         assert analysis._single_row_support(drifting) == _reference_support(drifting)
         assert analysis._single_row_support(drifting) == (False, None)

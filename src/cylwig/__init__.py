@@ -31,9 +31,7 @@ from .numerics import (
     PeriodicSamples,
     bessel_i0,
     circle_quadrature,
-    fourier_coefficient,
     theta3,
-    trig_interpolate,
 )
 from .phasespace import (
     KernelMatrix,
@@ -69,7 +67,6 @@ from .states import (
     mix,
     oam_eigenstate,
     random_pure_state,
-    read_density,
     read_state,
     state_from_json,
     state_to_json,

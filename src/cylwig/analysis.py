@@ -251,9 +251,9 @@ def covariance_residual(
     # nodes are the integer multiples of the spacing (n_phi is even), so the
     # translated comparison is a column roll by phid / spacing
     steps = phid / grid.spacing
-    t = int(round(steps))
-    if abs(steps - t) > 1e-9:
+    if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
         raise ValueError(f"phid={phid} is not a node of the {grid.n_phi}-point grid")
+    t = int(round(steps))
     l_pad = pad if pad is not None else default_pad(psi.window)
     W0 = wigner_from_oam(to_density(psi), l_pad, grid)
     Wd = wigner_from_oam(to_density(displace(psi, ld, phid)), l_pad, grid)

@@ -295,6 +295,10 @@ def render(grid_file, output, range_str):
         if len(parts) != 2:
             raise ValueError(f"--range must be 'auto' or 'MIN:MAX', got {range_str!r}")
         w_min, w_max = float(parts[0]), float(parts[1])
+        if not np.isfinite([w_min, w_max]).all() or w_min > w_max:
+            raise ValueError(
+                f"--range MIN:MAX needs finite MIN <= MAX, got {range_str!r}"
+            )
     with open(output, "wb") as fh:
         fh.write(_render_ppm(W, w_min, w_max))
 

@@ -1,4 +1,4 @@
-"""Circle-Fourier primitives on uniform angle grids, plus the two special
+"""Uniform angle grids and the rectangle rule on them, plus the two special
 functions the toolkit needs (third Jacobi theta, modified Bessel I0).
 
 Everything here works on 2*pi-periodic data sampled on uniform nodes
@@ -20,8 +20,6 @@ __all__ = [
     "AngleGrid",
     "PeriodicSamples",
     "circle_quadrature",
-    "fourier_coefficient",
-    "trig_interpolate",
     "theta3",
     "bessel_i0",
 ]
@@ -83,42 +81,6 @@ def circle_quadrature(samples: PeriodicSamples) -> complex:
     return samples.grid.spacing * complex(samples.values.sum())
 
 
-def fourier_coefficient(samples: PeriodicSamples, k: int) -> complex:
-    """Circle Fourier transform ``(F g)(k) = (1/2pi) int g(phi) e^{i phi k} dphi``.
-
-    Alias-free only for ``|k| < n_phi/2``; enforcing that is the caller's job.
-    """
-    phi = samples.grid.nodes
-    return complex(np.sum(samples.values * np.exp(1j * k * phi)) / samples.grid.n_phi)
-
-
-def _interp_coefficients(samples: PeriodicSamples):
-    n = samples.grid.n_phi
-    ks = np.arange(-(n // 2), n // 2 + 1)
-    phi = samples.grid.nodes
-    coef = (np.exp(1j * ks[:, None] * phi[None, :]) @ samples.values) / n
-    # The two Nyquist harmonics +-n/2 coincide on the nodes; splitting the
-    # measured content evenly keeps the interpolant exact there.
-    coef[0] *= 0.5
-    coef[-1] *= 0.5
-    return ks, coef
-
-
-def trig_interpolate(samples: PeriodicSamples, phi) -> complex | np.ndarray:
-    """Evaluate the trigonometric interpolant at arbitrary angles.
-
-    Returns ``sum_k (F g)(k) e^{-i k phi}`` over ``|k| <= n_phi/2`` with the
-    Nyquist pair split evenly; reproduces the samples at grid nodes and is
-    exact for band-limited inputs of degree < ``n_phi/2``.
-    """
-    ks, coef = _interp_coefficients(samples)
-    phi_arr = np.asarray(phi, dtype=float)
-    out = np.exp(-1j * phi_arr[..., None] * ks) @ coef
-    if np.ndim(phi) == 0:
-        return complex(out)
-    return out
-
-
 def theta3(z: float, q: float, eps: float = 1e-16) -> float:
     """Third Jacobi theta function ``theta3(z|q) = sum_n q^(n^2) e^(2 i n z)``.
 
@@ -141,10 +103,13 @@ def bessel_i0(x: float, eps: float = 1e-16) -> float:
     """Modified Bessel function ``I0(x)`` by its power series.
 
     Terms ``(x/2)^(2m) / (m!)^2`` are accumulated until they drop below
-    ``eps`` relative to the running sum.
+    ``eps`` relative to the running sum, or until the sum overflows to
+    ``inf`` (beyond about ``x = 713``; ``inf`` itself returns at once).
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"bessel_i0 requires x >= 0, got {x}")
+    # Python floats overflow to inf silently, where numpy scalars would warn.
+    x = float(x)
     quarter_x2 = 0.25 * x * x
     total = 1.0
     term = 1.0
@@ -154,5 +119,7 @@ def bessel_i0(x: float, eps: float = 1e-16) -> float:
         if term < eps * total:
             break
         total += term
+        if total == np.inf:
+            break
         m += 1
     return total

@@ -80,7 +80,6 @@ like ``O(1/P^3)``.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import warnings
 from dataclasses import InitVar, dataclass, field
@@ -95,7 +94,7 @@ from .errors import (
 )
 from .numerics import TWO_PI, AngleGrid, PeriodicSamples
 from .states import DensityMatrix, OamWindow, PureState
-from .states import _f17, _payload
+from .states import _f17
 
 __all__ = [
     "WignerGrid",
@@ -623,9 +622,8 @@ def star_product(
 #     # format=cylwig-wigner-v1
 #     # l_lo=.. l_hi=.. n_phi=.. source_l_min=.. source_l_max=.. pad=..
 # then rows "l,phi_index,phi,value" ordered l ascending, phi_index ascending,
-# with phi and value printed to 17 significant digits.  A JSON twin of the
-# same payload (keys as in the header plus "values" row-major) is accepted
-# on input.  The rules a file must meet on input are in ``read_wigner``.
+# with phi and value printed to 17 significant digits.  The rules a file must
+# meet on input are in ``read_wigner``.
 #
 # Both ways the text is streamed: the writer formats one grid row at a time
 # and the reader hands ``_READ_BLOCK`` lines at a time to ``np.loadtxt``, so
@@ -695,17 +693,8 @@ def _finite(W: WignerGrid) -> WignerGrid:
     return W
 
 
-def _wigner_from_json(data) -> WignerGrid:
-    with _payload(data, "cylwig-wigner-v1") as data:
-        l_lo, l_hi, pad = int(data["l_lo"]), int(data["l_hi"]), int(data["pad"])
-        grid = AngleGrid(int(data["n_phi"]))
-        values = np.array(data["values"], dtype=float)
-        window = OamWindow(int(data["source_l_min"]), int(data["source_l_max"]))
-    return WignerGrid(l_lo, l_hi, grid, values, window, pad, _fresh=True)
-
-
 def read_wigner(path) -> WignerGrid:
-    """Read a cylwig-wigner-v1 grid from a CSV file or its JSON twin.
+    """Read a cylwig-wigner-v1 grid from a CSV file.
 
     The two header lines come before the first data row, and each of their
     six integers must be present and an integer.  Data rows may come in any
@@ -735,8 +724,6 @@ def read_wigner(path) -> WignerGrid:
                 header.append(head[1:])
             elif head or not line:
                 break
-        if head.startswith("{") and not header:
-            return _finite(_wigner_from_json(json.loads(line + fh.read())))
         meta = dict(t.split("=", 1) for t in " ".join(header).split() if "=" in t)
         if meta.get("format") != "cylwig-wigner-v1":
             raise ValueError("missing or wrong '# format=cylwig-wigner-v1' header")

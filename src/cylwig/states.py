@@ -51,7 +51,6 @@ __all__ = [
     "write_state",
     "read_state",
     "write_density",
-    "read_density",
 ]
 
 NORM_TOL = 1e-12
@@ -447,8 +446,3 @@ def read_state(path) -> PureState:
 def write_density(rho: DensityMatrix, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(density_to_json(rho) + "\n")
-
-
-def read_density(path) -> DensityMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return density_from_json(fh.read())

@@ -342,8 +342,9 @@ class TestCovarianceResidual:
 
     def test_off_grid_rejected(self):
         psi = random_pure_state(OamWindow(-4, 4), 1)
-        with pytest.raises(ValueError):
-            covariance_residual(psi, 1, 0.1234)
+        for phid in (0.1234, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="is not a node"):
+                covariance_residual(psi, 1, phid)
 
 
 class TestReportSerialization:

@@ -277,6 +277,29 @@ class TestMalformedInput:
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
         assert "(l=0, phi_index=3)" in cp.stderr
 
+    def test_json_grid_exit_2(self, tmp_path):
+        """A grid's payload as one JSON object is refused by every command
+        that reads grids, in one line, and nothing is written."""
+        state = tmp_path / "e.json"
+        grid = tmp_path / "e.csv"
+        run("state", "--kind", "eigen", "--l0", "0", "--window", "-2:2", "-o", str(state))
+        run("wigner", str(state), "-o", str(grid))
+        W = read_wigner(grid)
+        twin = tmp_path / "grid.json"
+        twin.write_text(json.dumps({
+            "format": "cylwig-wigner-v1", "l_lo": W.l_lo, "l_hi": W.l_hi,
+            "n_phi": W.grid.n_phi, "source_l_min": -2, "source_l_max": 2,
+            "pad": W.pad, "values": W.values.tolist(),
+        }))
+        out = tmp_path / "out"
+        for args in (["reconstruct", str(twin), "--window", "-2:2", "-o", str(out)],
+                     ["render", str(twin), "-o", str(out)],
+                     ["overlap", str(twin), str(grid)]):
+            cp = run(*args, check=False)
+            assert cp.returncode == 2, args
+            assert cp.stdout == "" and not out.exists()
+            assert cp.stderr == "error: missing or wrong '# format=cylwig-wigner-v1' header\n"
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -484,9 +507,12 @@ class TestRender:
         grid = tmp_path / "e.csv"
         run("state", "--kind", "eigen", "--l0", "0", "--window", "-4:4", "-o", str(state))
         run("wigner", str(state), "--nphi", "36", "--pad", "4", "-o", str(grid))
-        cp = run("render", str(grid), "-o", str(tmp_path / "x.ppm"), "--range", "bad",
-                 check=False)
-        assert cp.returncode == 2
+        out = tmp_path / "x.ppm"
+        for bad in ("bad", "1:-1", "nan:nan", "inf:inf", "-inf:1"):
+            cp = run("render", str(grid), "-o", str(out), "--range", bad, check=False)
+            assert cp.returncode == 2, bad
+            assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+            assert not out.exists()
 
 
 class TestRoundTripFidelity:

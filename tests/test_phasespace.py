@@ -772,10 +772,8 @@ class TestWignerFiles:
         assert wigner_to_csv(W).encode() == ("\n".join(lines) + "\n").encode()
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["csv"])
     def test_non_finite_value_rejected(self, tmp_path, fmt, bad):
-        import json
-
         w = OamWindow(-2, 2)
         W = wigner_from_oam(to_density(random_pure_state(w, 9)), 4, AngleGrid(24))
         values = W.values.copy()
@@ -783,36 +781,24 @@ class TestWignerFiles:
         values[W.row_index(3), 0] = bad
         W = WignerGrid(W.l_lo, W.l_hi, W.grid, values, w, W.pad)
         path = tmp_path / f"bad.{fmt}"
-        if fmt == "csv":
-            path.write_text(wigner_to_csv(W))
-        else:
-            path.write_text(json.dumps({
-                "format": "cylwig-wigner-v1", "l_lo": W.l_lo, "l_hi": W.l_hi,
-                "n_phi": 24, "source_l_min": -2, "source_l_max": 2, "pad": W.pad,
-                "values": values.tolist(),
-            }))
+        path.write_text(wigner_to_csv(W))
         with pytest.raises(ValueError, match=r"\(l=1, phi_index=5\) holds non-finite"):
             read_wigner(path)
 
-    def test_json_twin_accepted(self, tmp_path):
+    def test_json_grid_refused(self, tmp_path):
+        """A grid's payload as one JSON object is not a cylwig-wigner-v1 file:
+        it fails the format header check, in one line."""
         w = OamWindow(-2, 2)
         W = wigner_from_oam(to_density(random_pure_state(w, 9)), 4, AngleGrid(24))
-        payload = {
-            "format": "cylwig-wigner-v1",
-            "l_lo": W.l_lo,
-            "l_hi": W.l_hi,
-            "n_phi": W.grid.n_phi,
-            "source_l_min": w.l_min,
-            "source_l_max": w.l_max,
-            "pad": W.pad,
-            "values": W.values.tolist(),
-        }
-        import json
-
         path = tmp_path / "grid.json"
-        path.write_text(json.dumps(payload))
-        back = read_wigner(path)
-        assert np.array_equal(back.values, W.values)
+        path.write_text(json.dumps({
+            "format": "cylwig-wigner-v1", "l_lo": W.l_lo, "l_hi": W.l_hi,
+            "n_phi": W.grid.n_phi, "source_l_min": w.l_min, "source_l_max": w.l_max,
+            "pad": W.pad, "values": W.values.tolist(),
+        }))
+        with pytest.raises(ValueError) as info:
+            read_wigner(path)
+        assert str(info.value) == "missing or wrong '# format=cylwig-wigner-v1' header"
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -933,7 +919,7 @@ class TestWignerFiles:
         assert "\n" not in str(info.value)
 
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["csv"])
     @pytest.mark.parametrize(
         "source, pad, message",
         [
@@ -951,18 +937,11 @@ class TestWignerFiles:
     def test_header_pad_must_match_rows(self, tmp_path, fmt, source, pad, message):
         """The header's pad is what the rows add on the source window's
         narrower side; a header that says otherwise is refused, naming both."""
-        W, lines = _small_csv_lines()
+        _, lines = _small_csv_lines()
         path = tmp_path / f"bad.{fmt}"
-        if fmt == "csv":
-            lines[1] = (f"# l_lo=-6 l_hi=6 n_phi=24 source_l_min={source[0]} "
-                        f"source_l_max={source[1]} pad={pad}")
-            path.write_text("\n".join(lines) + "\n")
-        else:
-            path.write_text(json.dumps({
-                "format": "cylwig-wigner-v1", "l_lo": -6, "l_hi": 6, "n_phi": 24,
-                "source_l_min": source[0], "source_l_max": source[1], "pad": pad,
-                "values": W.values.tolist(),
-            }))
+        lines[1] = (f"# l_lo=-6 l_hi=6 n_phi=24 source_l_min={source[0]} "
+                    f"source_l_max={source[1]} pad={pad}")
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message):
             read_wigner(path)
 

@@ -1,12 +1,16 @@
-"""The layer benchmark's cases against the library, so that a renamed or
-re-signed function fails the suite rather than a later benchmark run."""
+"""The layer benchmark's cases and the benchmark's names against the
+library, so that a renamed, re-signed or deleted function fails the suite
+rather than a later benchmark run."""
 
+import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_layers.py"
 
 
 def _load_tool():
@@ -39,3 +43,24 @@ def test_summarize_keeps_round_medians():
     assert out["median_ms"] == 7.0
     assert out["q1_ms"] < out["median_ms"] < out["q3_ms"]
     assert out["peak_rss_mb"] == 42.5
+
+
+def test_benchmark_names_resolve():
+    """Every function the benchmark traces (``bench/tracing.py`` TARGETS) or
+    calls as ``st.<name>`` / ``ps.<name>`` (``bench/workloads.py``) exists.
+    Both files are parsed as text, not imported."""
+    tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    targets = next(
+        node.value for node in tracing.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    )
+    names = {(t.elts[0].value, t.elts[1].value) for t in targets.elts}
+    workloads = (ROOT / "bench" / "workloads.py").read_text()
+    aliases = {"st": "states", "ps": "phasespace"}
+    names |= {(aliases[a], n) for a, n in re.findall(r"\b(st|ps)\.(\w+)", workloads)}
+    assert len(names) > 20
+    missing = sorted(
+        f"{module}.{name}" for module, name in names
+        if not hasattr(importlib.import_module(f"cylwig.{module}"), name)
+    )
+    assert missing == []

@@ -33,7 +33,7 @@ from .phasespace import (
     marginal_oam,
     wigner_from_oam,
 )
-from .states import PureState, _f17, displace, to_density
+from .states import PureState, _f17, displace
 
 __all__ = [
     "NegativityReport",
@@ -216,7 +216,7 @@ def hudson_certify(
     """
     grid = AngleGrid(n_phi) if n_phi is not None else default_angle_grid(psi.window)
     l_pad = pad if pad is not None else default_pad(psi.window)
-    W = wigner_from_oam(to_density(psi), l_pad, grid)
+    W = wigner_from_oam(psi, l_pad, grid)
     report = negativity(W, tolerance)
     probs = np.abs(psi.coefficients) ** 2
     best = int(np.argmax(probs))
@@ -255,8 +255,8 @@ def covariance_residual(
         raise ValueError(f"phid={phid} is not a node of the {grid.n_phi}-point grid")
     t = int(round(steps))
     l_pad = pad if pad is not None else default_pad(psi.window)
-    W0 = wigner_from_oam(to_density(psi), l_pad, grid)
-    Wd = wigner_from_oam(to_density(displace(psi, ld, phid)), l_pad, grid)
+    W0 = wigner_from_oam(psi, l_pad, grid)
+    Wd = wigner_from_oam(displace(psi, ld, phid), l_pad, grid)
     shifted = np.roll(W0.values, t % grid.n_phi, axis=1)
     return float(np.max(np.abs(Wd.values - shifted)))
 

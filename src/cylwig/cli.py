@@ -152,14 +152,10 @@ def wigner(input_file, nphi, pad, method, output):
     window = source.window
     grid = AngleGrid(nphi) if nphi is not None else phasespace.default_angle_grid(window)
     l_pad = pad if pad is not None else phasespace.default_pad(window)
-    if method == "angle":
-        if not isinstance(source, states.PureState):
-            raise ValueError("--method angle requires a pure-state input")
-        W = phasespace.wigner_from_angle(source, l_pad, grid)
-    else:
-        rho = source if isinstance(source, states.DensityMatrix) else states.to_density(source)
-        W = phasespace.wigner_from_oam(rho, l_pad, grid)
-    _write_grid(W, output)
+    if method == "angle" and not isinstance(source, states.PureState):
+        raise ValueError("--method angle requires a pure-state input")
+    forward = phasespace.wigner_from_angle if method == "angle" else phasespace.wigner_from_oam
+    _write_grid(forward(source, l_pad, grid), output)
 
 
 @cli.command()

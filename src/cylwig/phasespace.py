@@ -336,14 +336,18 @@ def kernel_matrix(l: int, phi: float, window: OamWindow) -> KernelMatrix:
     return KernelMatrix(l, phi, window, g[t] * np.exp(-1j * d * phi))
 
 
-def wigner_from_oam(rho: DensityMatrix, l_pad: int, grid: AngleGrid) -> WignerGrid:
-    """Forward map from the OAM basis: exact finite double sum.
-
-    Stores rows ``l_min - l_pad .. l_max + l_pad``.
+def wigner_from_oam(
+    source: PureState | DensityMatrix, l_pad: int, grid: AngleGrid
+) -> WignerGrid:
+    """Forward map from the OAM basis, of a density matrix or of a pure
+    state's ``|psi><psi|``, the outer product ``c c^*`` of its coefficients:
+    the exact finite double sum.  Stores rows ``l_min - l_pad .. l_max + l_pad``.
     """
-    l_lo, l_hi = _stored_rows(rho.window, l_pad, grid)
-    values = _wigner_of_operator(rho.elements, rho.window, l_lo, l_hi, grid)
-    return WignerGrid(l_lo, l_hi, grid, values, rho.window, l_pad, _fresh=True)
+    l_lo, l_hi = _stored_rows(source.window, l_pad, grid)
+    A = (np.outer(source.coefficients, source.coefficients.conj())
+         if isinstance(source, PureState) else source.elements)
+    values = _wigner_of_operator(A, source.window, l_lo, l_hi, grid)
+    return WignerGrid(l_lo, l_hi, grid, values, source.window, l_pad, _fresh=True)
 
 
 def _half_period_integral(k: np.ndarray) -> np.ndarray:
@@ -778,12 +782,15 @@ def read_wigner(path) -> WignerGrid:
 
 
 def _header_int(meta: dict, key: str) -> int:
-    try:
-        return int(meta[key])
-    except ValueError:
-        raise ValueError(
-            f"wigner CSV header {key}={meta[key]!r} is not an integer"
-        ) from None
+    """A header integer, by the data fields' rule: ASCII, with no ``_``
+    (``int()`` alone also takes ``0_1`` and non-ASCII digits)."""
+    text = meta[key]
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ValueError(f"wigner CSV header {key}={text!r} is not an integer")
 
 
 def _data_rows(block: list[str]):

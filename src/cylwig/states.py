@@ -68,6 +68,8 @@ class OamWindow:
     l_max: int
 
     def __post_init__(self):
+        if max(abs(self.l_min), abs(self.l_max)) >= 2**53:
+            raise ValueError(f"window [{self.l_min}, {self.l_max}] has a bound beyond 2**53")
         if self.l_min > self.l_max:
             raise ValueError(f"empty window [{self.l_min}, {self.l_max}]")
 
@@ -311,7 +313,10 @@ def apply_phase_function(state: PureState, f: Callable[[int], float]) -> PureSta
 
 
 def to_density(state: PureState) -> DensityMatrix:
-    return DensityMatrix(state.window, np.outer(state.coefficients, state.coefficients.conj()))
+    """``|psi><psi|`` divided by ``<psi|psi>``, so its trace is 1 for every
+    state: a norm within ``NORM_TOL`` of 1 squares to twice that distance."""
+    c = state.coefficients
+    return DensityMatrix(state.window, np.outer(c, c.conj()) / np.vdot(c, c).real)
 
 
 def mix(states: Iterable[tuple[float, PureState]]) -> DensityMatrix:
@@ -403,9 +408,18 @@ def _payload(data, fmt: str):
         raise ValueError(f"malformed {fmt} payload: {exc}") from None
 
 
+def _l_min(data: dict) -> int:
+    """The payload's ``l_min``, which must be a JSON integer: a bool, a float
+    or a string is refused, not truncated or converted."""
+    l_min = data["l_min"]
+    if type(l_min) is not int:
+        raise ValueError(f"l_min must be an integer, got {json.dumps(l_min)}")
+    return l_min
+
+
 def state_from_json(text: str) -> PureState:
     with _payload(json.loads(text), "cylwig-state-v1") as data:
-        l_min = int(data["l_min"])
+        l_min = _l_min(data)
         coeffs = np.array([complex(re, im) for re, im in data["coefficients"]])
     return PureState(OamWindow(l_min, l_min + len(coeffs) - 1), coeffs)
 
@@ -426,7 +440,7 @@ def density_to_json(rho: DensityMatrix) -> str:
 
 def density_from_json(text: str) -> DensityMatrix:
     with _payload(json.loads(text), "cylwig-density-v1") as data:
-        l_min = int(data["l_min"])
+        l_min = _l_min(data)
         mat = np.array(
             [[complex(re, im) for re, im in row] for row in data["elements"]]
         )

@@ -6,6 +6,7 @@ import pytest
 
 from cylwig import (
     AngleGrid,
+    DensityMatrix,
     MemoryBudgetError,
     OamWindow,
     apply_phase_function,
@@ -17,6 +18,7 @@ from cylwig import (
     displace,
     flatness_check,
     hudson_certify,
+    marginal_oam,
     negativity,
     oam_eigenstate,
     random_pure_state,
@@ -319,6 +321,25 @@ class TestHudsonCertify:
         assert base.min_value == phased.min_value
         assert base.argmin == phased.argmin
         assert base.negative_volume == phased.negative_volume
+
+
+class TestPureStatesMapDirectly:
+    def test_no_density_matrix_is_built(self, monkeypatch):
+        """Certifying and mapping a pure state never builds a DensityMatrix:
+        with its validation made to fail, every pure-state path still runs."""
+
+        def refuse(self):
+            raise AssertionError("a DensityMatrix was built")
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
+        w = OamWindow(-4, 4)
+        psi = random_pure_state(w, 2)
+        assert hudson_certify(psi).classification == "negative_witnessed"
+        assert hudson_certify(oam_eigenstate(1, w)).classification == "oam_eigenstate"
+        grid = default_angle_grid(w)
+        assert covariance_residual(psi, 2, 3 * grid.spacing) <= 1e-10
+        W = wigner_from_oam(psi, default_pad(w), grid)
+        assert abs(marginal_oam(W).sum() - 1.0) < 1e-12
 
 
 class TestCovarianceResidual:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from cylwig import read_wigner, state_from_json
+from cylwig import read_wigner, state_from_json, state_to_json
 
 CLI = [sys.executable, "-m", "cylwig"]
 
@@ -369,10 +369,17 @@ class TestMalformedInput:
             ("wigner", '{"format":"cylwig-density-v1","l_min":0,"elements":[[1,0]]}'),
             ("wigner", "[1, 2]"),
             ("check", "[1, 2]"),
+            *(("check", '{"format":"cylwig-state-v1","l_min":%s,"coefficients":[[1,0]]}' % v)
+              for v in ("1.5", "true", '"3"', "-2.9999", str(10**20))),
+            ("wigner", '{"format":"cylwig-density-v1","l_min":1.5,"elements":[[[1,0]]]}'),
+            ("wigner", '{"format":"cylwig-density-v1","l_min":%d,"elements":[[[1,0]]]}'
+             % 10**20),
         ],
         ids=["check-no-l_min", "wigner-no-l_min", "check-scalar-coefficient",
              "wigner-triple-coefficient", "density-no-l_min", "density-flat-elements",
-             "wigner-list", "check-list"],
+             "wigner-list", "check-list", "check-l_min-float", "check-l_min-bool",
+             "check-l_min-string", "check-l_min-near-integer", "check-l_min-beyond-2**53",
+             "density-l_min-float", "density-l_min-beyond-2**53"],
     )
     def test_malformed_json_exit_2(self, tmp_path, command, payload):
         path = tmp_path / "bad.json"
@@ -381,6 +388,48 @@ class TestMalformedInput:
         assert cp.returncode == 2
         assert "Traceback" not in cp.stderr
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [["state", "--kind", "eigen", "--l0", str(10**20)],
+         ["scan", "--samples", "1"]],
+        ids=["state", "scan"],
+    )
+    def test_window_beyond_2_53_exit_2(self, args):
+        bound = str(10**20)
+        cp = run(*args, "--window", f"{bound}:{bound}", check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr == f"error: window [{bound}, {bound}] has a bound beyond 2**53\n"
+
+
+class TestNormAtTolerance:
+    """A state whose norm misses 1 by 0.9e-12, within ``PureState``'s 1e-12,
+    though its squared norm misses by 1.8e-12."""
+
+    @pytest.fixture()
+    def state(self, tmp_path):
+        path = tmp_path / "r.json"
+        run("state", "--kind", "random", "--seed", "4", "--window", "-5:5", "-o", str(path))
+        psi = state_from_json(path.read_text())
+        scaled = type(psi)(psi.window, psi.coefficients * (1 + 0.9e-12))
+        path.write_text(state_to_json(scaled) + "\n")
+        assert abs(np.linalg.norm(state_from_json(path.read_text()).coefficients)
+                   - 1.0 - 0.9e-12) < 1e-15
+        return path
+
+    def test_check(self, state):
+        report = json.loads(run("check", str(state)).stdout)
+        assert report["classification"] == "negative_witnessed"
+
+    def test_wigner_both_methods_agree(self, state, tmp_path):
+        grids = []
+        for method in ("oam", "angle"):
+            out = tmp_path / f"{method}.csv"
+            run("wigner", str(state), "--method", method, "-o", str(out))
+            grids.append(read_wigner(out).values)
+        assert np.max(np.abs(grids[0] - grids[1])) < 1e-13
 
 
 class TestMemoryBudget:

@@ -339,6 +339,26 @@ class TestForwardMaps:
         Wo = wigner_from_oam(to_density(psi), pad, grid)
         assert np.max(np.abs(Wa.values - Wo.values)) < 1e-13
 
+    @pytest.mark.parametrize("half", [4, 16])
+    @pytest.mark.parametrize("kind", ["eigen", "coherent", "vonmises", "random"])
+    def test_pure_state_maps_as_its_outer_product(self, kind, half):
+        """A pure state maps bit for bit as the density ``c c^*`` of its
+        coefficients, the operator that ``to_density`` builds."""
+        w = OamWindow(-half, half)
+        psi = {
+            "eigen": lambda: oam_eigenstate(2, w),
+            "coherent": lambda: coherent_state(1, 0.4, 0.7, w),
+            "vonmises": lambda: von_mises_state(0.2, w),
+            "random": lambda: random_pure_state(w, 5),
+        }[kind]()
+        c = psi.coefficients
+        grid, pad = default_angle_grid(w), default_pad(w)
+        by_state = wigner_from_oam(psi, pad, grid)
+        by_density = wigner_from_oam(DensityMatrix(w, np.outer(c, c.conj())), pad, grid)
+        assert np.array_equal(by_state.values.view(np.uint64),
+                              by_density.values.view(np.uint64))
+        assert by_state.source_window == w and by_state.pad == pad
+
     def test_row_bounds_are_python_ints(self):
         w = OamWindow(-3, 4)
         psi = random_pure_state(w, 2)
@@ -901,6 +921,12 @@ class TestWignerFiles:
                   lambda x: _edit_row(x, 0, 3, 2, _f17(AngleGrid(24).node(3)) + "0" * 10 + "e5"),
                   re.escape(f"cell (l=0, phi_index=3) has phi {_f17(AngleGrid(24).node(3) * 1e5)}, "
                             f"not the grid node {_f17(AngleGrid(24).node(3))}") + "$"),
+            _case("header_underscore_digits",
+                  lambda x: [x[0], x[1].replace("pad=4", "pad=0_4")] + x[2:],
+                  "^wigner CSV header pad='0_4' is not an integer$"),
+            _case("header_non_ascii_digit",
+                  lambda x: [x[0], x[1].replace("l_hi=6", "l_hi=\u0666")] + x[2:],
+                  "^wigner CSV header l_hi='\u0666' is not an integer$"),
             *(
                 _case(f"header_{key}_not_integer",
                       lambda x, key=key: [x[0], re.sub(f"{key}=\\S+", f"{key}=x", x[1])]

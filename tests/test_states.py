@@ -50,6 +50,12 @@ class TestWindow:
         with pytest.raises(ValueError):
             OamWindow(3, 2)
 
+    @pytest.mark.parametrize("l_min, l_max", [(2**53, 2**53), (-(2**53), 0), (0, 10**20)])
+    def test_bound_beyond_2_53_rejected(self, l_min, l_max):
+        with pytest.raises(ValueError, match=r"has a bound beyond 2\*\*53$"):
+            OamWindow(l_min, l_max)
+        assert OamWindow(-(2**53 - 1), 2**53 - 1).span == 2**54 - 2
+
 
 class TestEigenstate:
     def test_delta_coefficients(self):
@@ -340,6 +346,22 @@ class TestDensity:
         assert abs(eig[0] - 1.0) < 1e-12
         assert np.max(np.abs(eig[1:])) < 1e-12
 
+    def test_every_pure_state_has_a_density(self):
+        """A norm that passes ``PureState`` (``1 + 0.9e-12`` here) squares to a
+        trace that ``DensityMatrix`` would refuse; ``to_density`` divides the
+        outer product by it, and leaves an eigenstate's bit for bit."""
+        w = OamWindow(-4, 4)
+        c = random_pure_state(w, 3).coefficients * (1 + 0.9e-12)
+        psi = PureState(w, c)
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(w, np.outer(c, c.conj()))
+        rho = to_density(psi)
+        assert abs(np.trace(rho.elements).real - 1.0) < 1e-15
+        assert_allclose(rho.elements, np.outer(c, c.conj()), rtol=0, atol=1e-12)
+        eigen = oam_eigenstate(2, w).coefficients
+        assert np.array_equal(to_density(PureState(w, eigen)).elements,
+                              np.outer(eigen, eigen.conj()))
+
     def test_mix_single_state(self):
         psi = random_pure_state(OamWindow(-3, 3), 5)
         assert_allclose(mix([(1.0, psi)]).elements, to_density(psi).elements)
@@ -442,6 +464,20 @@ class TestStateFiles:
         back = density_from_json(density_to_json(rho))
         assert back.window == rho.window
         assert np.array_equal(back.elements, rho.elements)
+
+    @pytest.mark.parametrize("l_min", ["1.5", "true", '"3"', "-2.9999", "2.0", "null"])
+    @pytest.mark.parametrize("fmt", ["state", "density"])
+    def test_non_integer_l_min_rejected(self, fmt, l_min):
+        """``l_min`` is a JSON integer: a float is not truncated, nor a bool
+        or a string read as one."""
+        if fmt == "state":
+            text = '{"format":"cylwig-state-v1","l_min":%s,"coefficients":[[1,0]]}'
+            read = state_from_json
+        else:
+            text = '{"format":"cylwig-density-v1","l_min":%s,"elements":[[[1,0]]]}'
+            read = density_from_json
+        with pytest.raises(ValueError, match=f"payload: l_min must be an integer, got {l_min}$"):
+            read(text % l_min)
 
     def test_rejects_foreign_payload(self):
         with pytest.raises(ValueError):

@@ -39,7 +39,7 @@ def _cli_errors(fn):
         except CylwigError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
-        except (ValueError, json.JSONDecodeError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
@@ -66,7 +66,10 @@ def _write_grid(W: phasespace.WignerGrid, output: str | None) -> None:
 def _load_state_or_density(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not a JSON payload ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} holds a JSON {type(data).__name__}, not a payload")
     kind = data.get("format")

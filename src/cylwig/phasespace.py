@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import stat
 import warnings
 from dataclasses import InitVar, dataclass, field
 
@@ -631,7 +632,8 @@ def star_product(
 #
 # Both ways the text is streamed: the writer formats one grid row at a time
 # and the reader hands ``_READ_BLOCK`` lines at a time to ``np.loadtxt``, so
-# neither holds the file's text or all its parsed rows at once.  loadtxt
+# neither holds the file's text or all its parsed rows at once: the reader
+# holds the grid, NaN until a cell is read, and one block.  loadtxt
 # reads l, phi_index and value as floats and keeps phi as text: phi only
 # names the node that phi_index already gives, so the node's own 17-digit
 # text, the one the writer prints, passes by a comparison of text.  Every
@@ -642,8 +644,8 @@ def star_product(
 
 # Lines per ``np.loadtxt`` call, blank and comment lines included.  The block
 # is held as a list of strings beside its parsed rows: at 4,096 lines the
-# +-8 read's tracemalloc peak was 1.14 MiB against 0.43 MiB at 1,024, while at
-# +-64 the grid itself dominates either way.
+# +-8 read's tracemalloc peak was 1.60 MiB against 0.53 MiB at 1,024, while at
+# +-64 the 8.6 MiB grid dominates either way (10.1 against 9.0 MiB).
 _READ_BLOCK = 1024
 
 # Characters of each phi field that loadtxt keeps.  A node's 17-digit text
@@ -686,17 +688,6 @@ def _csv_pieces(W: WignerGrid):
     yield "\n"
 
 
-def _finite(W: WignerGrid) -> WignerGrid:
-    finite = np.isfinite(W.values)
-    if not finite.all():
-        i, j = divmod(int(np.argmin(finite)), W.grid.n_phi)
-        raise ValueError(
-            f"wigner cell (l={W.l_lo + i}, phi_index={j}) holds non-finite "
-            f"value {W.values[i, j]}"
-        )
-    return W
-
-
 def read_wigner(path) -> WignerGrid:
     """Read a cylwig-wigner-v1 grid from a CSV file.
 
@@ -714,12 +705,17 @@ def read_wigner(path) -> WignerGrid:
       ``write_wigner`` prints, passes as it stands; any other text must be a
       number by the same rules within ``1e-12`` of the node.
 
-    A header that needs more cells than the file has rows is refused before
-    any array is sized from it.  Each failure is one ``ValueError`` line
-    naming the header key, the data row (counted from 1 over the file) and
-    field, or the cell.
+    The grid is sized once, from the header and the file's size (a pipe,
+    which has none, is refused): a header with ``l_hi < l_lo``, or whose
+    cells need more bytes than the file holds, is refused, and one over the
+    memory budget raises ``MemoryBudgetError``.  Every other failure is one
+    ``ValueError`` line naming the header key, the data row (counted from 1
+    over the file) and field, or the cell.
     """
     with open(path, "r", encoding="utf-8") as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise ValueError(f"wigner CSV {path} is a pipe or device, not a regular file")
         header = []
         while True:  # header lines, up to the first data row
             line = fh.readline()
@@ -740,22 +736,24 @@ def read_wigner(path) -> WignerGrid:
         grid = AngleGrid(n_phi)
         if max(abs(l_lo), abs(l_hi), n_phi) >= 2**53:
             raise ValueError("wigner CSV header l_lo, l_hi or n_phi beyond 2**53")
+        if l_hi < l_lo:
+            raise ValueError(f"wigner CSV header l_hi={l_hi} is below l_lo={l_lo}")
         if not line:
             raise ValueError("wigner CSV has no data rows")
         n_cells = (l_hi - l_lo + 1) * n_phi
-        # Every data row takes at least 8 bytes ("l,j,p,v\n"), so a header
-        # that needs more cells than that is refused once the rows are
-        # counted, and no array is sized from it.
-        fits = 0 <= n_cells <= os.fstat(fh.fileno()).st_size // 8
-        values = np.empty((l_hi - l_lo + 1, n_phi)) if fits else None
-        flat = values.reshape(-1) if fits else None
-        seen = np.zeros(n_cells, dtype=bool) if fits else None
-        # The nodes' texts take 4 * _PHI_WIDTH bytes each, so at most
-        # n_cells // 12 of them are made: never more bytes than the grid.  The
-        # rows of later nodes (all rows, when the grid is not made) meet the
-        # last entry, the delimiter, which no field holds: they take the
-        # numeric check.
-        nodes = grid.nodes[: n_cells // 12].tolist() if fits else []
+        # Every data row takes at least 8 bytes ("l,j,p,v\n").
+        if n_cells > info.st_size // 8:
+            raise ValueError(
+                f"wigner CSV header needs {n_cells} cells, more than the file's "
+                f"{info.st_size} bytes hold at 8 bytes per row"
+            )
+        # The grid and the node texts, which take 4 * _PHI_WIDTH bytes each:
+        # at most n_cells // 12 of them are made, never more bytes than the
+        # grid.  The rows of later nodes meet the last entry, the delimiter,
+        # which no field holds: they take the numeric check.
+        _check_budget("wigner grid", 2 * n_cells)
+        values = np.full(n_cells, np.nan)  # NaN: not yet read
+        nodes = grid.nodes[: n_cells // 12].tolist()
         node_text = np.array([*map(_f17, nodes), ","], dtype=_ROW["phi"])
         n_rows = 0
         lines = itertools.chain([line], fh)
@@ -767,18 +765,17 @@ def read_wigner(path) -> WignerGrid:
                     cells = np.loadtxt(block, _ROW, delimiter=",", comments="#", ndmin=1)
                 except ValueError:
                     raise ValueError(_malformed_row(block, n_rows)) from None
-                _check_cells(cells, block, n_rows, l_lo, l_hi, grid, node_text, flat, seen)
+                _check_cells(cells, block, n_rows, l_lo, l_hi, grid, node_text, values)
                 n_rows += len(cells)
+    # No cell repeats, so at least n_cells rows cover every cell.
     if n_rows < n_cells:
         raise ValueError(
             "wigner CSV does not cover every (l, phi_index) cell: the header "
             f"needs {n_cells} cells, the file has {n_rows} rows"
         )
-    # No cell repeats and there are at least n_cells rows: every cell is
-    # covered.  The mask goes before _finite makes one of its own.
-    del seen
     window = OamWindow(source_l_min, source_l_max)
-    return _finite(WignerGrid(l_lo, l_hi, grid, values, window, pad, _fresh=True))
+    values = values.reshape(l_hi - l_lo + 1, n_phi)
+    return WignerGrid(l_lo, l_hi, grid, values, window, pad, _fresh=True)
 
 
 def _header_int(meta: dict, key: str) -> int:
@@ -854,13 +851,12 @@ def _phi_numbers(text: np.ndarray, rows: np.ndarray, block: list[str], offset: i
 
 
 def _check_cells(
-    cells, block, offset, l_lo: int, l_hi: int, grid: AngleGrid, node_text, values, seen
+    cells, block, offset, l_lo: int, l_hi: int, grid: AngleGrid, node_text, values
 ) -> None:
     """Check one block of parsed rows ``l, phi_index, phi, value`` (``block``
     holds their lines, after the ``offset`` data rows of earlier blocks) and
-    scatter its values into the flat grid ``values``, marking each cell in
-    ``seen``.  With ``values`` None only the ``phi`` texts and the indices
-    are checked.
+    scatter its values into the flat grid ``values``, whose cells not yet
+    read hold NaN.
 
     A ``phi`` equal to ``node_text[phi_index]`` names that node; any other
     ``phi`` must be a number within 1e-12 of it.  The last entry of
@@ -872,38 +868,38 @@ def _check_cells(
     if "\0" in "".join(block) and not all(map(_is_number, _phi_fields(block))):
         raise ValueError(_malformed_row(block, offset))
     n_phi = grid.n_phi
-    ls, js, text = cells["l"], cells["phi_index"], cells["phi"]
+    ls, js, text, value = cells["l"], cells["phi_index"], cells["phi"], cells["value"]
     for bad, what in (
         ((ls < l_lo) | (ls > l_hi) | (js < 0) | (js >= n_phi),
          f"outside [{l_lo}, {l_hi}] x [0, {n_phi})"),
         ((ls != np.floor(ls)) | (js != np.floor(js)), "has a non-integer index"),
+        (~np.isfinite(value), "holds non-finite value {}"),
     ):
         if bad.any():
             # a phi that is not a number makes the block malformed first
             _phi_numbers(text, np.arange(len(text)), block, offset)
             k = int(np.argmax(bad))
             raise ValueError(
-                f"wigner CSV cell (l={_f17(ls[k])}, phi_index={_f17(js[k])}) {what}"
+                f"wigner CSV cell (l={_f17(ls[k])}, phi_index={_f17(js[k])}) "
+                + what.format(_f17(value[k]))
             )
     js = js.astype(np.int64)
     n_text = len(node_text) - 1
     loose = np.flatnonzero(text != node_text[np.minimum(js, n_text)])
     if len(loose):
         phis = _phi_numbers(text[loose], loose, block, offset)
-    if values is None:
-        return
     flat = (ls - l_lo).astype(np.int64) * n_phi + js
     # A cell repeats if an earlier block set it, or if a later row of this
     # block overwrites the row position scattered here.
+    repeats = ~np.isnan(values[flat])
     position = np.arange(len(flat), dtype=float)
     values[flat] = position
-    repeats = seen[flat] | (values[flat] != position)
+    repeats |= values[flat] != position
     if repeats.any():
         k = int(flat[np.argmax(repeats)])
         raise ValueError(
             f"wigner CSV repeats cell (l={l_lo + k // n_phi}, phi_index={k % n_phi})"
         )
-    seen[flat] = True
     if len(loose):
         node = grid.nodes[js[loose]]
         bad = ~(np.abs(phis - node) <= 1e-12)
@@ -914,4 +910,4 @@ def _check_cells(
                 f"wigner CSV cell (l={_f17(ls[k])}, phi_index={js[k]}) has phi "
                 f"{_f17(phis[i])}, not the grid node {_f17(node[i])}"
             )
-    values[flat] = cells["value"]
+    values[flat] = value

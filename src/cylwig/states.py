@@ -320,7 +320,8 @@ def to_density(state: PureState) -> DensityMatrix:
 
 
 def mix(states: Iterable[tuple[float, PureState]]) -> DensityMatrix:
-    """Convex mixture ``sum_k w_k |psi_k><psi_k|`` on the union window."""
+    """Convex mixture ``sum_k w_k |psi_k><psi_k|`` on the union window, each
+    term divided by ``<psi_k|psi_k>`` as in :func:`to_density`."""
     pairs = list(states)
     if not pairs:
         raise ValueError("mix() needs at least one (weight, state) pair")
@@ -335,7 +336,7 @@ def mix(states: Iterable[tuple[float, PureState]]) -> DensityMatrix:
     mat = np.zeros((window.size, window.size), dtype=complex)
     for w, psi in pairs:
         c = psi.embedded(window)
-        mat += w * np.outer(c, c.conj())
+        mat += w * np.outer(c, c.conj()) / np.vdot(c, c).real
     return DensityMatrix(window, mat)
 
 
@@ -393,9 +394,14 @@ def state_to_json(state: PureState) -> str:
 
 
 @contextmanager
-def _payload(data, fmt: str):
-    """Yield a decoded JSON payload after checking its format; a missing key or
-    an ill-typed field read inside the block raises ValueError."""
+def _payload(text: str, fmt: str):
+    """Yield the JSON payload ``text`` decoded, after checking its format; text
+    that is not JSON, a missing key or an ill-typed field read inside the
+    block raises ValueError."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not a {fmt} payload: not JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError(f"not a {fmt} payload: a JSON {type(data).__name__}")
     if data.get("format") != fmt:
@@ -418,7 +424,7 @@ def _l_min(data: dict) -> int:
 
 
 def state_from_json(text: str) -> PureState:
-    with _payload(json.loads(text), "cylwig-state-v1") as data:
+    with _payload(text, "cylwig-state-v1") as data:
         l_min = _l_min(data)
         coeffs = np.array([complex(re, im) for re, im in data["coefficients"]])
     return PureState(OamWindow(l_min, l_min + len(coeffs) - 1), coeffs)
@@ -439,7 +445,7 @@ def density_to_json(rho: DensityMatrix) -> str:
 
 
 def density_from_json(text: str) -> DensityMatrix:
-    with _payload(json.loads(text), "cylwig-density-v1") as data:
+    with _payload(text, "cylwig-density-v1") as data:
         l_min = _l_min(data)
         mat = np.array(
             [[complex(re, im) for re, im in row] for row in data["elements"]]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +21,16 @@ def run(*args, check=True):
 
 def run_bytes(*args):
     return subprocess.run(CLI + list(args), capture_output=True)
+
+
+def _feed(fifo, text: str) -> None:
+    """Write ``text`` into the FIFO ``fifo`` for a reader that may close it
+    before reading all of it."""
+    try:
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except BrokenPipeError:
+        pass
 
 
 class TestStateCommand:
@@ -313,11 +324,13 @@ class TestMalformedInput:
             lambda lines: [lines[0], "# l_lo=0 l_hi=100000000000 n_phi=4 source_l_min=0 "
                            "source_l_max=0 pad=0", "0,0,-3.1415926535897931,0.25",
                            "0,1,-1.5707963267948966,0.25"],  # huge header
+            lambda lines: [lines[0], f"# l_lo=0 l_hi=-1 n_phi={2**52} source_l_min=0 "
+                           "source_l_max=0 pad=0"] + lines[2:],  # no rows, 2**52 nodes
             lambda lines: [lines[0], lines[1].replace("pad=1", "pad=x")] + lines[2:],
         ],
         ids=["three_fields", "five_fields", "non_numeric_phi", "non_numeric_value",
              "fractional_l", "no_data_rows", "spaces_line", "huge_header",
-             "non_integer_pad"],
+             "l_hi_below_l_lo", "non_integer_pad"],
     )
     @pytest.mark.parametrize("command", ["render", "overlap"])
     def test_malformed_csv_exit_2(self, tmp_path, edit, command):
@@ -333,6 +346,32 @@ class TestMalformedInput:
         assert cp.stdout == ""
         assert "Traceback" not in cp.stderr
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+
+    def test_pipe_exit_2(self, tmp_path):
+        """A grid read through a FIFO, or piped to ``/dev/stdin``, is refused
+        in one line naming the cause: a pipe has no size to bound the grid
+        by."""
+        state = tmp_path / "e.json"
+        grid = tmp_path / "e.csv"
+        run("state", "--kind", "eigen", "--l0", "0", "--window", "-2:2", "-o", str(state))
+        run("wigner", str(state), "-o", str(grid))
+        fifo = tmp_path / "grid.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=_feed, args=(fifo, grid.read_text()), daemon=True)
+        writer.start()
+        try:
+            fed = run("overlap", str(fifo), str(grid), check=False)
+        finally:
+            writer.join(timeout=10)
+        piped = subprocess.run(
+            CLI + ["render", "/dev/stdin", "-o", str(tmp_path / "e.ppm")],
+            input=grid.read_text(), capture_output=True, text=True,
+        )
+        for cp, name in ((fed, fifo), (piped, "/dev/stdin")):
+            assert cp.returncode == 2
+            assert cp.stdout == "" and "expected shape" not in cp.stderr
+            assert cp.stderr == f"error: wigner CSV {name} is a pipe or device, not a regular file\n"
+        assert not (tmp_path / "e.ppm").exists()
 
     @pytest.mark.parametrize(
         "header, fit",
@@ -389,6 +428,21 @@ class TestMalformedInput:
         assert "Traceback" not in cp.stderr
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
 
+
+    @pytest.mark.parametrize("text", ["# format=cylwig-wigner-v1\n0,0,-3.14,0.25\n",
+                                      '{"format":"cylwig-state-v1","l_min":0,'],
+                             ids=["grid_csv", "truncated_state"])
+    @pytest.mark.parametrize("command", ["check", "wigner"])
+    def test_undecodable_json_named_exit_2(self, tmp_path, command, text):
+        """Text that is not JSON is named by the payload it should be
+        (``check`` reads a state) or by its path (``wigner`` reads either)."""
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        cp = run(command, str(path), check=False)
+        named = "not a cylwig-state-v1 payload" if command == "check" else str(path)
+        assert cp.returncode == 2
+        assert cp.stderr.startswith(f"error: {named}") and cp.stderr.count("\n") == 1
+        assert "not JSON" in cp.stderr or "not a JSON payload" in cp.stderr
 
     @pytest.mark.parametrize(
         "args",
@@ -462,6 +516,21 @@ class TestMemoryBudget:
         assert cp.stdout == ""
         assert "Traceback" not in cp.stderr
         assert cp.stderr.startswith("error: flatness check needs about ")
+        assert cp.stderr.count("\n") == 1 and "memory budget" in cp.stderr
+
+
+    def test_grid_over_budget_exit_3(self, tmp_path):
+        """A grid over the memory budget exits 3 once its header is read."""
+        state = tmp_path / "e.json"
+        grid = tmp_path / "e.csv"
+        run("state", "--kind", "eigen", "--window", "-2:2", "-o", str(state))
+        run("wigner", str(state), "-o", str(grid))
+        code = "from cylwig import cli, errors; errors.MEMORY_BUDGET = 1024; cli.main()"
+        cp = subprocess.run([sys.executable, "-c", code, "overlap", str(grid), str(grid)],
+                            capture_output=True, text=True)
+        assert cp.returncode == 3
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("error: wigner grid needs about ")
         assert cp.stderr.count("\n") == 1 and "memory budget" in cp.stderr
 
 

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -221,8 +223,24 @@ class TestRealFirstMap:
 
 
 class TestMemoryBudget:
-    """Forward maps refuse a request over the budget before allocating; a
-    missing guard would ask numpy for terabytes here and fail at once."""
+    """Forward maps and the grid reader refuse a request over the budget
+    before allocating; a missing guard would ask numpy for terabytes here and
+    fail at once."""
+
+    def test_reader_before_parsing(self, tmp_path, monkeypatch):
+        """The reader's grid and node texts, 16 bytes per cell, are checked
+        once the header is read: over the budget, a file whose first row is
+        malformed is refused for its size, not for that row."""
+        W, lines = _small_csv_lines()
+        path = tmp_path / "grid.csv"
+        path.write_text("\n".join(lines[:2] + ["0,3,0.5"] + lines[2:]) + "\n")
+        need = 16 * W.values.size
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", need - 1)
+        with pytest.raises(MemoryBudgetError, match="^wigner grid needs about .* budget$"):
+            read_wigner(path)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", need)
+        with pytest.raises(ValueError, match="^malformed wigner CSV data row 1: expected 4"):
+            read_wigner(path)
 
     def test_oam_path(self):
         w = OamWindow(-4, 4)
@@ -730,6 +748,16 @@ def _small_csv_lines() -> tuple[WignerGrid, list[str]]:
     return W, wigner_to_csv(W).splitlines()
 
 
+def _feed(fifo, text: str) -> None:
+    """Write ``text`` into the FIFO ``fifo`` for a reader that may close it
+    before reading all of it."""
+    try:
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except BrokenPipeError:
+        pass
+
+
 def _edit_row(lines: list[str], l: int, j: int, field: int, text: str) -> list[str]:
     """Copy of ``lines`` with one field of row ``(l, j)`` replaced."""
     out = list(lines)
@@ -804,6 +832,22 @@ class TestWignerFiles:
         path.write_text(wigner_to_csv(W))
         with pytest.raises(ValueError, match=r"\(l=1, phi_index=5\) holds non-finite"):
             read_wigner(path)
+
+    def test_fifo_refused(self, tmp_path):
+        """A pipe has no size to bound the grid by: a valid grid written into
+        a FIFO is refused in one line naming the cause, not read."""
+        _, lines = _small_csv_lines()
+        fifo = tmp_path / "grid.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=_feed, args=(fifo, "\n".join(lines) + "\n"),
+                                  daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                read_wigner(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert str(info.value) == f"wigner CSV {fifo} is a pipe or device, not a regular file"
 
     def test_json_grid_refused(self, tmp_path):
         """A grid's payload as one JSON object is not a cylwig-wigner-v1 file:
@@ -900,8 +944,13 @@ class TestWignerFiles:
             _case("huge_header",
                   lambda x: [x[0], "# l_lo=0 l_hi=100000000000 n_phi=4 source_l_min=0 "
                              "source_l_max=0 pad=0", "0,0,-3.1415926535897931,0.25"],
-                  r"does not cover every \(l, phi_index\) cell: the header needs "
-                  "400000000004 cells, the file has 1 rows"),
+                  "^wigner CSV header needs 400000000004 cells, more than the file's "
+                  "126 bytes hold at 8 bytes per row$"),
+            # no rows, so no cells, but 2**52 nodes
+            _case("header_l_hi_below_l_lo",
+                  lambda x: [x[0], f"# l_lo=0 l_hi=-1 n_phi={2**52} source_l_min=0 "
+                             "source_l_max=0 pad=0", x[2]],
+                  "^wigner CSV header l_hi=-1 is below l_lo=0$"),
             _case("header_beyond_float",
                   lambda x: [x[0], "# l_lo=0 l_hi=1" + "0" * 400 + " n_phi=4 "
                              "source_l_min=0 source_l_max=0 pad=0", x[2]],
@@ -1064,7 +1113,7 @@ class TestStreamedCodec:
 
     def test_memory_bounded(self, tmp_path):
         """At +-32 (283,140 cells, 14 MB of text) the writer holds one row
-        and the reader its grid plus one block, not the file."""
+        and the reader its grid plus one block, not the file and no mask."""
         W = self._grid(32)
         path = tmp_path / "grid.csv"
         tracemalloc.start()
@@ -1078,7 +1127,7 @@ class TestStreamedCodec:
             tracemalloc.stop()
         assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
         assert write_peak < 2e6
-        assert read_peak < 1.5 * W.values.nbytes
+        assert read_peak < 1.25 * W.values.nbytes
 
 
 class TestReadBlocks:
@@ -1215,6 +1264,17 @@ class TestReadBlocks:
         else:
             back = self._read(tmp_path, lines[:2] + data)
             assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+
+    def test_non_finite_value_in_later_block(self, tmp_path):
+        """Data row 10 (cell l=-6, phi_index=9), in the third block, holds
+        inf: it is named at its block, before the cell missing from the end
+        of the file is found."""
+        _, lines = _small_csv_lines()
+        data = lines[2:-1]
+        data[9] = data[9].rsplit(",", 1)[0] + ",inf"
+        with pytest.raises(ValueError, match=r"^wigner CSV cell \(l=-6, phi_index=9\) "
+                           "holds non-finite value inf$"):
+            self._read(tmp_path, lines[:2] + data)
 
     def test_cell_missing_from_later_block(self, tmp_path):
         _, lines = _small_csv_lines()

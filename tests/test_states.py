@@ -366,6 +366,16 @@ class TestDensity:
         psi = random_pure_state(OamWindow(-3, 3), 5)
         assert_allclose(mix([(1.0, psi)]).elements, to_density(psi).elements)
 
+    @pytest.mark.parametrize("n", [1, 2], ids=["one_state", "two_states"])
+    def test_mix_state_at_norm_tolerance(self, n):
+        """A state whose norm misses 1 by 0.9e-12, which ``PureState``
+        accepts, mixes to the density ``to_density`` makes: each term is
+        divided by its ``<psi|psi>``, so the trace stays 1."""
+        psi = random_pure_state(OamWindow(-4, 4), 3)
+        scaled = PureState(psi.window, psi.coefficients * (1 + 0.9e-12))
+        rho = mix([(1 / n, scaled)] * n)
+        assert np.array_equal(rho.elements, to_density(scaled).elements)
+
     def test_mix_two_deltas(self):
         w = OamWindow(-2, 2)
         rho = mix([(0.5, oam_eigenstate(0, w)), (0.5, oam_eigenstate(1, w))])
@@ -399,6 +409,15 @@ class TestDensity:
         mat[2, 1] = bad
         with pytest.raises(ValueError, match=r"density element \(2, 1\) \(m=1, n=0\)"):
             DensityMatrix(w, mat)
+
+    @pytest.mark.parametrize("text", ["", "# format=cylwig-wigner-v1", '{"l_min":0,'],
+                             ids=["empty", "csv", "truncated"])
+    def test_undecodable_payload_names_format(self, text):
+        for fmt, read in (("cylwig-state-v1", state_from_json),
+                          ("cylwig-density-v1", density_from_json)):
+            with pytest.raises(ValueError, match=f"^not a {fmt} payload: not JSON "
+                               r"\(Expecting .*\)$"):
+                read(text)
 
     def test_non_finite_payload_rejected(self):
         text = '{"format":"cylwig-state-v1","l_min":0,"coefficients":[[NaN,0],[1,0]]}'

@@ -91,8 +91,11 @@ def negativity(W: WignerGrid, tolerance: float = DEFAULT_TOLERANCE) -> Negativit
     """
     if not 0.0 < tolerance < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
-    flat_idx = int(np.argmin(W.values))
-    i, j = divmod(flat_idx, W.grid.n_phi)
+    # the first cell holding the minimum (the first NaN, if any), as argmin finds
+    # it; argmin itself copies the grid first, since the grid is read-only
+    low = W.values.min()
+    first = np.argmax(np.isnan(W.values) if np.isnan(low) else W.values == low)
+    i, j = divmod(int(first), W.grid.n_phi)
     min_value = float(W.values[i, j])
     argmin = (int(W.l_lo + i), float(W.grid.node(j)))
     negative_volume = 0.0

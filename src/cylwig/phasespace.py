@@ -49,8 +49,14 @@ Least squares keeps the stored rows' Gram matrix ``G^T G``.  For an even
 so least squares is the literal inverse there, bit for bit.  For an odd
 ``d`` the stored rows miss those beyond ``|l| = l_max + P``, which carry
 ``sum 1/l^2 = O(1/P)`` of each entry; that is the literal inverse's error,
-and least squares corrects it by solving the block's normal equations, one
-``eigh`` per odd ``d`` writing one column.
+and least squares corrects it by solving the block's normal equations.  The
+odd ``d`` block uses the columns ``k`` of ``K`` with
+``|2k + 1 - span| <= span - d``: the blocks are nested and centred.  With the
+columns in centre-out order each block is a leading block of ``K[:, order]``,
+so its triangular factor is the leading block of one QR factor ``Rq``, and
+every odd ``d`` is solved at once by one forward and one back substitution.
+A pivot of ``Rq`` at most ``max|Rq_jj| sqrt(span eps)`` makes every block
+that holds it rank-deficient.
 
 ``wigner_from_oam`` evaluates exactly this; ``wigner_from_angle`` evaluates
 the equivalent angle-representation integral
@@ -476,19 +482,12 @@ class ReconstructionResult:
 
 
 def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
-    """Both inverses from one ``B = (G^T W) @ E^H / n_phi`` over the harmonics
-    ``d >= 0``: the real product ``G^T W`` first, then one real FFT per row,
-    as ``e^{-i d phi_j} = (-1)^d e^{-2pi i d j/n_phi}`` on the nodes
-    ``phi_j = -pi + 2pi j/n_phi``.  ``literal`` is ``4 pi^2 B``;
-    ``lstsq`` is the same matrix with each odd harmonic's column replaced by
-    the solve of ``(G^T G)[ts, ts] x = B[ts, d]``.  Element ``(m, n)`` is
-    ``R[m+n, |m-n|]``, conjugated where ``m < n``: ``G^T W`` is real, so
-    harmonic ``-d`` is the conjugate of ``d``.
-
-    An even harmonic's columns are the constant ``1/2pi`` on distinct window
-    rows, so its Gram block is exactly ``I/4pi^2`` and least squares is the
-    literal inverse there.  One ``eigh`` per odd ``d`` writes one column.
-    """
+    """Both inverses from one ``B = (G^T W) @ E^H / n_phi`` over ``d >= 0``:
+    ``G^T W`` real-first, then one real FFT per row, as ``e^{-i d phi_j} =
+    (-1)^d e^{-2pi i d j/n_phi}`` on the nodes.  ``literal`` is ``4 pi^2 B``;
+    ``lstsq`` solves the odd harmonics' normal equations from one QR of ``K``.
+    Element ``(m, n)`` is ``R[m+n, |m-n|]``, conjugated where ``m < n``:
+    ``G^T W`` is real, so harmonic ``-d`` is the conjugate of ``d``."""
     span = window.span
     K = _row_kernel(window, W.rows())
     lo = window.l_min - W.l_lo
@@ -498,21 +497,28 @@ def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
     B = np.fft.rfft(GtW, norm="forward")[:, : span + 1]
     B[:, 1::2] *= -1.0  # e^{-i d phi_j} = (-1)^d e^{-2pi i d j/n_phi}
     R = 4.0 * np.pi**2 * B
-    if method == "lstsq":
-        gram = K.T @ K
-        for d in reversed(range(1, span + 1, 2)):  # odd d, largest first
+    if method == "lstsq" and span:
+        # centre-out, odd d's columns |2k+1 - span| <= span - d lead K[:, order] and Rq
+        order = np.argsort(np.abs(2 * np.arange(span) + 1 - span), kind="stable")
+        Rq = np.linalg.qr(K[:, order], mode="r")
+        pivots = np.abs(Rq.diagonal())
+        weak = np.flatnonzero(pivots <= pivots.max() * np.sqrt(span * np.finfo(float).eps))
+        if weak.size:  # blocks longer than weak[0] are deficient: name the innermost
+            d = (span - int(weak[0]) - 1) | 1
             ts = np.arange(d, 2 * span - d + 1, 2)
-            lam, V = np.linalg.eigh(gram[np.ix_(ts // 2, ts // 2)])
-            rank = int(np.sum(lam > lam.max() * len(ts) * np.finfo(float).eps))
-            if rank < len(ts):
-                m0 = window.l_min
-                pairs = [(m0 + (t - d) // 2, m0 + (t + d) // 2) for t in ts.tolist()]
-                raise ReconstructionError(
-                    f"harmonic d={-d}: kernel block rank {rank} < {len(ts)}; "
-                    f"deficient matrix-element directions (m, n): {pairs}",
-                    deficient_directions=pairs,
-                )
-            R[ts, d] = V @ ((V.T @ B[ts, d]) / lam)
+            rank = len(ts) - int(np.sum(weak < len(ts)))
+            pairs = [(int(m), int(m) + d) for m in window.l_min + (ts - d) // 2]
+            raise ReconstructionError(
+                f"harmonic d={-d}: kernel block rank {rank} < {len(ts)}; "
+                f"deficient matrix-element directions (m, n): {pairs}",
+                deficient_directions=pairs,
+            )
+        ts, ds = 2 * order[:, None] + 1, np.arange(1, span + 1, 2)
+        # solve pivots no row of an upper triangle, so it substitutes: Rq^T y = b is
+        # solved reversed, and y[:n] sees b[:n] only; y past each block is zeroed
+        y = np.linalg.solve(Rq.T[::-1, ::-1], B[ts[::-1], ds].view(float))[::-1]
+        y[np.arange(span)[:, None] > span - ds.repeat(2)] = 0.0
+        R[ts, ds] = np.linalg.solve(Rq, y).view(complex)
     t, d = _sum_diff_index(window.size)
     M = R[t, np.abs(d)]
     return np.where(d < 0, M.conj(), M)
@@ -537,9 +543,10 @@ def reconstruct_density(
     ``1/(s - l + 1/2)`` with distinct nodes; each such block has full column
     rank (checked; a deficient block raises naming ``-d`` and its ``(m, n)``
     pairs) and a Gram matrix close to the all-rows limit ``I/4pi^2`` (well
-    conditioned).
-    Only ``d >= 0`` is solved, one ``eigh`` and one column per odd ``d``:
-    the data are real, so harmonic ``-d`` is the conjugate of ``d``.
+    conditioned).  The odd blocks are nested, so one QR factorization of the
+    Cauchy block, with its columns in centre-out order, solves them all.
+    Only ``d >= 0`` is solved: the data are real, so harmonic ``-d`` is the
+    conjugate of ``d``.
     ``method="literal"`` evaluates the textbook inverse as a truncated sum
     over stored rows,
     ``4pi^2 G^T yhat``: the same equations with the Gram matrix replaced by

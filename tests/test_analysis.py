@@ -72,6 +72,41 @@ class TestNegativity:
         l, phi = rep.argmin
         assert W.row(l)[int(round((phi + np.pi) / W.grid.spacing))] == rep.min_value
 
+    @pytest.mark.parametrize("cells, want", [
+        ({(5, 7): -1.0, (3, 9): -1.0, (7, 0): -1.0}, (3, 9)),  # tied minima
+        ({(5, 7): np.nan, (2, 30): np.nan, (1, 1): -1.0}, (2, 30)),  # first NaN
+        ({(0, 0): -0.0, (4, 4): -0.0}, (0, 0)),  # -0.0 ties +0.0
+        ({(6, 2): -0.0}, (0, 0)),
+    ], ids=["tied", "nan", "signed-zero", "signed-zero-later"])
+    def test_argmin_is_first_minimal_cell(self, cells, want):
+        """The reported cell is the one ``np.argmin`` of a writeable copy
+        reports: the first minimal cell in row-major order, or the first NaN."""
+        base = delta_grid()
+        values = np.zeros_like(base.values)
+        for cell, value in cells.items():
+            values[cell] = value
+        W = replace(base, values=values)
+        rep = negativity(W, 1e-8)
+        i, j = divmod(int(np.argmin(values.copy())), W.grid.n_phi)
+        assert (i, j) == want
+        assert rep.argmin == (W.l_lo + i, float(W.grid.node(j)))
+        assert rep.min_value.hex() == float(values[i, j]).hex()
+
+    def test_argmin_copies_no_grid(self):
+        """``np.argmin`` copies a read-only grid before it scans; the scan
+        holds at most a boolean mask of the grid."""
+        w = OamWindow(-16, 16)
+        W = wigner_from_oam(oam_eigenstate(3, w), default_pad(w), default_angle_grid(w))
+        tracemalloc.start()
+        try:
+            rep = negativity(W, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < W.values.nbytes / 4
+        assert rep.argmin == (W.l_lo, float(W.grid.node(0)))  # every cell but row 3 ties at 0
+        assert rep.min_value == 0.0 and not np.signbit(rep.min_value)
+
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):
             negativity(delta_grid(), 0.0)

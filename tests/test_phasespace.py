@@ -586,32 +586,45 @@ class TestReconstruction:
         herm = 0.5 * (raw + raw.conj().T)
         assert np.array_equal(herm.view(np.uint64), raw.view(np.uint64))
 
-    def test_rank_guard_names_harmonic(self, monkeypatch):
+    @pytest.mark.parametrize("t, d, pairs", [
+        (-1, -3, [(-2, 1), (-1, 2)]),  # a centre column, in every odd block
+        (-3, -1, [(-2, -1), (-1, 0), (0, 1), (1, 2)]),  # outermost, only in d = 1
+    ], ids=["centre", "outermost"])
+    def test_rank_guard_names_harmonic(self, monkeypatch, t, d, pairs):
+        """A zeroed odd column ``t = m + n`` makes every block that holds it
+        deficient; the innermost of them is named."""
         from cylwig import phasespace
 
         w = OamWindow(-2, 2)
         W = wigner_from_oam(to_density(random_pure_state(w, 4)), 4, AngleGrid(24))
         kernel = phasespace._row_kernel
 
-        def without_t_minus_1(window, rows):
+        def without_t(window, rows):
             K = kernel(window, rows).copy()
-            K[:, -window.l_min - 1] = 0.0  # odd column t = m + n = -1
+            K[:, (t - 1) // 2 - window.l_min] = 0.0  # odd column t = 2*l_min + 1 + 2k
             return K
 
-        monkeypatch.setattr(phasespace, "_row_kernel", without_t_minus_1)
-        with pytest.raises(ReconstructionError, match="harmonic d=-3") as exc:
+        monkeypatch.setattr(phasespace, "_row_kernel", without_t)
+        n = len(pairs)  # one zeroed column: the block's rank is one short
+        message = f"harmonic d={d}: kernel block rank {n - 1} < {n};"
+        with pytest.raises(ReconstructionError, match=message) as exc:
             reconstruct_density(W, w)
-        assert exc.value.deficient_directions == [(-2, 1), (-1, 2)]
+        assert exc.value.deficient_directions == pairs
 
     @pytest.mark.parametrize("pad", [1, 4])
-    @pytest.mark.parametrize("half", [2, 3])
-    def test_minimiser_on_inconsistent_data(self, half, pad):
+    @pytest.mark.parametrize(
+        "bounds", [(-2, 2), (-3, 3), (-2, 1), (-3, 2), (0, 0), (0, 1)],
+        ids=lambda b: str(b[1]) if b[0] == -b[1] != 0 else f"{b[0]}:{b[1]}",
+    )
+    def test_minimiser_on_inconsistent_data(self, bounds, pad):
         """Off the range of the map, ``lstsq`` is the dense least-squares fit
         over all kernel matrices and ``literal`` the Riemann sum of the point
-        operators, each Hermitized and trace-normalized."""
-        w = OamWindow(-half, half)
+        operators, each Hermitized and trace-normalized.  The Cauchy block has
+        two centre columns at an even span and one at an odd span; span 0 has
+        no odd harmonic."""
+        w = OamWindow(*bounds)
         grid = default_angle_grid(w)
-        W0 = wigner_from_oam(to_density(random_pure_state(w, 30 + half)), pad, grid)
+        W0 = wigner_from_oam(to_density(random_pure_state(w, 30 + w.l_max)), pad, grid)
         noise = 1e-3 * np.random.default_rng(pad).standard_normal(W0.values.shape)
         W = WignerGrid(W0.l_lo, W0.l_hi, grid, W0.values + noise, w, pad)
         kernels = [kernel_matrix(l, phi, w).elements

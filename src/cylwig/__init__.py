@@ -67,6 +67,7 @@ from .states import (
     mix,
     oam_eigenstate,
     random_pure_state,
+    read_payload,
     read_state,
     state_from_json,
     state_to_json,

@@ -33,7 +33,7 @@ from .phasespace import (
     marginal_oam,
     wigner_from_oam,
 )
-from .states import PureState, _f17, displace
+from .states import PureState, displace
 
 __all__ = [
     "NegativityReport",
@@ -272,18 +272,14 @@ def covariance_residual(
 
 
 def report_to_json(report: NegativityReport) -> str:
-    parts = [
-        f'"min_value":{_f17(report.min_value)}',
-        f'"argmin":{{"l":{report.argmin[0]},"phi":{_f17(report.argmin[1])}}}',
-        f'"negative_volume":{_f17(report.negative_volume)}',
-        f'"classification":"{report.classification}"',
-        '"nearest_eigenstate":{"l0":%d,"fidelity":%s}'
-        % (report.nearest_eigenstate[0], _f17(report.nearest_eigenstate[1])),
-        f'"tolerance":{_f17(report.tolerance)}',
-    ]
-    if report.seed is not None:
-        parts.append(f'"seed":{report.seed}')
-    return "{" + ",".join(parts) + "}"
+    seed = "" if report.seed is None else ',"seed":%d' % report.seed
+    return (
+        '{"min_value":%.17g,"argmin":{"l":%d,"phi":%.17g},"negative_volume":%.17g,'
+        '"classification":"%s","nearest_eigenstate":{"l0":%d,"fidelity":%.17g},'
+        '"tolerance":%.17g%s}'
+        % (report.min_value, *report.argmin, report.negative_volume,
+           report.classification, *report.nearest_eigenstate, report.tolerance, seed)
+    )
 
 
 def report_from_json(text: str) -> NegativityReport:

@@ -11,7 +11,6 @@ error), 2 invalid input, 3 numerical/limit failure.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 
 import click
@@ -31,24 +30,29 @@ def _parse_window(text: str) -> states.OamWindow:
     return states.OamWindow(int(parts[0]), int(parts[1]))
 
 
+def _warn(line: str) -> None:
+    """Write to the current sys.stderr, as ``_write_text`` does to sys.stdout:
+    click.echo caches a wrapper per stream that keeps a redirected one alive."""
+    sys.stderr.write(line + "\n")
+    sys.stderr.flush()
+
+
 def _cli_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except CylwigError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except (ValueError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+        except (CylwigError, ValueError, OSError) as exc:
+            _warn(f"error: {exc}")
+            sys.exit(3 if isinstance(exc, CylwigError) else 2)
 
     return wrapper
 
 
 def _write_text(text: str, output: str | None) -> None:
     if output is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
     else:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -56,28 +60,8 @@ def _write_text(text: str, output: str | None) -> None:
 
 def _write_grid(W: phasespace.WignerGrid, output: str | None) -> None:
     """Stream a grid's CSV to ``output``, or else to the current stdout."""
-    if output is None:
-        phasespace.write_wigner(W, sys.stdout)
-        sys.stdout.flush()
-    else:
-        phasespace.write_wigner(W, output)
-
-
-def _load_state_or_density(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not a JSON payload ({exc})") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path} holds a JSON {type(data).__name__}, not a payload")
-    kind = data.get("format")
-    if kind == "cylwig-state-v1":
-        return states.state_from_json(text)
-    if kind == "cylwig-density-v1":
-        return states.density_from_json(text)
-    raise ValueError(f"unrecognized payload format {kind!r} in {path}")
+    phasespace.write_wigner(W, sys.stdout if output is None else output)
+    sys.stdout.flush()
 
 
 def _read_pair(path_a: str, path_b: str):
@@ -151,7 +135,7 @@ def state(kind, window_str, l0, phi0, sigma, kappa, seed, applies, output):
 @_cli_errors
 def wigner(input_file, nphi, pad, method, output):
     """Transform a state/density file into a Wigner grid (CSV)."""
-    source = _load_state_or_density(input_file)
+    source = states.read_payload(input_file)
     window = source.window
     grid = AngleGrid(nphi) if nphi is not None else phasespace.default_angle_grid(window)
     l_pad = pad if pad is not None else phasespace.default_pad(window)
@@ -224,10 +208,9 @@ def reconstruct(grid_file, window_str, method, output):
     window = _parse_window(window_str)
     result = phasespace.reconstruct_density(W, window, method=method)
     if result.status == "warning":
-        click.echo(
+        _warn(
             f"warning: reconstruction residual {result.residual:.3e} exceeds "
-            f"{phasespace.RESIDUAL_WARNING:.0e}",
-            err=True,
+            f"{phasespace.RESIDUAL_WARNING:.0e}"
         )
     payload = states.density_payload_to_json(result.window.l_min, result.matrix)
     _write_text(payload + "\n", output)
@@ -240,7 +223,7 @@ def reconstruct(grid_file, window_str, method, output):
 def overlap(grid_a, grid_b):
     """Print the traciality overlap of two grids (17 significant digits)."""
     wa, wb = _read_pair(grid_a, grid_b)
-    click.echo(states._f17(phasespace.overlap(wa, wb)))
+    _write_text("%.17g\n" % phasespace.overlap(wa, wb), None)
 
 
 @cli.command()

@@ -101,7 +101,7 @@ from .errors import (
 )
 from .numerics import TWO_PI, AngleGrid, PeriodicSamples
 from .states import DensityMatrix, OamWindow, PureState
-from .states import _f17
+from .states import _f17, _f17s
 
 __all__ = [
     "WignerGrid",
@@ -688,8 +688,7 @@ def _csv_pieces(W: WignerGrid):
         f"source_l_max={W.source_window.l_max} pad={W.pad}"
     )
     # One "%" template per row: "\nl,j,phi_j,%.17g" for every j.
-    nodes = W.grid.nodes.tolist()
-    cells = ["", *(f",{j},{_f17(phi)},%.17g" for j, phi in enumerate(nodes))]
+    cells = ["", *(f",{j},{phi},%.17g" for j, phi in enumerate(_f17s(W.grid.nodes)))]
     for l, row in zip(W.rows().tolist(), W.values):
         yield f"\n{l}".join(cells) % tuple(row.tolist())
     yield "\n"
@@ -760,8 +759,7 @@ def read_wigner(path) -> WignerGrid:
         # which no field holds: they take the numeric check.
         _check_budget("wigner grid", 2 * n_cells)
         values = np.full(n_cells, np.nan)  # NaN: not yet read
-        nodes = grid.nodes[: n_cells // 12].tolist()
-        node_text = np.array([*map(_f17, nodes), ","], dtype=_ROW["phi"])
+        node_text = np.array([*_f17s(grid.nodes[: n_cells // 12]), ","], dtype=_ROW["phi"])
         n_rows = 0
         lines = itertools.chain([line], fh)
         with warnings.catch_warnings():

@@ -18,7 +18,6 @@ reindex the window instead of truncating, so they are exactly unitary.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -50,6 +49,7 @@ __all__ = [
     "density_from_json",
     "write_state",
     "read_state",
+    "read_payload",
     "write_density",
 ]
 
@@ -374,67 +374,33 @@ def inner_product(a: PureState, b: PureState) -> complex:
 # cylwig-density-v1: {"format":"cylwig-density-v1","l_min":int,
 #                     "elements":[[[re,im],...],...]} (row-major in m, column n)
 #
-# Writers emit full double precision (17 significant digits).
+# Writers emit 17 significant digits from one ``%`` template per row of floats.
 
 
 def _f17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _pair(z: complex) -> str:
-    return f"[{_f17(z.real)},{_f17(z.imag)}]"
+def _f17s(values: np.ndarray) -> list[str]:
+    """``_f17`` of each of ``values``, from one ``%`` template."""
+    return ("%.17g," * len(values) % tuple(values.tolist())).split(",")[:-1]
 
 
 def state_to_json(state: PureState) -> str:
-    coeffs = ",".join(_pair(c) for c in state.coefficients)
+    pairs = state.coefficients.view(float).tolist()  # re, im of each
+    coeffs = ",".join(["[%.17g,%.17g]"] * state.window.size) % tuple(pairs)
     return (
         '{"format":"cylwig-state-v1","l_min":%d,"coefficients":[%s]}'
         % (state.window.l_min, coeffs)
     )
 
 
-@contextmanager
-def _payload(text: str, fmt: str):
-    """Yield the JSON payload ``text`` decoded, after checking its format; text
-    that is not JSON, a missing key or an ill-typed field read inside the
-    block raises ValueError."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not a {fmt} payload: not JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"not a {fmt} payload: a JSON {type(data).__name__}")
-    if data.get("format") != fmt:
-        raise ValueError(f"not a {fmt} payload: {data.get('format')!r}")
-    try:
-        yield data
-    except KeyError as exc:
-        raise ValueError(f"{fmt} payload is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed {fmt} payload: {exc}") from None
-
-
-def _l_min(data: dict) -> int:
-    """The payload's ``l_min``, which must be a JSON integer: a bool, a float
-    or a string is refused, not truncated or converted."""
-    l_min = data["l_min"]
-    if type(l_min) is not int:
-        raise ValueError(f"l_min must be an integer, got {json.dumps(l_min)}")
-    return l_min
-
-
-def state_from_json(text: str) -> PureState:
-    with _payload(text, "cylwig-state-v1") as data:
-        l_min = _l_min(data)
-        coeffs = np.array([complex(re, im) for re, im in data["coefficients"]])
-    return PureState(OamWindow(l_min, l_min + len(coeffs) - 1), coeffs)
-
-
 def density_payload_to_json(l_min: int, elements: np.ndarray) -> str:
-    """Density payload from a raw matrix (no state validation on write)."""
-    rows = ",".join(
-        "[" + ",".join(_pair(complex(z)) for z in row) + "]" for row in elements
-    )
+    """Density payload from a raw matrix (no state validation on write), one
+    ``%`` template per row."""
+    pairs = np.ascontiguousarray(elements, dtype=complex).view(float)
+    row = "[%s]" % ",".join(["[%.17g,%.17g]"] * (pairs.shape[1] // 2))
+    rows = ",".join(row % tuple(r.tolist()) for r in pairs)
     return (
         '{"format":"cylwig-density-v1","l_min":%d,"elements":[%s]}' % (l_min, rows)
     )
@@ -444,13 +410,67 @@ def density_to_json(rho: DensityMatrix) -> str:
     return density_payload_to_json(rho.window.l_min, rho.elements)
 
 
+_STATE = "cylwig-state-v1"
+_DENSITY = "cylwig-density-v1"
+
+
+def _decoded(text: str, fmt: str) -> dict:
+    """The JSON object ``text``, whose format must be ``fmt``."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not a {fmt} payload: not JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"not a {fmt} payload: a JSON {type(data).__name__}")
+    if data.get("format") != fmt:
+        raise ValueError(f"not a {fmt} payload: {data.get('format')!r}")
+    return data
+
+
+def _built(data: dict, fmt: str) -> PureState | DensityMatrix:
+    """The state or density in the decoded ``fmt`` payload ``data``; a missing
+    key, an ill-typed field or a number beyond float range raises ValueError."""
+    try:
+        l_min = data["l_min"]
+        # a JSON integer: a bool, a float or a string is refused, not converted
+        if type(l_min) is not int:
+            raise ValueError(f"l_min must be an integer, got {json.dumps(l_min)}")
+        if fmt == _STATE:
+            values = np.array([complex(re, im) for re, im in data["coefficients"]])
+        else:
+            values = np.array(
+                [[complex(re, im) for re, im in row] for row in data["elements"]]
+            )
+    except KeyError as exc:
+        raise ValueError(f"{fmt} payload is missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed {fmt} payload: {exc}") from None
+    window = OamWindow(l_min, l_min + len(values) - 1)
+    return PureState(window, values) if fmt == _STATE else DensityMatrix(window, values)
+
+
+def state_from_json(text: str) -> PureState:
+    return _built(_decoded(text, _STATE), _STATE)
+
+
 def density_from_json(text: str) -> DensityMatrix:
-    with _payload(text, "cylwig-density-v1") as data:
-        l_min = _l_min(data)
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in data["elements"]]
-        )
-    return DensityMatrix(OamWindow(l_min, l_min + mat.shape[0] - 1), mat)
+    return _built(_decoded(text, _DENSITY), _DENSITY)
+
+
+def read_payload(path) -> PureState | DensityMatrix:
+    """The state or density file ``path``, decoded once and built by its
+    ``format``; text that is not a payload of either raises ValueError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not a JSON payload ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} holds a JSON {type(data).__name__}, not a payload")
+    fmt = data.get("format")
+    if fmt not in (_STATE, _DENSITY):
+        raise ValueError(f"unrecognized payload format {fmt!r} in {path}")
+    return _built(data, fmt)
 
 
 def write_state(state: PureState, path) -> None:

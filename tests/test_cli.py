@@ -1,13 +1,17 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from cylwig import read_wigner, state_from_json, state_to_json
+from cylwig import cli, read_wigner, state_from_json, state_to_json
 
 CLI = [sys.executable, "-m", "cylwig"]
 
@@ -413,12 +417,19 @@ class TestMalformedInput:
             ("wigner", '{"format":"cylwig-density-v1","l_min":1.5,"elements":[[[1,0]]]}'),
             ("wigner", '{"format":"cylwig-density-v1","l_min":%d,"elements":[[[1,0]]]}'
              % 10**20),
+            ("check", '{"format":"cylwig-state-v1","l_min":0,"coefficients":[[%d,0]]}'
+             % 10**400),
+            ("wigner", '{"format":"cylwig-density-v1","l_min":0,"elements":[[[1,%d]]]}'
+             % 10**400),
+            ("wigner", '{"format":["cylwig-state-v1"],"l_min":0,"coefficients":[[1,0]]}'),
         ],
         ids=["check-no-l_min", "wigner-no-l_min", "check-scalar-coefficient",
              "wigner-triple-coefficient", "density-no-l_min", "density-flat-elements",
              "wigner-list", "check-list", "check-l_min-float", "check-l_min-bool",
              "check-l_min-string", "check-l_min-near-integer", "check-l_min-beyond-2**53",
-             "density-l_min-float", "density-l_min-beyond-2**53"],
+             "density-l_min-float", "density-l_min-beyond-2**53",
+             "check-coefficient-beyond-float", "density-element-beyond-float",
+             "wigner-format-list"],
     )
     def test_malformed_json_exit_2(self, tmp_path, command, payload):
         path = tmp_path / "bad.json"
@@ -427,6 +438,8 @@ class TestMalformedInput:
         assert cp.returncode == 2
         assert "Traceback" not in cp.stderr
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+        if "0" * 400 in payload:
+            assert "malformed cylwig-" in cp.stderr and "payload:" in cp.stderr
 
 
     @pytest.mark.parametrize("text", ["# format=cylwig-wigner-v1\n0,0,-3.14,0.25\n",
@@ -646,3 +659,40 @@ class TestRoundTripFidelity:
         mat = np.array([[complex(re, im) for re, im in row] for row in data["elements"]])
         fidelity = np.real(np.vdot(psi.coefficients, mat @ psi.coefficients))
         assert fidelity >= 1 - 1e-9
+
+
+class TestInProcess:
+    def test_redirected_streams_are_released(self, tmp_path):
+        """Runs through the click entry point in one process, each under its
+        own redirected stdout and stderr, leave none of those streams alive:
+        a result line (``overlap``), text on stdout (``state``), a residual
+        warning beside a payload (``reconstruct --method literal``) and an
+        error line (``wigner`` of text that is not JSON)."""
+        state, grid, bad = tmp_path / "s.json", tmp_path / "g.csv", tmp_path / "bad.json"
+        run("state", "--kind", "random", "--seed", "2", "--window", "-2:2", "-o", str(state))
+        run("wigner", str(state), "--pad", "2", "-o", str(grid))
+        bad.write_text("not json\n")
+        jobs = [
+            (["overlap", str(grid), str(grid)], 0, ""),
+            (["state", "--kind", "eigen", "--window", "-1:1"], 0, ""),
+            (["reconstruct", str(grid), "--window", "-2:2", "--method", "literal"],
+             0, "warning: reconstruction residual "),
+            (["wigner", str(bad)], 2, f"error: {bad} is not a JSON payload"),
+        ]
+        released = []
+        for args, code, warning in jobs * 3:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    cli.cli.main(args=args, prog_name="cylwig", standalone_mode=False)
+                    got = 0
+                except SystemExit as exc:
+                    got = exc.code
+            assert got == code, args
+            assert (out.getvalue() != "") == (code == 0), args
+            assert err.getvalue().startswith(warning), args
+            assert err.getvalue().count("\n") == (1 if warning else 0), args
+            released += [weakref.ref(out), weakref.ref(err)]
+            del out, err
+        gc.collect()
+        assert sum(ref() is not None for ref in released) == 0

@@ -35,6 +35,7 @@ from cylwig import (
     write_state,
 )
 from cylwig import errors
+from cylwig.states import _f17, _f17s, density_payload_to_json
 
 TWO_PI = 2 * np.pi
 
@@ -501,3 +502,60 @@ class TestStateFiles:
     def test_rejects_foreign_payload(self):
         with pytest.raises(ValueError):
             state_from_json('{"format":"other","l_min":0,"coefficients":[[1,0]]}')
+
+
+def _pairs_reference(values) -> str:
+    """``[re,im]`` of each entry, one ``format(x, ".17g")`` per float: the
+    bytes a payload writer must produce."""
+    return ",".join(
+        f"[{format(complex(z).real, '.17g')},{format(complex(z).imag, '.17g')}]"
+        for z in values
+    )
+
+
+class TestPayloadBytes:
+    """The writers format one ``%`` template per row; their bytes are those
+    of a per-float reference."""
+
+    def test_state_matches_per_float_reference(self):
+        w = OamWindow(-2, 3)
+        edge = np.array([1.0, -0.0, 5e-324j, complex(-0.0, -0.0), 0.0, 0.0])
+        strided = np.zeros(12, dtype=complex)
+        strided[::2] = random_pure_state(w, 3).coefficients
+        for coeffs in (edge, strided[::2], random_pure_state(w, 5).coefficients):
+            psi = PureState(w, coeffs)
+            want = ('{"format":"cylwig-state-v1","l_min":-2,"coefficients":[%s]}'
+                    % _pairs_reference(coeffs))
+            assert state_to_json(psi) == want
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "real"])
+    def test_density_matches_per_float_reference(self, layout):
+        """The density writer validates nothing, so non-finite entries and
+        values far from a density's are written as they stand."""
+        mat = np.array([
+            [-0.0, 5e-324, 1e308 - 1e308j, 3.0],
+            [complex(np.nan, -np.inf), np.inf, -0.0j, -7.0 + 2.0j],
+            [0.1 + 0.2j, 2.0**-1074, -1.7976931348623157e308, 1e16],
+        ])
+        if layout == "transposed":
+            mat = mat.T
+            assert not mat.flags.c_contiguous
+        elif layout == "real":
+            mat = mat.real.copy()
+        rows = ",".join("[%s]" % _pairs_reference(row) for row in mat)
+        want = '{"format":"cylwig-density-v1","l_min":-3,"elements":[%s]}' % rows
+        assert density_payload_to_json(-3, mat) == want
+
+    def test_density_of_a_state_matches_reference(self):
+        rho = to_density(random_pure_state(OamWindow(-4, 4), 9))
+        rows = ",".join("[%s]" % _pairs_reference(row) for row in rho.elements)
+        want = '{"format":"cylwig-density-v1","l_min":-4,"elements":[%s]}' % rows
+        assert density_to_json(rho) == want
+
+    def test_node_texts_match_per_node_format(self):
+        """``_f17s``, which the grid writer and reader take the node texts
+        from, equals ``_f17`` per node for every grid from 4 to 516 angles."""
+        assert _f17s(np.array([])) == []
+        for n_phi in range(4, 517, 2):
+            nodes = AngleGrid(n_phi).nodes
+            assert _f17s(nodes) == [_f17(x) for x in nodes], n_phi

@@ -9,7 +9,9 @@ the call times of all its rounds, the median of each round
 (``round_medians_ms``) and the largest peak RSS of a round's process from
 ``resource.getrusage`` (inputs included).  ``write_wigner`` writes, and
 ``read_wigner`` reads, a grid file in a temporary directory that is removed
-at the end of the round; ``wigner_to_csv`` formats the same text in memory.
+at the end of the round; ``wigner_to_csv`` formats the same text in memory,
+and ``density_payload_to_json`` formats the random state's density matrix as
+``reconstruct`` formats its result.
 ``read_wigner.lenient`` reads the same grid with its ``phi`` column printed
 to 13 significant digits, so that no row's ``phi`` is its node's own text
 and the reader converts every row's ``phi`` to a number to check it.
@@ -60,6 +62,7 @@ LAYERS = (
     "hudson_certify",
     "hudson_certify.eigenstate",
     "flatness_check",
+    "density_payload_to_json",
     "wigner_to_csv",
     "write_wigner",
     "read_wigner",
@@ -88,6 +91,8 @@ def _call(layer: str, half: int, tmp: str):
         return lambda: cw.flatness_check(eigen, grid)
     psi = cw.random_pure_state(w, SEED)
     rho = cw.to_density(psi)
+    if layer == "density_payload_to_json":
+        return lambda: cw.states.density_payload_to_json(w.l_min, rho.elements)
     if layer == "wigner_from_oam":
         return lambda: cw.wigner_from_oam(rho, pad, grid)
     if layer == "wigner_from_angle":

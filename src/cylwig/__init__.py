@@ -15,7 +15,6 @@ from .analysis import (
     flatness_check,
     hudson_certify,
     negativity,
-    report_from_json,
     report_to_json,
 )
 from .errors import (
@@ -68,7 +67,6 @@ from .states import (
     oam_eigenstate,
     random_pure_state,
     read_payload,
-    read_state,
     state_from_json,
     state_to_json,
     to_density,

@@ -19,7 +19,6 @@ whose inverse transform has constant modulus.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,7 +44,6 @@ __all__ = [
     "hudson_certify",
     "covariance_residual",
     "report_to_json",
-    "report_from_json",
 ]
 
 DEFAULT_TOLERANCE = 1e-8
@@ -279,23 +277,4 @@ def report_to_json(report: NegativityReport) -> str:
         '"tolerance":%.17g%s}'
         % (report.min_value, *report.argmin, report.negative_volume,
            report.classification, *report.nearest_eigenstate, report.tolerance, seed)
-    )
-
-
-def report_from_json(text: str) -> NegativityReport:
-    data = json.loads(text)
-    min_value = float(data["min_value"])
-    tolerance = float(data["tolerance"])
-    return NegativityReport(
-        min_value,
-        (int(data["argmin"]["l"]), float(data["argmin"]["phi"])),
-        float(data["negative_volume"]),
-        min_value >= -tolerance,
-        tolerance,
-        str(data["classification"]),
-        (
-            int(data["nearest_eigenstate"]["l0"]),
-            float(data["nearest_eigenstate"]["fidelity"]),
-        ),
-        int(data["seed"]) if "seed" in data else None,
     )

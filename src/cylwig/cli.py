@@ -154,7 +154,9 @@ def wigner(input_file, nphi, pad, method, output):
 @_cli_errors
 def check(input_file, nphi, pad, tol, output):
     """Certify one state file; emits a negativity report (JSON)."""
-    psi = states.read_state(input_file)
+    psi = states.read_payload(input_file)
+    if not isinstance(psi, states.PureState):
+        raise ValueError(f"{input_file} holds a density matrix, not a pure state")
     report = analysis.hudson_certify(psi, n_phi=nphi, pad=pad, tolerance=tol)
     _write_text(analysis.report_to_json(report) + "\n", output)
 

@@ -48,7 +48,6 @@ __all__ = [
     "density_payload_to_json",
     "density_from_json",
     "write_state",
-    "read_state",
     "read_payload",
     "write_density",
 ]
@@ -204,10 +203,17 @@ def coherent_state(
     """
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if not 0.0 < float(sigma) * float(sigma) < np.inf:
+        raise ValueError(f"sigma={sigma} has a square outside the float range")
     if window is None:
         raise ValueError("window is required")
     if l0 not in window:
         raise ValueError(f"l0={l0} outside window [{window.l_min}, {window.l_max}]")
+    if not np.isfinite(float(phi0) * max(abs(window.l_min), abs(window.l_max))):
+        raise ValueError(
+            f"phi0={phi0} makes the phase l*phi0 non-finite on window "
+            f"[{window.l_min}, {window.l_max}]"
+        )
     # Tail mass over the excluded lattice points, summed far enough out that
     # the remainder is irrelevant at the 1e-12 threshold.
     reach = int(np.ceil(8 * sigma + abs(l0) + window.span)) + 8
@@ -215,10 +221,12 @@ def coherent_state(
     # and the Gaussian over its excluded points
     _check_budget("coherent state", 9 * window.size + 4 * (2 * reach + 1))
     ls = window.values()
-    weights = np.exp(-((ls - l0) ** 2) / (sigma * sigma))
     probe = np.arange(l0 - reach, l0 + reach + 1)
     outside = (probe < window.l_min) | (probe > window.l_max)
-    tail = float(np.sum(np.exp(-((probe[outside] - l0) ** 2) / (sigma * sigma))))
+    # for a narrow sigma an exponent overflows to -inf, whose exp is exactly 0
+    with np.errstate(over="ignore"):
+        weights = np.exp(-((ls - l0) ** 2) / (sigma * sigma))
+        tail = float(np.sum(np.exp(-((probe[outside] - l0) ** 2) / (sigma * sigma))))
     if tail >= TAIL_TOL:
         half = int(np.ceil(sigma * np.sqrt(np.log(4.0 / TAIL_TOL)))) + 1
         required = OamWindow(l0 - half, l0 + half)
@@ -301,14 +309,28 @@ def displace(state: PureState, ld: int, phid: float) -> PureState:
 
     ``c'_{m+ld} = e^{-i ld phid/2} e^{-i phid m} c_m`` on the shifted window.
     """
+    window = state.window.shifted(ld)
+    lo, hi = state.window.l_min, state.window.l_max
+    # the phase is monotone in m, so it is finite on the window if at both ends
+    p = float(phid)
+    if not np.isfinite([ld * p / 2.0 + p * m for m in (lo, hi)]).all():
+        raise ValueError(
+            f"phid={phid} makes the displacement phase non-finite on window [{lo}, {hi}]"
+        )
     ms = state.window.values()
     phase = np.exp(-1j * (ld * phid / 2.0 + phid * ms))
-    return PureState(state.window.shifted(ld), phase * state.coefficients)
+    return PureState(window, phase * state.coefficients)
 
 
 def apply_phase_function(state: PureState, f: Callable[[int], float]) -> PureState:
     """Apply ``e^{i f(L)}``; the OAM marginal is untouched."""
-    phases = np.array([np.exp(1j * float(f(int(l)))) for l in state.window.values()])
+    ls = state.window.values()
+    angles = [float(f(int(l))) for l in ls]
+    bad = ~np.isfinite(angles)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"phase function f(l={ls[i]}) is not finite: {angles[i]}")
+    phases = np.array([np.exp(1j * a) for a in angles])
     return PureState(state.window, phases * state.coefficients)
 
 
@@ -414,22 +436,23 @@ _STATE = "cylwig-state-v1"
 _DENSITY = "cylwig-density-v1"
 
 
-def _decoded(text: str, fmt: str) -> dict:
-    """The JSON object ``text``, whose format must be ``fmt``."""
+def _payload(
+    text: str, source: str, formats=(_STATE, _DENSITY)
+) -> PureState | DensityMatrix:
+    """The state or density in the JSON payload ``text``, built by its
+    ``format``, which must be one of ``formats``.  Text that is not such a
+    payload raises ValueError naming ``source``; a missing key, an ill-typed
+    field or a number beyond float range raises ValueError naming the format."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"not a {fmt} payload: not JSON ({exc})") from None
+        raise ValueError(f"{source} is not a JSON payload ({exc})") from None
     if not isinstance(data, dict):
-        raise ValueError(f"not a {fmt} payload: a JSON {type(data).__name__}")
-    if data.get("format") != fmt:
-        raise ValueError(f"not a {fmt} payload: {data.get('format')!r}")
-    return data
-
-
-def _built(data: dict, fmt: str) -> PureState | DensityMatrix:
-    """The state or density in the decoded ``fmt`` payload ``data``; a missing
-    key, an ill-typed field or a number beyond float range raises ValueError."""
+        raise ValueError(f"{source} holds a JSON {type(data).__name__}, not a payload")
+    fmt = data.get("format")
+    if fmt not in formats:
+        expected = " or ".join(formats)
+        raise ValueError(f"{source} holds payload format {fmt!r}, not {expected}")
     try:
         l_min = data["l_min"]
         # a JSON integer: a bool, a float or a string is refused, not converted
@@ -450,37 +473,23 @@ def _built(data: dict, fmt: str) -> PureState | DensityMatrix:
 
 
 def state_from_json(text: str) -> PureState:
-    return _built(_decoded(text, _STATE), _STATE)
+    return _payload(text, "text", (_STATE,))
 
 
 def density_from_json(text: str) -> DensityMatrix:
-    return _built(_decoded(text, _DENSITY), _DENSITY)
+    return _payload(text, "text", (_DENSITY,))
 
 
 def read_payload(path) -> PureState | DensityMatrix:
     """The state or density file ``path``, decoded once and built by its
     ``format``; text that is not a payload of either raises ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} is not a JSON payload ({exc})") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path} holds a JSON {type(data).__name__}, not a payload")
-    fmt = data.get("format")
-    if fmt not in (_STATE, _DENSITY):
-        raise ValueError(f"unrecognized payload format {fmt!r} in {path}")
-    return _built(data, fmt)
+        return _payload(fh.read(), path)
 
 
 def write_state(state: PureState, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(state_to_json(state) + "\n")
-
-
-def read_state(path) -> PureState:
-    with open(path, "r", encoding="utf-8") as fh:
-        return state_from_json(fh.read())
 
 
 def write_density(rho: DensityMatrix, path) -> None:

@@ -22,7 +22,6 @@ from cylwig import (
     negativity,
     oam_eigenstate,
     random_pure_state,
-    report_from_json,
     report_to_json,
     to_density,
     von_mises_state,
@@ -404,12 +403,6 @@ class TestCovarianceResidual:
 
 
 class TestReportSerialization:
-    def test_round_trip(self):
-        psi = random_pure_state(OamWindow(-4, 4), 5)
-        rep = hudson_certify(psi).with_seed(5)
-        back = report_from_json(report_to_json(rep))
-        assert back == rep
-
     def test_schema_keys(self):
         import json
 

@@ -447,15 +447,44 @@ class TestMalformedInput:
                              ids=["grid_csv", "truncated_state"])
     @pytest.mark.parametrize("command", ["check", "wigner"])
     def test_undecodable_json_named_exit_2(self, tmp_path, command, text):
-        """Text that is not JSON is named by the payload it should be
-        (``check`` reads a state) or by its path (``wigner`` reads either)."""
+        """Text that is not JSON is named by its path, in one wording: ``check``
+        and ``wigner`` read their input through the same decoder."""
         path = tmp_path / "bad.json"
         path.write_text(text)
         cp = run(command, str(path), check=False)
-        named = "not a cylwig-state-v1 payload" if command == "check" else str(path)
         assert cp.returncode == 2
-        assert cp.stderr.startswith(f"error: {named}") and cp.stderr.count("\n") == 1
-        assert "not JSON" in cp.stderr or "not a JSON payload" in cp.stderr
+        assert cp.stdout == ""
+        assert cp.stderr.startswith(f"error: {path} is not a JSON payload (Expecting ")
+        assert cp.stderr.endswith(")\n") and cp.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("check", '{"format":"cylwig-density-v1","l_min":0,"elements":[[[1,0]]]}',
+             "{path} holds a density matrix, not a pure state"),
+            *((command, payload, message) for command in ("check", "wigner")
+              for payload, message in (
+                  ("not json", "{path} is not a JSON payload "
+                   "(Expecting value: line 1 column 1 (char 0))"),
+                  ("[1, 2]", "{path} holds a JSON list, not a payload"),
+                  ('{"format":"cylwig-wigner-v1","l_min":0}',
+                   "{path} holds payload format 'cylwig-wigner-v1', "
+                   "not cylwig-state-v1 or cylwig-density-v1"),
+              )),
+        ],
+        ids=["check-density", "check-not-json", "check-list", "check-foreign-format",
+             "wigner-not-json", "wigner-list", "wigner-foreign-format"],
+    )
+    def test_not_a_state_refused_exit_2(self, tmp_path, command, payload, message):
+        """``check`` certifies a pure state: a density file, text that is not
+        JSON, a JSON list or a foreign ``format`` is refused in one line, and
+        ``wigner`` words the last three alike; neither writes its output."""
+        path, out = tmp_path / "in.json", tmp_path / "out"
+        path.write_text(payload + "\n")
+        cp = run(command, str(path), "-o", str(out), check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == "" and not out.exists()
+        assert cp.stderr == "error: " + message.format(path=path) + "\n"
 
     @pytest.mark.parametrize(
         "args",
@@ -580,6 +609,38 @@ class TestNonFiniteState:
         assert cp.returncode == 2
         assert cp.stdout == ""
         assert cp.stderr == f"error: sigma must be finite and positive, got {sigma}\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            *((["--phi0", v], f"phi0={v} makes the phase l*phi0 non-finite on "
+               "window [-8, 8]") for v in ("inf", "-inf", "nan")),
+            (["--phi0", "1e308"],
+             "phi0=1e+308 makes the phase l*phi0 non-finite on window [-8, 8]"),
+            (["--sigma", "1e-300"], "sigma=1e-300 has a square outside the float range"),
+            (["--sigma", "1e308"], "sigma=1e+308 has a square outside the float range"),
+            (["--apply", "displace=1,inf"],
+             "phid=inf makes the displacement phase non-finite on window [-8, 8]"),
+            (["--apply", "displace=1,1e308"],
+             "phid=1e+308 makes the displacement phase non-finite on window [-8, 8]"),
+            (["--apply", "phase=1e308,1e308"], "phase function f(l=-8) is not finite: -inf"),
+            (["--apply", "phase=nan"], "phase function f(l=-8) is not finite: nan"),
+            (["--apply", "displace=%d,1" % 10**400],
+             "window [%d, %d] has a bound beyond 2**53" % (10**400 - 8, 10**400 + 8)),
+        ],
+        ids=["phi0-inf", "phi0--inf", "phi0-nan", "phi0-1e308", "sigma-1e-300",
+             "sigma-1e308", "displace-inf", "displace-1e308", "phase-1e308", "phase-nan",
+             "displace-beyond-2**53"],
+    )
+    def test_non_finite_phase_or_width_exit_2(self, tmp_path, args, message):
+        """A phase or a width that leaves the float range is refused by name
+        in one line, with no numpy warning before it."""
+        out = tmp_path / "s.json"
+        cp = run("state", "--kind", "coherent", "--window", "-8:8", *args,
+                 "-o", str(out), check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == "" and not out.exists()
+        assert cp.stderr == f"error: {message}\n"
 
     def test_large_kappa_exit_3(self):
         """``exp(kappa cos phi)`` would overflow here: the window is refused by

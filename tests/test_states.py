@@ -26,7 +26,7 @@ from cylwig import (
     mix,
     oam_eigenstate,
     random_pure_state,
-    read_state,
+    read_payload,
     state_from_json,
     state_to_json,
     theta3,
@@ -116,6 +116,33 @@ class TestCoherent:
     def test_sigma_must_be_finite(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite"):
             coherent_state(0, 0.0, sigma, OamWindow(-8, 8))
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e155])
+    def test_sigma_square_must_be_a_positive_float(self, sigma):
+        """A sigma whose square underflows to 0 or overflows is refused by
+        name, before any Gaussian is evaluated (no numpy warning)."""
+        with pytest.raises(ValueError) as err:
+            coherent_state(0, 0.0, sigma, OamWindow(-8, 8))
+        assert str(err.value) == f"sigma={sigma} has a square outside the float range"
+
+    def test_tiny_sigma_with_a_subnormal_square_is_eigenstate(self):
+        """Exponents that overflow to -inf weigh exactly 0, with no warning."""
+        w = OamWindow(-8, 8)
+        psi = coherent_state(2, 0.0, 1e-160, w)
+        assert np.array_equal(psi.coefficients, oam_eigenstate(2, w).coefficients)
+
+    @pytest.mark.parametrize("phi0", [float("inf"), float("-inf"), float("nan"), 1e308])
+    def test_phi0_phase_must_be_finite(self, phi0):
+        with pytest.raises(ValueError) as err:
+            coherent_state(0, phi0, 1.0, OamWindow(-8, 8))
+        assert str(err.value) == (
+            f"phi0={phi0} makes the phase l*phi0 non-finite on window [-8, 8]"
+        )
+
+    def test_large_finite_phi0_builds(self):
+        """A large phi0 whose phases stay finite is a valid coherent state."""
+        psi = coherent_state(0, 1e300, 1.0, OamWindow(-8, 8))
+        assert abs(np.linalg.norm(psi.coefficients) - 1.0) < 1e-12
 
 
 class TestVonMises:
@@ -326,6 +353,33 @@ class TestUnitaries:
         same = apply_phase_function(psi, lambda l: 0.0)
         assert np.array_equal(psi.coefficients, same.coefficients)
 
+    @pytest.mark.parametrize("phid", [float("inf"), float("nan"), 1e308])
+    def test_displace_phase_must_be_finite(self, phid):
+        psi = random_pure_state(OamWindow(-4, 4), 3)
+        with pytest.raises(ValueError) as err:
+            displace(psi, 1, phid)
+        assert str(err.value) == (
+            f"phid={phid} makes the displacement phase non-finite on window [-4, 4]"
+        )
+
+    def test_displace_beyond_2_53_refused_by_window(self):
+        psi = random_pure_state(OamWindow(-4, 4), 3)
+        with pytest.raises(ValueError, match="beyond 2\\*\\*53"):
+            displace(psi, 10**400, 1.0)
+
+    @pytest.mark.parametrize("f, l, value", [
+        (lambda l: float("nan"), -2, "nan"),
+        (lambda l: 1e308 + 1e308 * l, -2, "-inf"),
+        (lambda l: 1e308 * l * l, -2, "inf"),
+        (lambda l: float("inf") if l == 1 else 0.0, 1, "inf"),
+    ], ids=["nan", "overflow-negative", "overflow-positive", "one-l"])
+    def test_phase_function_must_be_finite(self, f, l, value):
+        """The first non-finite phase is named by its ``l``."""
+        psi = random_pure_state(OamWindow(-2, 2), 3)
+        with pytest.raises(ValueError, match=f"^phase function f\\(l={l}\\) is not "
+                           f"finite: {value}$"):
+            apply_phase_function(psi, f)
+
     def test_phase_function_marginal_invariant(self):
         psi = coherent_state(0, 0.0, 1.0, OamWindow(-8, 8))
         out = apply_phase_function(psi, lambda l: 0.37 * l * l)
@@ -416,7 +470,7 @@ class TestDensity:
     def test_undecodable_payload_names_format(self, text):
         for fmt, read in (("cylwig-state-v1", state_from_json),
                           ("cylwig-density-v1", density_from_json)):
-            with pytest.raises(ValueError, match=f"^not a {fmt} payload: not JSON "
+            with pytest.raises(ValueError, match=r"^text is not a JSON payload "
                                r"\(Expecting .*\)$"):
                 read(text)
 
@@ -468,7 +522,7 @@ class TestStateFiles:
         psi = random_pure_state(OamWindow(-5, 3), 21)
         path = tmp_path / "state.json"
         write_state(psi, path)
-        back = read_state(path)
+        back = read_payload(path)
         assert back.window == psi.window
         assert np.array_equal(back.coefficients, psi.coefficients)
 
@@ -500,8 +554,35 @@ class TestStateFiles:
             read(text % l_min)
 
     def test_rejects_foreign_payload(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^text holds payload format 'other', "
+                           "not cylwig-state-v1$"):
             state_from_json('{"format":"other","l_min":0,"coefficients":[[1,0]]}')
+
+    def test_each_reader_refuses_the_other_format(self):
+        """``state_from_json`` and ``density_from_json`` decide the JSON, the
+        object and the format by the same check as ``read_payload``."""
+        psi = random_pure_state(OamWindow(-1, 1), 2)
+        with pytest.raises(ValueError, match="^text holds payload format "
+                           "'cylwig-density-v1', not cylwig-state-v1$"):
+            state_from_json(density_to_json(to_density(psi)))
+        with pytest.raises(ValueError, match="^text holds payload format "
+                           "'cylwig-state-v1', not cylwig-density-v1$"):
+            density_from_json(state_to_json(psi))
+        with pytest.raises(ValueError, match="^text holds a JSON list, not a payload$"):
+            state_from_json("[1, 2]")
+
+    def test_read_payload_names_the_file(self, tmp_path):
+        path = tmp_path / "p.json"
+        for text, message in (
+            ("# format=cylwig-wigner-v1\n", f"{path} is not a JSON payload (Expecting "),
+            ("[1]", f"{path} holds a JSON list, not a payload"),
+            ('{"format":"other"}', f"{path} holds payload format 'other', "
+             "not cylwig-state-v1 or cylwig-density-v1"),
+        ):
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                read_payload(path)
+            assert str(err.value).startswith(message)
 
 
 def _pairs_reference(values) -> str:

@@ -33,7 +33,6 @@ from .numerics import (
     theta3,
 )
 from .phasespace import (
-    KernelMatrix,
     ReconstructionResult,
     WignerGrid,
     angle_marginal_tail,

@@ -29,7 +29,6 @@ from .phasespace import (
     WignerGrid,
     default_angle_grid,
     default_pad,
-    marginal_oam,
     wigner_from_oam,
 )
 from .states import PureState, displace
@@ -62,7 +61,6 @@ class NegativityReport:
     min_value: float
     argmin: tuple[int, float]          # (l, phi)
     negative_volume: float
-    is_nonnegative: bool
     tolerance: float
     classification: str
     nearest_eigenstate: tuple[int, float]  # (l0, fidelity)
@@ -71,11 +69,10 @@ class NegativityReport:
     def __post_init__(self):
         if self.classification not in CLASSIFICATIONS:
             raise ValueError(f"unknown classification {self.classification!r}")
-        if self.is_nonnegative != (self.min_value >= -self.tolerance):
-            raise ValueError("is_nonnegative contradicts min_value at tolerance")
 
-    def with_seed(self, seed: int) -> "NegativityReport":
-        return replace(self, seed=seed)
+    @property
+    def is_nonnegative(self) -> bool:
+        return self.min_value >= -self.tolerance
 
 
 def negativity(W: WignerGrid, tolerance: float = DEFAULT_TOLERANCE) -> NegativityReport:
@@ -100,16 +97,15 @@ def negativity(W: WignerGrid, tolerance: float = DEFAULT_TOLERANCE) -> Negativit
     if not min_value >= 0.0:  # a NaN minimum takes the sum too
         # one grid-sized temporary; 0.0 - sum is exact and never -0.0
         negative_volume = float(W.grid.spacing * (0.0 - np.minimum(W.values, 0.0).sum()))
-    populations = marginal_oam(W)
+    # the OAM marginal (exact populations) of the window rows alone
     src = W.source_window
-    lo, hi = src.l_min - W.l_lo, src.l_max - W.l_lo
-    window_pops = populations[lo : hi + 1]
-    best = int(np.argmax(window_pops))
-    nearest = (int(src.l_min + best), float(window_pops[best]))
-    is_nonneg = min_value >= -tolerance
-    classification = "inconclusive" if is_nonneg else "negative_witnessed"
+    lo = src.l_min - W.l_lo
+    populations = W.grid.spacing * W.values[lo : lo + src.size].sum(axis=1)
+    best = int(np.argmax(populations))
+    nearest = (int(src.l_min + best), float(populations[best]))
+    classification = "inconclusive" if min_value >= -tolerance else "negative_witnessed"
     return NegativityReport(
-        min_value, argmin, negative_volume, is_nonneg, tolerance, classification, nearest
+        min_value, argmin, negative_volume, tolerance, classification, nearest
     )
 
 
@@ -236,26 +232,21 @@ def hudson_certify(
     return replace(report, classification=classification, nearest_eigenstate=nearest)
 
 
-def covariance_residual(
-    psi: PureState,
-    ld: int,
-    phid: float,
-    n_phi: int | None = None,
-    pad: int | None = None,
-) -> float:
-    """Max pointwise ``|W_displaced(l, phi) - W(l - ld, phi - phid)|``.
+def covariance_residual(psi: PureState, ld: int, phid: float) -> float:
+    """Max pointwise ``|W_displaced(l, phi) - W(l - ld, phi - phid)|`` on the
+    default grid and padding of ``psi``'s window.
 
     ``phid`` must be an exact grid node so the translated comparison stays
     on stored points.
     """
-    grid = AngleGrid(n_phi) if n_phi is not None else default_angle_grid(psi.window)
+    grid = default_angle_grid(psi.window)
     # nodes are the integer multiples of the spacing (n_phi is even), so the
     # translated comparison is a column roll by phid / spacing
     steps = phid / grid.spacing
     if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
         raise ValueError(f"phid={phid} is not a node of the {grid.n_phi}-point grid")
     t = int(round(steps))
-    l_pad = pad if pad is not None else default_pad(psi.window)
+    l_pad = default_pad(psi.window)
     W0 = wigner_from_oam(psi, l_pad, grid)
     Wd = wigner_from_oam(displace(psi, ld, phid), l_pad, grid)
     shifted = np.roll(W0.values, t % grid.n_phi, axis=1)

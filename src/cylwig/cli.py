@@ -10,6 +10,7 @@ error), 2 invalid input, 3 numerical/limit failure.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import sys
 
@@ -85,7 +86,12 @@ def _apply_transform(psi: states.PureState, expr: str) -> states.PureState:
             raise ValueError(f"--apply phase needs 'phase=C0,C1,...', got {expr!r}")
 
         def poly(l: int) -> float:
-            return sum(c * l**k for k, c in enumerate(coeffs))
+            try:
+                return sum(c * l**k for k, c in enumerate(coeffs))
+            except OverflowError:  # l**k is an int beyond the float range
+                raise ValueError(
+                    f"--apply phase polynomial overflows the float range at l={l}"
+                ) from None
 
         return states.apply_phase_function(psi, poly)
     raise ValueError(f"unknown --apply transform {expr!r}")
@@ -180,7 +186,7 @@ def scan(samples, window_str, seed, nphi, pad, tol, output):
     for i in range(samples):
         psi = states.random_pure_state(window, seed + i)
         report = analysis.hudson_certify(psi, n_phi=nphi, pad=pad, tolerance=tol)
-        report = report.with_seed(seed + i)
+        report = dataclasses.replace(report, seed=seed + i)
         counts[report.classification] += 1
         lines.append(analysis.report_to_json(report))
     summary = (
@@ -257,7 +263,6 @@ def _render_ppm(W: phasespace.WignerGrid, w_min: float, w_max: float) -> bytes:
         fade = np.rint(255.0 * (1.0 - t)).astype(np.uint8)
         img[..., 0] = np.where(~pos, fade, img[..., 0])
         img[..., 1] = np.where(~pos, fade, img[..., 1])
-        img[..., 2] = np.where(~pos, 255, img[..., 2])
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     return header + img.tobytes()
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# where the series of theta3 and bessel_i0 stop
+SERIES_TOL = 1e-16
 
 __all__ = [
     "TWO_PI",
@@ -81,10 +83,10 @@ def circle_quadrature(samples: PeriodicSamples) -> complex:
     return samples.grid.spacing * complex(samples.values.sum())
 
 
-def theta3(z: float, q: float, eps: float = 1e-16) -> float:
+def theta3(z: float, q: float) -> float:
     """Third Jacobi theta function ``theta3(z|q) = sum_n q^(n^2) e^(2 i n z)``.
 
-    Real for real ``z``; the lattice sum stops once ``q^(n^2) < eps``.
+    Real for real ``z``; the lattice sum stops once ``q^(n^2) < SERIES_TOL``.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"nome q must satisfy 0 <= q < 1, got {q}")
@@ -92,18 +94,18 @@ def theta3(z: float, q: float, eps: float = 1e-16) -> float:
     n = 1
     while True:
         term = q ** (n * n)
-        if term < eps:
+        if term < SERIES_TOL:
             break
         total += 2.0 * term * np.cos(2.0 * n * z)
         n += 1
     return total
 
 
-def bessel_i0(x: float, eps: float = 1e-16) -> float:
+def bessel_i0(x: float) -> float:
     """Modified Bessel function ``I0(x)`` by its power series.
 
     Terms ``(x/2)^(2m) / (m!)^2`` are accumulated until they drop below
-    ``eps`` relative to the running sum, or until the sum overflows to
+    ``SERIES_TOL`` relative to the running sum, or until the sum overflows to
     ``inf`` (beyond about ``x = 713``; ``inf`` itself returns at once).
     """
     if not x >= 0:
@@ -116,7 +118,7 @@ def bessel_i0(x: float, eps: float = 1e-16) -> float:
     m = 1
     while True:
         term *= quarter_x2 / (m * m)
-        if term < eps * total:
+        if term < SERIES_TOL * total:
             break
         total += term
         if total == np.inf:

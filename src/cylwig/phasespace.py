@@ -105,7 +105,6 @@ from .states import _f17, _f17s
 
 __all__ = [
     "WignerGrid",
-    "KernelMatrix",
     "kernel_matrix",
     "wigner_from_oam",
     "wigner_from_angle",
@@ -178,24 +177,6 @@ class WignerGrid:
 
     def row(self, l: int) -> np.ndarray:
         return self.values[self.row_index(l)]
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Matrix elements ``<m|w(l,phi)|n>`` of the phase-space point operator."""
-
-    l: int
-    phi: float
-    window: OamWindow
-    elements: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.elements, dtype=complex)
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise ValueError("kernel matrix is not Hermitian at 1e-12")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "elements", mat)
 
 
 def default_angle_grid(window: OamWindow) -> AngleGrid:
@@ -329,18 +310,22 @@ def _check_real(imag: np.ndarray, what: str) -> None:
         )
 
 
-def kernel_matrix(l: int, phi: float, window: OamWindow) -> KernelMatrix:
-    """Point operator ``w(l, phi)`` as a matrix over the window.
+def kernel_matrix(l: int, phi: float, window: OamWindow) -> np.ndarray:
+    """Point operator ``w(l, phi)`` as a read-only complex matrix over the
+    window, element ``(m, n)`` being ``<m|w(l,phi)|n>``.
 
-    ``Tr[rho w(l,phi)]`` reproduces ``W(l,phi)``; kernels are Hermitian and
-    covariant under displacements.
+    ``Tr[rho w(l,phi)]`` reproduces ``W(l,phi)``; kernels are Hermitian
+    (``G[l, t]`` is real, ``t = m + n`` symmetric and ``d = m - n``
+    antisymmetric) and covariant under displacements.
     """
     g = np.zeros(2 * window.span + 1)  # the row G[l, t]
     g[1::2] = _row_kernel(window, np.array([l]))[0]
     if window.l_min <= l <= window.l_max:
         g[2 * (l - window.l_min)] = 1.0 / TWO_PI
     t, d = _sum_diff_index(window.size)
-    return KernelMatrix(l, phi, window, g[t] * np.exp(-1j * d * phi))
+    elements = g[t] * np.exp(-1j * d * phi)
+    elements.flags.writeable = False
+    return elements
 
 
 def wigner_from_oam(
@@ -482,13 +467,30 @@ class ReconstructionResult:
 
 
 def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
-    """Both inverses from one ``B = (G^T W) @ E^H / n_phi`` over ``d >= 0``:
-    ``G^T W`` real-first, then one real FFT per row, as ``e^{-i d phi_j} =
-    (-1)^d e^{-2pi i d j/n_phi}`` on the nodes.  ``literal`` is ``4 pi^2 B``;
-    ``lstsq`` solves the odd harmonics' normal equations from one QR of ``K``.
-    Element ``(m, n)`` is ``R[m+n, |m-n|]``, conjugated where ``m < n``:
-    ``G^T W`` is real, so harmonic ``-d`` is the conjugate of ``d``."""
+    """The operator on ``window`` that ``W`` maps from, trace-normalized, by
+    ``method`` (see :func:`reconstruct_density`, which adds the residual).
+
+    Both inverses come from one ``B = (G^T W) @ E^H / n_phi`` over
+    ``d >= 0``: ``G^T W`` real-first, then one real FFT per row, as
+    ``e^{-i d phi_j} = (-1)^d e^{-2pi i d j/n_phi}`` on the nodes.
+    ``literal`` is ``4 pi^2 B``; ``lstsq`` solves the odd harmonics' normal
+    equations from one QR of ``K``.  Element ``(m, n)`` is ``R[m+n, |m-n|]``,
+    conjugated where ``m < n``: ``G^T W`` is real, so harmonic ``-d`` is the
+    conjugate of ``d``, and the matrix is Hermitian as built."""
     span = window.span
+    if W.grid.n_phi <= 2 * span:
+        raise ReconstructionError(
+            f"n_phi={W.grid.n_phi} cannot resolve window span {span}; "
+            f"need n_phi > {2 * span}"
+        )
+    margin = min(window.l_min - W.l_lo, W.l_hi - window.l_max)
+    if margin < 1:
+        raise ReconstructionError(
+            "stored rows must pad the target window by at least one row "
+            f"on each side (margin {margin})"
+        )
+    if method not in ("lstsq", "literal"):
+        raise ValueError(f"unknown reconstruction method {method!r}")
     K = _row_kernel(window, W.rows())
     lo = window.l_min - W.l_lo
     GtW = np.empty((2 * span + 1, W.grid.n_phi))
@@ -521,7 +523,11 @@ def _inverse(W: WignerGrid, window: OamWindow, method: str) -> np.ndarray:
         R[ts, ds] = np.linalg.solve(Rq, y).view(complex)
     t, d = _sum_diff_index(window.size)
     M = R[t, np.abs(d)]
-    return np.where(d < 0, M.conj(), M)
+    raw = np.where(d < 0, M.conj(), M)
+    trace = float(np.trace(raw).real)
+    if abs(trace) < 1e-9:
+        raise ReconstructionError(f"recovered operator has near-zero trace {trace}")
+    return raw / trace
 
 
 def reconstruct_density(
@@ -554,25 +560,7 @@ def reconstruct_density(
     its odd matrix elements.  The residual is the real forward map of the
     result against ``W``.
     """
-    span = window.span
-    if W.grid.n_phi <= 2 * span:
-        raise ReconstructionError(
-            f"n_phi={W.grid.n_phi} cannot resolve window span {span}; "
-            f"need n_phi > {2 * span}"
-        )
-    margin = min(window.l_min - W.l_lo, W.l_hi - window.l_max)
-    if margin < 1:
-        raise ReconstructionError(
-            "stored rows must pad the target window by at least one row "
-            f"on each side (margin {margin})"
-        )
-    if method not in ("lstsq", "literal"):
-        raise ValueError(f"unknown reconstruction method {method!r}")
-    raw = _inverse(W, window, method)
-    trace = float(np.trace(raw).real)
-    if abs(trace) < 1e-9:
-        raise ReconstructionError(f"recovered operator has near-zero trace {trace}")
-    matrix = raw / trace
+    matrix = _inverse(W, window, method)
     model = _wigner_of_operator(matrix, window, W.l_lo, W.l_hi, W.grid)
     residual = float(np.max(np.abs(model - W.values)))
     status = "warning" if residual > RESIDUAL_WARNING else "ok"
@@ -584,8 +572,9 @@ def star_product(
 ) -> WignerGrid:
     """Wigner function of the operator product ``rho sigma``.
 
-    ``method="operator"`` reconstructs both operators (least squares),
-    multiplies, and maps forward: exact for resolvable grids.
+    ``method="operator"`` recovers both operators by least squares, as
+    :func:`reconstruct_density` does but without its residual, multiplies,
+    and maps forward: exact for resolvable grids.
     ``method="direct"`` stays in quadrature land: both operators are
     recovered by the literal truncated inverse sum and re-mapped, so the
     result converges to the operator path like O(1/P) as padding grows.
@@ -612,12 +601,9 @@ def star_product(
         recon = "literal"
     else:
         raise ValueError(f"unknown star method {method!r}")
-    r1 = reconstruct_density(W_rho, window, method=recon)
-    if W_sigma is W_rho:
-        r2 = r1
-    else:
-        r2 = reconstruct_density(W_sigma, window, method=recon)
-    product = r1.matrix @ r2.matrix
+    rho = _inverse(W_rho, window, recon)
+    sigma = rho if W_sigma is W_rho else _inverse(W_sigma, window, recon)
+    product = rho @ sigma
     l_lo = max(W_rho.l_lo, W_sigma.l_lo)
     l_hi = min(W_rho.l_hi, W_sigma.l_hi)
     values, imag = _wigner_of_operator(

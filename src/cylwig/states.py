@@ -362,15 +362,13 @@ def mix(states: Iterable[tuple[float, PureState]]) -> DensityMatrix:
     return DensityMatrix(window, mat)
 
 
-def angle_wavefunction_at(state: PureState, phi) -> np.ndarray | complex:
-    """Exact wavefunction ``(1/sqrt(2 pi)) sum_l c_l e^{i l phi}`` at arbitrary
-    angles, by the coefficient sum itself: no interpolation."""
+def angle_wavefunction_at(state: PureState, phi) -> np.ndarray:
+    """Exact wavefunction ``(1/sqrt(2 pi)) sum_l c_l e^{i l phi}`` at an
+    array of arbitrary angles, by the coefficient sum itself: no
+    interpolation."""
     ls = state.window.values()
-    phi_arr = np.asarray(phi, dtype=float)
-    out = (np.exp(1j * phi_arr[..., None] * ls) @ state.coefficients) / np.sqrt(TWO_PI)
-    if np.ndim(phi) == 0:
-        return complex(out)
-    return out
+    phi = np.asarray(phi, dtype=float)
+    return (np.exp(1j * phi[..., None] * ls) @ state.coefficients) / np.sqrt(TWO_PI)
 
 
 def angle_wavefunction(state: PureState, grid: AngleGrid) -> PeriodicSamples:

@@ -422,5 +422,5 @@ class TestReportSerialization:
     def test_seed_key_optional(self):
         import json
 
-        rep = hudson_certify(oam_eigenstate(0, OamWindow(-2, 2))).with_seed(9)
+        rep = replace(hudson_certify(oam_eigenstate(0, OamWindow(-2, 2))), seed=9)
         assert json.loads(report_to_json(rep))["seed"] == 9

@@ -78,6 +78,31 @@ class TestStateCommand:
         assert "window" in cp.stderr
 
 
+class TestRefusedFlags:
+    """A flag the CLI cannot parse exits 2 with one ``error:`` line and
+    nothing written."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["--apply", "displace=1"], "--apply displace needs 'displace=LD,PHID', "
+         "got 'displace=1'"),
+        (["--apply", "phase="], "--apply phase needs 'phase=C0,C1,...', got 'phase='"),
+        (["--apply", "bogus"], "unknown --apply transform 'bogus'"),
+    ], ids=["displace-fields", "phase-empty", "bogus"])
+    def test_state_apply_exit_2(self, tmp_path, args, message):
+        out = tmp_path / "s.json"
+        cp = run("state", "--kind", "eigen", "--window", "-8:8", *args, "-o", str(out),
+                 check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == "" and not out.exists()
+        assert cp.stderr == f"error: {message}\n"
+
+    def test_scan_no_samples_exit_2(self):
+        cp = run("scan", "--samples", "0", "--window", "-2:2", check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr == "error: --samples must be >= 1, got 0\n"
+
+
 class TestWignerCommand:
     def test_eigen_rows(self, tmp_path):
         state = tmp_path / "e.json"
@@ -625,12 +650,14 @@ class TestNonFiniteState:
              "phid=1e+308 makes the displacement phase non-finite on window [-8, 8]"),
             (["--apply", "phase=1e308,1e308"], "phase function f(l=-8) is not finite: -inf"),
             (["--apply", "phase=nan"], "phase function f(l=-8) is not finite: nan"),
+            (["--apply", "phase=" + "0," * 400 + "1"],
+             "--apply phase polynomial overflows the float range at l=-8"),
             (["--apply", "displace=%d,1" % 10**400],
              "window [%d, %d] has a bound beyond 2**53" % (10**400 - 8, 10**400 + 8)),
         ],
         ids=["phi0-inf", "phi0--inf", "phi0-nan", "phi0-1e308", "sigma-1e-300",
              "sigma-1e308", "displace-inf", "displace-1e308", "phase-1e308", "phase-nan",
-             "displace-beyond-2**53"],
+             "phase-power-overflow", "displace-beyond-2**53"],
     )
     def test_non_finite_phase_or_width_exit_2(self, tmp_path, args, message):
         """A phase or a width that leaves the float range is refused by name
@@ -693,6 +720,34 @@ class TestRender:
         run("render", str(grid), "-o", str(a))
         run("render", str(grid), "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("range_args", [[], ["--range", "-0.05:0.1"],
+                                            ["--range", "-1:0"], ["--range", "0:1"]],
+                             ids=["auto", "both", "negative-only", "positive-only"])
+    def test_pixels_match_reference(self, tmp_path, range_args):
+        """Each cell of a grid with both signs takes the colour of its sign:
+        white fading to red above 0 and to blue below, by ``|value|`` over
+        the range's end of that sign; a sign whose end is 0 stays white."""
+        state = tmp_path / "c.json"
+        grid = tmp_path / "c.csv"
+        img = tmp_path / "c.ppm"
+        run("state", "--kind", "coherent", "--l0", "0", "--window", "-8:8", "-o", str(state))
+        run("wigner", str(state), "--nphi", "48", "--pad", "4", "-o", str(grid))
+        run("render", str(grid), "-o", str(img), *range_args)
+        vals = read_wigner(grid).values[::-1]
+        assert vals.min() < 0 < vals.max()
+        if range_args:
+            w_min, w_max = (float(v) for v in range_args[1].split(":"))
+        else:
+            w_min, w_max = vals.min(), vals.max()
+        want = np.full(vals.shape + (3,), 255, dtype=np.uint8)
+        for (i, j), v in np.ndenumerate(vals):
+            end, channels = (w_max, (1, 2)) if v >= 0 else (w_min, (0, 1))
+            if end != 0:
+                fade = np.rint(255.0 * (1.0 - min(max(v / end, 0.0), 1.0)))
+                want[i, j, list(channels)] = fade
+        header = f"P6\n48 {vals.shape[0]}\n255\n".encode("ascii")
+        assert img.read_bytes() == header + want.tobytes()
 
     def test_bad_range_exit_2(self, tmp_path):
         state = tmp_path / "e.json"

@@ -102,7 +102,7 @@ class TestBruteForceOracle:
         assert np.max(np.abs(angle_marginal_tail(rho, W) - tail.real)) <= 1e-14
         for l in (W.l_lo, -1, 0, 2, W.l_hi + 3):
             for phi in (0.0, 0.7, -2.9):
-                K = kernel_matrix(l, phi, w).elements
+                K = kernel_matrix(l, phi, w)
                 want_K = np.array([[kappa(m, n, l) * np.exp(-1j * (m - n) * phi)
                                     for n in vals] for m in vals])
                 assert np.max(np.abs(K - want_K)) <= 1e-14
@@ -295,7 +295,7 @@ class TestKernel:
         for l in (-5, -1, 0, 1, 2, 6):
             for phi in (0.0, 0.8, -2.0):
                 K = kernel_matrix(l, phi, w)
-                got = np.trace(rho.elements @ K.elements).real
+                got = np.trace(rho.elements @ K).real
                 want = 1.0 / TWO_PI if l == 1 else 0.0
                 assert abs(got - want) < 1e-14
 
@@ -303,9 +303,10 @@ class TestKernel:
         # diagonal elements <m|w|m> vanish unless m = l
         w = OamWindow(-4, 4)
         K = kernel_matrix(2, 0.4, w)
+        assert K.dtype == complex and not K.flags.writeable
         for i, m in enumerate(w.values()):
             want = 1.0 / TWO_PI if m == 2 else 0.0
-            assert abs(K.elements[i, i] - want) < 1e-15
+            assert abs(K[i, i] - want) < 1e-15
 
     def test_hermitian_random_points(self):
         rng = np.random.default_rng(0)
@@ -314,14 +315,14 @@ class TestKernel:
             l = int(rng.integers(-8, 9))
             phi = float(rng.uniform(-np.pi, np.pi))
             K = kernel_matrix(l, phi, w)
-            assert np.max(np.abs(K.elements - K.elements.conj().T)) <= 1e-12
+            assert np.max(np.abs(K - K.conj().T)) <= 1e-12
 
     def test_displacement_covariance(self):
         # w(l, phi) = D(l, phi) w(0, 0) D(l, phi)^dagger on the interior
         w = OamWindow(-7, 7)
         ld, phid = 2, 0.9
-        K0 = kernel_matrix(0, 0.0, w).elements
-        Kd = kernel_matrix(ld, phid, w).elements
+        K0 = kernel_matrix(0, 0.0, w)
+        Kd = kernel_matrix(ld, phid, w)
         vals = w.values()
         D = np.zeros((w.size, w.size), dtype=complex)
         for i, m in enumerate(vals):
@@ -627,7 +628,7 @@ class TestReconstruction:
         W0 = wigner_from_oam(to_density(random_pure_state(w, 30 + w.l_max)), pad, grid)
         noise = 1e-3 * np.random.default_rng(pad).standard_normal(W0.values.shape)
         W = WignerGrid(W0.l_lo, W0.l_hi, grid, W0.values + noise, w, pad)
-        kernels = [kernel_matrix(l, phi, w).elements
+        kernels = [kernel_matrix(l, phi, w)
                    for l in W.rows() for phi in grid.nodes]
         # Tr[rho K] = sum_mn rho_mn K_nm
         design = np.array([K.T.ravel() for K in kernels])
@@ -740,18 +741,90 @@ class TestStarProduct:
         w = OamWindow(-3, 3)
         W = wigner_from_oam(to_density(random_pure_state(w, 4)), 8, AngleGrid(28))
         twin = WignerGrid(W.l_lo, W.l_hi, W.grid, W.values, W.source_window, W.pad)
-        two_reads = star_product(W, twin, method=method)  # one reconstruction each
+        two_reads = star_product(W, twin, method=method)  # one recovery each
         calls = []
+        recover = phasespace._inverse
 
         def counted(*args, **kwargs):
             calls.append(args[0])
-            return reconstruct_density(*args, **kwargs)
+            return recover(*args, **kwargs)
 
-        monkeypatch.setattr(phasespace, "reconstruct_density", counted)
+        monkeypatch.setattr(phasespace, "_inverse", counted)
         st = star_product(W, W, method=method)
         assert calls == [W]
         assert np.array_equal(st.values.view(np.uint64),
                               two_reads.values.view(np.uint64))
+
+    @pytest.mark.parametrize("method", ["operator", "direct"])
+    @pytest.mark.parametrize("pair", ["self", "twin"])
+    def test_maps_forward_once(self, monkeypatch, method, pair):
+        """The operands are recovered without a residual: the only forward
+        map of a star product is the one of its ``(rho sigma, -i rho sigma)``
+        stack."""
+        from cylwig import phasespace
+
+        w = OamWindow(-3, 3)
+        grid = AngleGrid(28)
+        W = wigner_from_oam(to_density(random_pure_state(w, 4)), 8, grid)
+        other = W if pair == "self" else WignerGrid(
+            W.l_lo, W.l_hi, grid, W.values, W.source_window, W.pad
+        )
+        calls = []
+        forward = phasespace._wigner_of_operator
+
+        def counted(A, *args):
+            calls.append(A.shape)
+            return forward(A, *args)
+
+        monkeypatch.setattr(phasespace, "_wigner_of_operator", counted)
+        star_product(W, other, method=method)
+        assert calls == [(2, w.size, w.size)]
+
+
+def _grid(bounds=(-2, 2), pad=2, n_phi=20, values=None):
+    """The map of a random state on ``bounds``, or a grid on its rows that
+    holds ``values`` (an array or a fill value)."""
+    w = OamWindow(*bounds)
+    W = wigner_from_oam(random_pure_state(w, 2), pad, AngleGrid(n_phi))
+    if values is None:
+        return W
+    values = np.broadcast_to(values, W.values.shape)
+    return WignerGrid(W.l_lo, W.l_hi, W.grid, values, w, pad)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: wigner_from_oam(plus_state(), -1, AngleGrid(20)),
+                 ValueError, "l_pad must be >= 0, got -1", id="oam-pad"),
+    pytest.param(lambda: wigner_from_angle(plus_state(), -1, AngleGrid(20)),
+                 ValueError, "l_pad must be >= 0, got -1", id="angle-pad"),
+    pytest.param(lambda: WignerGrid(-4, 4, AngleGrid(20), np.zeros((9, 18)),
+                                    OamWindow(-2, 2), 2),
+                 ValueError, "expected shape (9, 20), got (9, 18)", id="grid-shape"),
+    pytest.param(lambda: _grid().row_index(5), ValueError, "row l=5 outside [-4, 4]",
+                 id="row-index"),
+    pytest.param(lambda: angle_marginal_tail(to_density(plus_state(OamWindow(-5, 5))),
+                                             _grid()),
+                 ValueError, "stored rows must cover the source window", id="tail-rows"),
+    pytest.param(lambda: reconstruct_density(_grid(), OamWindow(-2, 2), method="bogus"),
+                 ValueError, "unknown reconstruction method 'bogus'", id="recon-method"),
+    pytest.param(lambda: reconstruct_density(_grid(values=0.0), OamWindow(-2, 2)),
+                 ReconstructionError, "recovered operator has near-zero trace 0.0",
+                 id="recon-zero-trace"),
+    pytest.param(lambda: star_product(_grid(), _grid(), method="bogus"),
+                 ValueError, "unknown star method 'bogus'", id="star-method"),
+    pytest.param(lambda: star_product(_grid(), _grid(n_phi=24)),
+                 ValueError, "incompatible angle grids: 20 vs 24", id="star-n-phi"),
+])
+def test_refused(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_overlap_of_disjoint_rows_is_zero():
+    a = _grid((0, 0), 0, 4)
+    b = WignerGrid(3, 3, a.grid, a.values, OamWindow(3, 3), 0)
+    assert a.values.any() and overlap(a, b) == 0.0
 
 
 def _small_csv_lines() -> tuple[WignerGrid, list[str]]:

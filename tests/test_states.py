@@ -32,6 +32,7 @@ from cylwig import (
     theta3,
     to_density,
     von_mises_state,
+    write_density,
     write_state,
 )
 from cylwig import errors
@@ -56,6 +57,34 @@ class TestWindow:
         with pytest.raises(ValueError, match=r"has a bound beyond 2\*\*53$"):
             OamWindow(l_min, l_max)
         assert OamWindow(-(2**53 - 1), 2**53 - 1).span == 2**54 - 2
+
+
+_W = OamWindow(-3, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: _W.index(4), "l=4 outside window [-3, 3]", id="index"),
+    pytest.param(lambda: PureState(_W, [1.0, 0.0, 0.0]),
+                 "window size 7 does not match 3 coefficients", id="state-size"),
+    pytest.param(lambda: DensityMatrix(_W, np.eye(3) / 3),
+                 "expected 7x7 matrix, got (3, 3)", id="density-size"),
+    pytest.param(lambda: oam_eigenstate(0, _W).embedded(OamWindow(-2, 5)),
+                 "target window does not contain the state window", id="embedded"),
+    pytest.param(lambda: coherent_state(0), "window is required", id="coherent-no-window"),
+    pytest.param(lambda: coherent_state(4, window=_W), "l0=4 outside window [-3, 3]",
+                 id="coherent-l0"),
+    pytest.param(lambda: mix([]), "mix() needs at least one (weight, state) pair", id="mix"),
+])
+def test_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_coefficient_outside_window_is_zero():
+    psi = random_pure_state(_W, 3)
+    assert psi.coefficient(4) == 0.0 and psi.coefficient(-4) == 0.0
+    assert psi.coefficient(3) == psi.coefficients[-1]
 
 
 class TestEigenstate:
@@ -536,6 +565,19 @@ class TestStateFiles:
     def test_density_round_trip(self):
         rho = to_density(random_pure_state(OamWindow(-3, 3), 4))
         back = density_from_json(density_to_json(rho))
+        assert back.window == rho.window
+        assert np.array_equal(back.elements, rho.elements)
+
+    def test_density_file_round_trip(self, tmp_path):
+        """``write_density`` writes the payload and a newline, which
+        ``read_payload`` builds back into the same matrix."""
+        psi = random_pure_state(OamWindow(-4, 2), 5)
+        rho = mix([(0.4, psi), (0.6, oam_eigenstate(1, OamWindow(-4, 2)))])
+        path = tmp_path / "rho.json"
+        write_density(rho, path)
+        assert path.read_bytes() == (density_to_json(rho) + "\n").encode("utf-8")
+        back = read_payload(path)
+        assert isinstance(back, DensityMatrix)
         assert back.window == rho.window
         assert np.array_equal(back.elements, rho.elements)
 

@@ -15,6 +15,11 @@ and ``density_payload_to_json`` formats the random state's density matrix as
 ``read_wigner.lenient`` reads the same grid with its ``phi`` column printed
 to 13 significant digits, so that no row's ``phi`` is its node's own text
 and the reader converts every row's ``phi`` to a number to check it.
+The ``cli.*`` cases time whole commands end to end: ``check`` of the random
+state, ``reconstruct`` (least squares) of its grid and the self-star
+``star`` of that grid, each run in-process through the click entry point, as
+``bench/harness.py`` runs its jobs, on input files written to the temporary
+directory and with its output written there.
 
 Several source trees can be measured in one run; in every round of a case
 the trees take turns, in reversed order on every other round, so a slow
@@ -67,6 +72,9 @@ LAYERS = (
     "write_wigner",
     "read_wigner",
     "read_wigner.lenient",
+    "cli.check",
+    "cli.reconstruct",
+    "cli.star",
 )
 WINDOWS = (4, 16, 64)
 SEED = 1
@@ -100,6 +108,8 @@ def _call(layer: str, half: int, tmp: str):
     if layer == "hudson_certify":
         return lambda: cw.hudson_certify(psi)
     W = cw.wigner_from_oam(rho, pad, grid)
+    if layer.startswith("cli."):
+        return _command(layer[4:], w, psi, W, tmp)
     if layer == "wigner_to_csv":
         return lambda: cw.phasespace.wigner_to_csv(W)
     path = os.path.join(tmp, "grid.csv")
@@ -124,6 +134,27 @@ def _call(layer: str, half: int, tmp: str):
         return lambda: cw.star_product(W, W, method="operator")
     method = layer.rpartition(".")[2]
     return lambda: cw.reconstruct_density(W, w, method=method)
+
+
+def _command(name: str, w, psi, W, tmp: str):
+    """The CLI command ``name`` on input files in ``tmp``, writing its output
+    there, run by the click entry point in-process; an error exits through
+    ``SystemExit``."""
+    import cylwig as cw
+    from cylwig import cli
+
+    out = os.path.join(tmp, "out")
+    if name == "check":
+        src = os.path.join(tmp, "state.json")
+        cw.write_state(psi, src)
+        args = ["check", src]
+    else:
+        src = os.path.join(tmp, "grid.csv")
+        cw.write_wigner(W, src)
+        args = (["reconstruct", src, "--window", f"{w.l_min}:{w.l_max}"]
+                if name == "reconstruct" else ["star", src, src])
+    args += ["-o", out]
+    return lambda: cli.cli.main(args=args, prog_name="cylwig", standalone_mode=False)
 
 
 def run_case(layer: str, half: int) -> dict:
@@ -195,7 +226,8 @@ def main() -> None:
         "what": "per-call wall time of library layers, default grid and pad, "
                 "random pure state (seed 1; star_product its self-star) or, "
                 "for hudson_certify.eigenstate and flatness_check, the "
-                "eigenstate |0>; median "
+                "eigenstate |0>; cli.* cases run the command in-process on "
+                "files of that state and its grid; median "
                 "and quartiles of the pooled calls and each round's median in "
                 "ms; peak RSS of the case's process in MB",
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),

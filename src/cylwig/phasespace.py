@@ -101,7 +101,7 @@ from .errors import (
 )
 from .numerics import TWO_PI, AngleGrid, PeriodicSamples
 from .states import DensityMatrix, OamWindow, PureState
-from .states import _f17, _f17s
+from .states import _f17, _f17_bytes, _f17s
 
 __all__ = [
     "WignerGrid",
@@ -648,36 +648,57 @@ _PHI_WIDTH = 24
 _ROW = np.dtype(
     [("l", float), ("phi_index", float), ("phi", f"U{_PHI_WIDTH}"), ("value", float)]
 )
+# Cells per chunk of the writer's vectorized formatter, which holds a few
+# dozen bytes per cell; a chunk is whole rows, at least one.
+_CSV_CHUNK = 4096
 _HEADER_INTS = ("l_lo", "l_hi", "n_phi", "source_l_min", "source_l_max", "pad")
 
 
 def write_wigner(W: WignerGrid, path) -> None:
-    """Write ``W`` as cylwig-wigner-v1 CSV to a path or an open text handle."""
+    """Write ``W`` as cylwig-wigner-v1 CSV to a path, as bytes, or to an
+    open text handle, as text."""
     if isinstance(path, (str, bytes, os.PathLike)):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(_csv_pieces(W))
     else:
-        path.writelines(_csv_pieces(W))
+        path.writelines(piece.decode("ascii") for piece in _csv_pieces(W))
 
 
 def wigner_to_csv(W: WignerGrid) -> str:
-    return "".join(_csv_pieces(W))
+    return b"".join(_csv_pieces(W)).decode("ascii")
+
+
+def _fixed(texts: list[str]) -> np.ndarray:
+    """``texts`` as rows of NUL-padded bytes, all of the longest's width."""
+    return np.array([t.encode("ascii") for t in texts]).reshape(-1, 1).view(np.uint8)
 
 
 def _csv_pieces(W: WignerGrid):
-    """The CSV text of ``W``: the header, then one piece per grid row, then
-    the final newline."""
+    """The CSV bytes of ``W``: the header, then the cells, a chunk of whole
+    rows at a time, then the final newline.  Every cell is a newline and
+    ``l,j,phi_j,value``."""
     yield (
         "# format=cylwig-wigner-v1\n"
         f"# l_lo={W.l_lo} l_hi={W.l_hi} n_phi={W.grid.n_phi} "
         f"source_l_min={W.source_window.l_min} "
         f"source_l_max={W.source_window.l_max} pad={W.pad}"
-    )
-    # One "%" template per row: "\nl,j,phi_j,%.17g" for every j.
-    cells = ["", *(f",{j},{phi},%.17g" for j, phi in enumerate(_f17s(W.grid.nodes)))]
-    for l, row in zip(W.rows().tolist(), W.values):
-        yield f"\n{l}".join(cells) % tuple(row.tolist())
-    yield "\n"
+    ).encode("ascii")
+    nodes = _f17s(W.grid.nodes)
+    ls = W.rows().tolist()
+    # One byte matrix per chunk, (rows, n_phi, row text + column text +
+    # value), whose NULs are dropped.
+    row_text = _fixed([f"\n{l}" for l in ls])
+    col_text = _fixed([f",{j},{phi}," for j, phi in enumerate(nodes)])
+    r, c = row_text.shape[1], row_text.shape[1] + col_text.shape[1]
+    step = max(1, _CSV_CHUNK // W.grid.n_phi)
+    for i in range(0, len(ls), step):
+        values = W.values[i : i + step]
+        chunk = np.empty((*values.shape, c + 32), np.uint8)
+        chunk[:, :, :r] = row_text[i : i + step, None]
+        chunk[:, :, r:c] = col_text
+        chunk[:, :, c:] = _f17_bytes(values).reshape(*values.shape, 32)
+        yield chunk.tobytes().translate(None, b"\0")
+    yield b"\n"
 
 
 def read_wigner(path) -> WignerGrid:

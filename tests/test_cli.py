@@ -11,7 +11,17 @@ import weakref
 import numpy as np
 import pytest
 
-from cylwig import cli, read_wigner, state_from_json, state_to_json
+from cylwig import (
+    cli,
+    default_angle_grid,
+    default_pad,
+    phasespace,
+    read_wigner,
+    state_from_json,
+    state_to_json,
+    wigner_from_oam,
+)
+from cylwig.phasespace import wigner_to_csv
 
 CLI = [sys.executable, "-m", "cylwig"]
 
@@ -96,11 +106,49 @@ class TestRefusedFlags:
         assert cp.stdout == "" and not out.exists()
         assert cp.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", [
+        ["state", "--kind", "random", "--window", "-4:4"],
+        ["scan", "--samples", "2", "--window", "-4:4"],
+    ], ids=["state", "scan"])
+    def test_negative_seed_exit_2(self, tmp_path, command):
+        out = tmp_path / "out"
+        cp = run(*command, "--seed", "-1", "-o", str(out), check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == "" and not out.exists()
+        assert cp.stderr == "error: random state seed must be a non-negative integer, got -1\n"
+
     def test_scan_no_samples_exit_2(self):
         cp = run("scan", "--samples", "0", "--window", "-2:2", check=False)
         assert cp.returncode == 2
         assert cp.stdout == ""
         assert cp.stderr == "error: --samples must be >= 1, got 0\n"
+
+
+class TestGridOutputTargets:
+    """``wigner`` writes the same bytes to ``-o`` and to stdout, and both are
+    ``wigner_to_csv`` of the grid mapped in this process: over several chunks
+    of the writer's vectorized formatter, and on a grid of one chunk."""
+
+    @pytest.mark.parametrize("window, pad", [
+        ("-8:8", None),  # 18,564 cells, five chunks
+        ("-4:4", 2),  # 468 cells
+    ], ids=["pm8", "pm4-pad2"])
+    def test_file_stdout_and_text_agree(self, tmp_path, window, pad):
+        state = tmp_path / "s.json"
+        run("state", "--kind", "random", "--seed", "6", "--window", window, "-o", str(state))
+        psi = state_from_json(state.read_text())
+        pad = default_pad(psi.window) if pad is None else pad
+        grid = default_angle_grid(psi.window)
+        W = wigner_from_oam(psi, pad, grid)
+        chunk = phasespace._CSV_CHUNK
+        assert {"-8:8": W.values.size > 4 * chunk, "-4:4": W.values.size < chunk}[window]
+        flags = ["--pad", str(pad), "--nphi", str(grid.n_phi)]
+        out = tmp_path / "g.csv"
+        to_file = run_bytes("wigner", str(state), *flags, "-o", str(out))
+        to_stdout = run_bytes("wigner", str(state), *flags)
+        assert to_file.returncode == 0 and to_file.stdout == b""
+        assert to_stdout.returncode == 0 and to_stdout.stderr == b""
+        assert out.read_bytes() == to_stdout.stdout == wigner_to_csv(W).encode()
 
 
 class TestWignerCommand:

@@ -867,6 +867,16 @@ def _case(name, build, message):
     return pytest.param(build, message, id=name)
 
 
+def _csv_reference(W, header: str) -> bytes:
+    """The CSV bytes of ``W`` with the second line ``header``, built one cell
+    at a time."""
+    lines = ["# format=cylwig-wigner-v1", header]
+    for i, l in enumerate(W.rows()):
+        for j in range(W.grid.n_phi):
+            lines.append(f"{l},{j},{_f17(W.grid.nodes[j])},{_f17(W.values[i, j])}")
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestWignerFiles:
     def test_csv_round_trip(self, tmp_path):
         w = OamWindow(-3, 3)
@@ -895,15 +905,19 @@ class TestWignerFiles:
     )
     def test_csv_matches_per_cell_reference(self, rho):
         W = wigner_from_oam(rho, 5, AngleGrid(28))
-        lines = [
-            "# format=cylwig-wigner-v1",
-            f"# l_lo={W.l_lo} l_hi={W.l_hi} n_phi=28 source_l_min=-3 "
-            "source_l_max=3 pad=5",
-        ]
-        for i, l in enumerate(W.rows()):
-            for j in range(W.grid.n_phi):
-                lines.append(f"{l},{j},{_f17(W.grid.nodes[j])},{_f17(W.values[i, j])}")
-        assert wigner_to_csv(W).encode() == ("\n".join(lines) + "\n").encode()
+        header = (f"# l_lo={W.l_lo} l_hi={W.l_hi} n_phi=28 source_l_min=-3 "
+                  "source_l_max=3 pad=5")
+        assert wigner_to_csv(W).encode() == _csv_reference(W, header)
+
+    @pytest.mark.parametrize("rho", [to_density(random_pure_state(OamWindow(-3, 3), 11)),
+                                     to_density(oam_eigenstate(1, OamWindow(-3, 3)))],
+                             ids=["pure", "eigenstate"])
+    def test_csv_matches_reference_over_chunks(self, rho):
+        """Over several of the writer's chunks of whole rows."""
+        W = wigner_from_oam(rho, 60, AngleGrid(132))
+        assert W.values.size > 4 * phasespace._CSV_CHUNK
+        header = "# l_lo=-63 l_hi=63 n_phi=132 source_l_min=-3 source_l_max=3 pad=60"
+        assert wigner_to_csv(W).encode() == _csv_reference(W, header)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     @pytest.mark.parametrize("fmt", ["csv"])
@@ -1198,8 +1212,10 @@ class TestStreamedCodec:
         assert buffer.getvalue().encode() == text
 
     def test_memory_bounded(self, tmp_path):
-        """At +-32 (283,140 cells, 14 MB of text) the writer holds one row
-        and the reader its grid plus one block, not the file and no mask."""
+        """At +-32 (283,140 cells, 14 MB of text) the writer holds one chunk
+        of at most ``_CSV_CHUNK`` cells, with its byte matrix and the
+        formatter's arrays, and the reader its grid plus one block, not the
+        file and no mask."""
         W = self._grid(32)
         path = tmp_path / "grid.csv"
         tracemalloc.start()

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,7 +37,8 @@ from cylwig import (
     write_state,
 )
 from cylwig import errors
-from cylwig.states import _f17, _f17s, density_payload_to_json
+from cylwig.phasespace import default_angle_grid, default_pad, wigner_from_oam
+from cylwig.states import _digits8, _f17, _f17_bytes, _f17s, density_payload_to_json
 
 TWO_PI = 2 * np.pi
 
@@ -264,6 +266,11 @@ class TestRandomState:
         assert np.array_equal(a.coefficients, b.coefficients)
         c = random_pure_state(w, 124)
         assert not np.array_equal(a.coefficients, c.coefficients)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^random state seed must be a "
+                                             r"non-negative integer, got -1$"):
+            random_pure_state(OamWindow(-2, 2), -1)
 
     def test_norms(self):
         w = OamWindow(-4, 4)
@@ -682,3 +689,86 @@ class TestPayloadBytes:
         for n_phi in range(4, 517, 2):
             nodes = AngleGrid(n_phi).nodes
             assert _f17s(nodes) == [_f17(x) for x in nodes], n_phi
+
+
+def _around(x: np.ndarray, ulps: int) -> np.ndarray:
+    """Every double within ``ulps`` units in the last place of each of ``x``
+    (positive, finite)."""
+    bits = x.view(np.int64)[:, None] + np.arange(-ulps, ulps + 1)
+    return bits.ravel().view(float)
+
+
+def _grid_values(kind: str) -> np.ndarray:
+    """Every value of the default grids of one kind of state, +-4 to +-32."""
+    out = []
+    for half in (4, 8, 16, 32):
+        w = OamWindow(-half, half)
+        psi = {"random": lambda: random_pure_state(w, half),
+               "coherent": lambda: coherent_state(1, 0.7, 0.5, w),
+               "eigenstate": lambda: oam_eigenstate(1, w)}[kind]()
+        out.append(wigner_from_oam(psi, default_pad(w), default_angle_grid(w)).values)
+    return np.concatenate([v.ravel() for v in out])
+
+
+def _rng(seed):
+    return np.random.default_rng(seed)
+
+
+_POWERS = np.array([float(f"1e{k}") for k in range(-323, 309)])
+_F17_INPUTS = {
+    "normals-1e-30..1e30": lambda: _rng(1).standard_normal(300_000)
+    * 10.0 ** _rng(2).uniform(-30, 30, 300_000),
+    "uniform-(-1,1)": lambda: _rng(3).uniform(-1.0, 1.0, 200_000),
+    "bit-patterns": lambda: _rng(4).integers(0, 2**64, 200_000, np.uint64).view(float),
+    "subnormals-and-zeros": lambda: np.concatenate([
+        _rng(5).integers(1, 2**52, 20_000, np.int64).view(float)
+        * _rng(6).choice([-1.0, 1.0], 20_000),
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+         1e-280, np.nextafter(1e-280, 0.0), 1.0 - 2.0**-53, 1.0, np.inf, -np.inf, np.nan]]),
+    "powers-of-ten": lambda: np.concatenate([_around(_POWERS, 3), -_around(_POWERS, 1)]),
+    "1e-4/1e-5-edge": lambda: np.concatenate([_around(np.array([1e-4, 1e-5]), 2000),
+                                              -_around(np.array([1e-4, 1e-5]), 200)]),
+    "random-grids": lambda: _grid_values("random"),
+    "coherent-grids": lambda: _grid_values("coherent"),
+    "eigenstate-grids": lambda: _grid_values("eigenstate"),
+}
+
+
+class TestF17Bytes:
+    """The grid writer's vectorized formatter gives the bytes of ``'%.17g' %``
+    on 1.9 million doubles: every group below, with the exact tests for the
+    decimal exponent, the rounding and the fallback to Python's own text."""
+
+    @pytest.mark.parametrize("name", list(_F17_INPUTS))
+    def test_matches_percent_format(self, name):
+        x = _F17_INPUTS[name]()
+        assert x.size >= 1000
+        table = np.empty((x.size, 33), np.uint8)
+        table[:, :32] = _f17_bytes(x)
+        table[:, 32] = ord(",")
+        got = table.tobytes().translate(None, b"\0").split(b",")[:-1]
+        want = [b"%.17g" % v for v in x.tolist()]
+        assert len(got) == x.size
+        bad = [(v, w, g) for v, w, g in zip(x.tolist(), want, got) if w != g]
+        assert bad[:5] == []
+
+    def test_inputs_reach_every_path(self):
+        """Among the inputs: over a million doubles, a value whose 17 digits
+        round up to the next power of ten (the double nearest 1e-14 lies below
+        it), values on both sides of the 1e-4 switch between the two notations,
+        and a grid row of exact zeros."""
+        inputs = {name: make() for name, make in _F17_INPUTS.items()}
+        assert sum(x.size for x in inputs.values()) >= 10**6
+        assert Fraction(1e-14) < Fraction(1, 10**14) and b"%.17g" % 1e-14 == b"1e-14"
+        texts = {bytes(b).translate(None, b"\0")[:3]
+                 for b in _f17_bytes(inputs["1e-4/1e-5-edge"])}
+        assert {b"0.0", b"9.9", b"-0.", b"-9."} <= texts
+        assert (inputs["eigenstate-grids"] == 0.0).sum() > 10**5
+
+    def test_digit_lanes(self):
+        """The SWAR digit split is exact for every 4-digit half."""
+        v = np.arange(10**4, dtype=np.uint64)
+        for word in (v, v * np.uint64(10**4), v * np.uint64(10**4 + 1)):
+            digits = _digits8(word)
+            texts = (digits | np.uint64(0x3030303030303030)).astype("<u8").view("S8")
+            assert texts.tolist() == [b"%08d" % n for n in word.tolist()]

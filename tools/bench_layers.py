@@ -9,7 +9,9 @@ the call times of all its rounds, the median of each round
 (``round_medians_ms``) and the largest peak RSS of a round's process from
 ``resource.getrusage`` (inputs included).  ``write_wigner`` writes, and
 ``read_wigner`` reads, a grid file in a temporary directory that is removed
-at the end of the round; ``wigner_to_csv`` formats the same text in memory,
+at the end of the round; ``write_wigner.eigenstate`` writes the grid of
+``|0>``, whose cells are nearly all exactly 0; ``wigner_to_csv`` formats the
+random state's grid text in memory,
 and ``density_payload_to_json`` formats the random state's density matrix as
 ``reconstruct`` formats its result.
 ``read_wigner.lenient`` reads the same grid with its ``phi`` column printed
@@ -35,12 +37,13 @@ range of the other tree's round medians::
 
 Only the standard library and numpy are used.  Inputs use the default grid
 (``4*span + 4`` angles) and padding (``8*span`` rows).  The state is random
-(seed 1), except in ``hudson_certify.eigenstate`` and ``flatness_check``: a
-random state stops at the negativity gate, while the eigenstate ``|0>``
-passes through every gate, the ``(n_phi, n_phi)`` flatness check included,
-which ``flatness_check`` times alone.  ``random_pure_state`` times
-state construction with its validation; ``star_product`` is the self-star
-of the random state's grid by the operator method.
+(seed 1), except in ``hudson_certify.eigenstate``, ``flatness_check`` and
+``write_wigner.eigenstate``: a random state stops at the negativity gate,
+while the eigenstate ``|0>`` passes through every gate, the
+``(n_phi, n_phi)`` flatness check included, which ``flatness_check`` times
+alone.  ``random_pure_state`` times state construction with its validation;
+``star_product`` is the self-star of the random state's grid by the operator
+method.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ LAYERS = (
     "density_payload_to_json",
     "wigner_to_csv",
     "write_wigner",
+    "write_wigner.eigenstate",
     "read_wigner",
     "read_wigner.lenient",
     "cli.check",
@@ -97,6 +101,9 @@ def _call(layer: str, half: int, tmp: str):
         return lambda: cw.hudson_certify(eigen)
     if layer == "flatness_check":
         return lambda: cw.flatness_check(eigen, grid)
+    if layer == "write_wigner.eigenstate":
+        zeros = cw.wigner_from_oam(eigen, pad, grid)
+        return lambda: cw.write_wigner(zeros, os.path.join(tmp, "grid.csv"))
     psi = cw.random_pure_state(w, SEED)
     rho = cw.to_density(psi)
     if layer == "density_payload_to_json":
@@ -225,11 +232,11 @@ def main() -> None:
     result = {
         "what": "per-call wall time of library layers, default grid and pad, "
                 "random pure state (seed 1; star_product its self-star) or, "
-                "for hudson_certify.eigenstate and flatness_check, the "
-                "eigenstate |0>; cli.* cases run the command in-process on "
-                "files of that state and its grid; median "
-                "and quartiles of the pooled calls and each round's median in "
-                "ms; peak RSS of the case's process in MB",
+                "for hudson_certify.eigenstate, flatness_check and "
+                "write_wigner.eigenstate, the eigenstate |0>; cli.* cases "
+                "run the command in-process on files of that state and its "
+                "grid; median and quartiles of the pooled calls and each "
+                "round's median in ms; peak RSS of the case's process in MB",
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
                 "numpy": numpy.__version__, "blas_threads": 1,
                 "min_seconds": MIN_SECONDS, "rounds": ROUNDS},

@@ -398,141 +398,7 @@ def inner_product(a: PureState, b: PureState) -> complex:
 #                     "elements":[[[re,im],...],...]} (row-major in m, column n)
 #
 # Writers emit 17 significant digits from one ``%`` template per row of
-# floats; the grid writer formats its values by ``_f17_bytes``, to the same
-# bytes.
-
-
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _f17s(values: np.ndarray) -> list[str]:
-    """``_f17`` of each of ``values``, from one ``%`` template."""
-    return ("%.17g," * len(values) % tuple(values.tolist())).split(",")[:-1]
-
-
-# ``_f17_bytes`` writes each float as 32 bytes, four little-endian uint64
-# words, whose bytes with their NULs dropped are those of ``'%.17g' % x``.
-# For 1e-280 <= |x| < 1, with ``k = floor(log10 |x|)``, the 17 digits are
-# ``D = round(|x| 10^(16-k))`` in [1e16, 1e17), and the words are
-#     0: '-' or NUL; "0." and its -k-1 zeros when -4 <= k <= -1; the first
-#        digit at byte 6; '.' at byte 7 when k < -4 and a later digit is kept
-#     1, 2: digits 2-9 and 10-17, eight to a word, trailing zeros as NULs
-#     3: "e-XX" or "e-XXX" when k < -4.
-# ``|x| 10^(16-k)`` is ``p + e``, within about 1e-14 of the exact product:
-# Dekker's error-free product of |x| with ``hi``, plus ``|x| lo``, where
-# ``hi`` is the double nearest ``10^(16-k)`` and ``lo`` the double nearest
-# the rest, both taken from Python ints.  Every other value, and every value
-# whose product has a fraction within 1e-7 of 1/2 (where the rounding could
-# go either way), is formatted by ``'%.17g' %`` itself.  The lower bound keeps
-# the split halves of |x|, and the table's largest entry times the split
-# factor, in the normal range.  Every shift is by a constant below 64.
-_F17_LOW = 1e-280
-# n = -k from 0 to 283: floor(log10 |x|) lies in [-281, -1] on the fast range,
-# and one correction step may move it by one either way.
-_F17_N = 284
-_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's factor for 26-bit halves
-
-
-def _words(texts) -> np.ndarray:
-    """Each of ``texts`` (at most 8 bytes) as one NUL-padded uint64 word."""
-    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), "<u8").astype(np.uint64)
-
-
-def _f17_tables():
-    big = [10 ** (16 + n) for n in range(_F17_N)]
-    hi = np.array([float(b) for b in big])
-    lo = np.array([float(b - int(h)) for b, h in zip(big, hi)])
-    c = hi * _SPLIT
-    hh = c - (c - hi)
-    head = [b"\0" + (b"0." + b"0" * (n - 1) if n <= 4 else b"\0" * 6 + b".")
-            for n in range(_F17_N)]
-    exp = [b"e-%02d" % n if n > 4 else b"" for n in range(_F17_N)]
-    return np.stack([hh, hi - hh, hi, lo], axis=1), _words(head), _words(exp)
-
-
-_F17_POW, _F17_HEAD, _F17_EXP = _f17_tables()
-_U = np.uint64
-_ALL = _U(2**64 - 1)
-_NO_DOT = _U(2**56 - 1)
-
-
-def _f17_scaled(a, ah, al, n):
-    """``a 10^(16+n)`` as ``p + e``; ``ah + al`` is ``a`` split in halves."""
-    bh, bl, hi, lo = _F17_POW[n].T
-    p = a * hi
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo
-
-
-def _digits8(v: np.ndarray) -> np.ndarray:
-    """The 8 decimal digits of each ``v < 10**8``, one per byte from the
-    lowest, by halving into 32-, 16- and 8-bit lanes (SWAR)."""
-    x = v // 10000
-    x |= (v - x * 10000) << 32
-    t = ((x * 10486) >> 20) & _U(0x0000007F0000007F)  # x // 100 per lane
-    x = t | ((x - t * 100) << 16)
-    t = ((x * 103) >> 10) & _U(0x000F000F000F000F)  # x // 10 per lane
-    return t | ((x - t * 10) << 8)
-
-
-def _kept(w: np.ndarray) -> np.ndarray:
-    """0xFF on each byte of the digit word ``w`` up to its last nonzero one."""
-    f = (w + _U(0x7F7F7F7F7F7F7F7F)) & _U(0x8080808080808080)  # digits are <= 9
-    f |= f >> 8
-    f |= f >> 16
-    f |= f >> 32
-    return (f >> 7) * _U(0xFF)
-
-
-def _f17_bytes(values: np.ndarray) -> np.ndarray:
-    """``(values.size, 32)`` bytes, one row per value, whose non-NUL bytes
-    spell ``'%.17g' % x``."""
-    x = np.ravel(values).astype(float, copy=False)
-    words = np.zeros((x.size, 4), "<u8")
-    a = np.abs(x)
-    inside = (a >= _F17_LOW) & (a < 1.0)
-    fast = np.flatnonzero(inside)
-    part = fast.size < x.size
-    if part:
-        a = a[fast]
-    c = a * _SPLIT
-    ah = c - (c - a)
-    al = a - ah
-    n = -np.floor(np.log10(a)).astype(np.intp)
-    p, e = _f17_scaled(a, ah, al, n)
-    # log10 can miss k by one next to a power of ten: the exact tests move it.
-    step = ((p - 1e16) + e < 0).astype(np.intp) - ((p - 1e17) + e >= 0)
-    moved = np.flatnonzero(step)
-    if moved.size:
-        n[moved] += step[moved]
-        p[moved], e[moved] = _f17_scaled(a[moved], ah[moved], al[moved], n[moved])
-    whole = np.floor(e)
-    frac = e - whole
-    d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    top = d == 10**17  # rounded up to the next power of ten
-    n -= top
-    d = np.where(top, 10**16, d).astype(np.uint64)
-    lead = d // 10**16
-    rest = d - lead * 10**16
-    w1 = rest // 10**8
-    w2 = _digits8(rest - w1 * 10**8)
-    w1 = _digits8(w1)
-    rows = np.empty((a.size, 4), "<u8") if part else words
-    rows[:, 0] = _F17_HEAD[n] | ((lead | _U(0x30)) << 48)
-    rows[:, 0] &= np.where((w1 | w2) != 0, _ALL, _NO_DOT)  # one digit takes no '.'
-    digits = _U(0x3030303030303030)
-    rows[:, 1] = (w1 | digits) & np.where(w2 != 0, _ALL, _kept(w1))
-    rows[:, 2] = (w2 | digits) & _kept(w2)
-    rows[:, 3] = _F17_EXP[n]
-    if part:
-        words[fast] = rows
-        words[x == 0.0, 0] = _U(0x30 << 48)
-    words[:, 0] |= np.where(np.signbit(x), _U(0x2D), _U(0))
-    slow = np.concatenate(
-        [np.flatnonzero(~inside & (x != 0.0)), fast[np.abs(frac - 0.5) < 1e-7]])
-    if slow.size:
-        words.view("S32")[slow, 0] = [t.encode() for t in _f17s(x[slow])]
-    return words.view(np.uint8)
+# floats.
 
 
 def state_to_json(state: PureState) -> str:
@@ -569,7 +435,8 @@ def _payload(
     """The state or density in the JSON payload ``text``, built by its
     ``format``, which must be one of ``formats``.  Text that is not such a
     payload raises ValueError naming ``source``; a missing key, an ill-typed
-    field or a number beyond float range raises ValueError naming the format."""
+    field (a JSON boolean among the numbers included) or a number beyond
+    float range raises ValueError naming the format."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -586,11 +453,17 @@ def _payload(
         if type(l_min) is not int:
             raise ValueError(f"l_min must be an integer, got {json.dumps(l_min)}")
         if fmt == _STATE:
-            values = np.array([complex(re, im) for re, im in data["coefficients"]])
+            rows = [data["coefficients"]]
+            values = np.array([complex(re, im) for re, im in rows[0]])
         else:
-            values = np.array(
-                [[complex(re, im) for re, im in row] for row in data["elements"]]
-            )
+            rows = data["elements"]
+            values = np.array([[complex(re, im) for re, im in row] for row in rows])
+        # complex() takes a JSON boolean as 0 or 1; a test by type, since True == 1
+        for i, row in enumerate(rows):
+            for j, (re, im) in enumerate(row):
+                if type(re) is bool or type(im) is bool:
+                    where = f"coefficient {j}" if fmt == _STATE else f"element ({i}, {j})"
+                    raise ValueError(f"{where} holds a JSON boolean: {json.dumps([re, im])}")
     except KeyError as exc:
         raise ValueError(f"{fmt} payload is missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

@@ -290,6 +290,21 @@ class TestReconstructOverlapStar:
         assert cp.stderr.startswith("error: star product has imaginary part ")
         assert cp.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["operator", "direct"])
+    def test_star_at_pad_0_exit_3(self, tmp_path, method):
+        """A grid with no padding row cannot be inverted by either method:
+        both exit 3 with the recovery's one line, as ``reconstruct`` does."""
+        state = tmp_path / "r.json"
+        grid = tmp_path / "r.csv"
+        out = tmp_path / "s.csv"
+        run("state", "--kind", "random", "--seed", "1", "--window", "-3:3", "-o", str(state))
+        run("wigner", str(state), "--pad", "0", "-o", str(grid))
+        cp = run("star", str(grid), str(grid), "--method", method, "-o", str(out), check=False)
+        assert cp.returncode == 3
+        assert cp.stdout == "" and not out.exists()
+        assert cp.stderr == ("error: stored rows must pad the target window by at least "
+                             "one row on each side (margin 0)\n")
+
     def test_rank_deficiency_exit_3(self, delta_grid):
         cp = run("reconstruct", str(delta_grid), "--window", "-9:9", check=False)
         assert cp.returncode == 3
@@ -514,6 +529,30 @@ class TestMalformedInput:
         if "0" * 400 in payload:
             assert "malformed cylwig-" in cp.stderr and "payload:" in cp.stderr
 
+
+    @pytest.mark.parametrize(
+        "command, payload, where",
+        [
+            ("check", '{"format":"cylwig-state-v1","l_min":0,"coefficients":[[true,false]]}',
+             "cylwig-state-v1 payload: coefficient 0"),
+            ("wigner", '{"format":"cylwig-state-v1","l_min":0,"coefficients":[[true,false]]}',
+             "cylwig-state-v1 payload: coefficient 0"),
+            ("wigner", '{"format":"cylwig-density-v1","l_min":0,"elements":[[[true,false]]]}',
+             "cylwig-density-v1 payload: element (0, 0)"),
+        ],
+        ids=["check-state", "wigner-state", "wigner-density"],
+    )
+    def test_boolean_number_exit_2(self, tmp_path, command, payload, where):
+        """A JSON boolean in a coefficient or element pair, which ``complex()``
+        would read as 1 or 0, exits 2 in one line naming it; nothing is
+        written."""
+        path = tmp_path / "bad.json"
+        path.write_text(payload + "\n")
+        out = tmp_path / "out"
+        cp = run(command, str(path), "-o", str(out), check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == "" and not out.exists()
+        assert cp.stderr == f"error: malformed {where} holds a JSON boolean: [true, false]\n"
 
     @pytest.mark.parametrize("text", ["# format=cylwig-wigner-v1\n0,0,-3.14,0.25\n",
                                       '{"format":"cylwig-state-v1","l_min":0,'],

@@ -45,7 +45,6 @@ from cylwig import (
 )
 from cylwig import errors, phasespace
 from cylwig.phasespace import WignerGrid, wigner_to_csv
-from cylwig.states import _f17
 
 TWO_PI = 2 * np.pi
 
@@ -698,7 +697,7 @@ class TestStarProduct:
     def test_direct_requires_padding(self):
         w = OamWindow(-3, 3)
         W = wigner_from_oam(to_density(random_pure_state(w, 1)), 0, AngleGrid(28))
-        with pytest.raises(ValueError):
+        with pytest.raises(ReconstructionError, match=r"\(margin 0\)$"):
             star_product(W, W, method="direct")
 
     def test_direct_approaches_operator(self):
@@ -873,7 +872,7 @@ def _csv_reference(W, header: str) -> bytes:
     lines = ["# format=cylwig-wigner-v1", header]
     for i, l in enumerate(W.rows()):
         for j in range(W.grid.n_phi):
-            lines.append(f"{l},{j},{_f17(W.grid.nodes[j])},{_f17(W.values[i, j])}")
+            lines.append(f"{l},{j},{W.grid.nodes[j]:.17g},{W.values[i, j]:.17g}")
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -1010,7 +1009,7 @@ class TestWignerFiles:
             for i, l in enumerate(W.rows()):
                 for j in range(W.grid.n_phi):
                     phi, v = W.grid.nodes[j], W.values[i, j]
-                    lines.append(f"{l},{j},{_f17(phi)},{_f17(v)}")
+                    lines.append(f"{l},{j},{phi:.17g},{v:.17g}")
             path = tmp_path / "ref.csv"
             path.write_text("\n".join(lines) + "\n")
             back = read_wigner(path)
@@ -1056,20 +1055,20 @@ class TestWignerFiles:
                              "source_l_min=0 source_l_max=0 pad=0", x[2]],
                   r"beyond 2\*\*53"),
             _case("phi_shifted",
-                  lambda x: _edit_row(x, 0, 3, 2, _f17(AngleGrid(24).node(3) + 1e-6)),
+                  lambda x: _edit_row(x, 0, 3, 2, format(AngleGrid(24).node(3) + 1e-6, ".17g")),
                   r"cell \(l=0, phi_index=3\) has phi"),
             _case("missing_cell", lambda x: x[:7] + x[8:], "does not cover every"),
             _case("non_ascii_digit_phi", lambda x: _edit_row(x, 0, 3, 2, "\u0661"),
                   "data row 148, field 3: '\u0661' is not a number"),
             _case("phi_trailing_nul",
-                  lambda x: _edit_row(x, 0, 3, 2, _f17(AngleGrid(24).node(3)) + "\0"),
-                  re.escape(f"data row 148, field 3: {_f17(AngleGrid(24).node(3)) + chr(0)!r} "
+                  lambda x: _edit_row(x, 0, 3, 2, f"{AngleGrid(24).node(3):.17g}\0"),
+                  re.escape(f"data row 148, field 3: {format(AngleGrid(24).node(3), '.17g') + chr(0)!r} "
                             "is not a number")),
             # Cut to the text field's width this reads as the node itself.
             _case("phi_wider_than_field",
-                  lambda x: _edit_row(x, 0, 3, 2, _f17(AngleGrid(24).node(3)) + "0" * 10 + "e5"),
-                  re.escape(f"cell (l=0, phi_index=3) has phi {_f17(AngleGrid(24).node(3) * 1e5)}, "
-                            f"not the grid node {_f17(AngleGrid(24).node(3))}") + "$"),
+                  lambda x: _edit_row(x, 0, 3, 2, f"{AngleGrid(24).node(3):.17g}" + "0" * 10 + "e5"),
+                  re.escape(f"cell (l=0, phi_index=3) has phi {AngleGrid(24).node(3) * 1e5:.17g}, "
+                            f"not the grid node {AngleGrid(24).node(3):.17g}") + "$"),
             _case("header_underscore_digits",
                   lambda x: [x[0], x[1].replace("pad=4", "pad=0_4")] + x[2:],
                   "^wigner CSV header pad='0_4' is not an integer$"),
@@ -1135,7 +1134,7 @@ class TestWignerFiles:
             # wider than the text field: read again from the line, not cut
             lambda lines: _edit_phi(lines, lambda phi: format(phi, ".40g")),
             lambda lines: _edit_phi(lines, lambda phi: format(phi, "+.17g")),
-            lambda lines: _edit_phi(lines, lambda phi: _f17(phi) + "000"),
+            lambda lines: _edit_phi(lines, lambda phi: format(phi, ".17g") + "000"),
         ],
         ids=["crlf", "empty_lines", "spaces_around_fields", "shuffled", "comment_line",
              "phi_13_digits", "phi_40_digits", "phi_plus_sign", "phi_trailing_zeros"],

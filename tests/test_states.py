@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -38,7 +39,8 @@ from cylwig import (
 )
 from cylwig import errors
 from cylwig.phasespace import default_angle_grid, default_pad, wigner_from_oam
-from cylwig.states import _digits8, _f17, _f17_bytes, _f17s, density_payload_to_json
+from cylwig.phasespace import _digits8, _f17_bytes, _f17s
+from cylwig.states import density_payload_to_json
 
 TWO_PI = 2 * np.pi
 
@@ -602,6 +604,29 @@ class TestStateFiles:
         with pytest.raises(ValueError, match=f"payload: l_min must be an integer, got {l_min}$"):
             read(text % l_min)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('{"format":"cylwig-state-v1","l_min":0,"coefficients":[[true,false]]}',
+             "coefficient 0 holds a JSON boolean: [true, false]"),
+            ('{"format":"cylwig-state-v1","l_min":0,"coefficients":[[0.6,0],[0,true]]}',
+             "coefficient 1 holds a JSON boolean: [0, true]"),
+            ('{"format":"cylwig-density-v1","l_min":0,"elements":[[[true,false]]]}',
+             "element (0, 0) holds a JSON boolean: [true, false]"),
+            ('{"format":"cylwig-density-v1","l_min":0,'
+             '"elements":[[[0.5,0],[0,0]],[[0,0],[false,0]]]}',
+             "element (1, 1) holds a JSON boolean: [false, 0]"),
+        ],
+        ids=["state-pair", "state-imaginary", "density-pair", "density-real"],
+    )
+    def test_boolean_number_rejected(self, text, where):
+        """``complex(True, False)`` is ``1+0j``: a JSON boolean among the
+        numbers is refused by type, naming the first such entry, and not read
+        as 1 or 0 (``True == 1``, so a test by value would miss it)."""
+        read = state_from_json if "state" in text else density_from_json
+        with pytest.raises(ValueError, match=re.escape(f"payload: {where}") + "$"):
+            read(text)
+
     def test_rejects_foreign_payload(self):
         with pytest.raises(ValueError, match="^text holds payload format 'other', "
                            "not cylwig-state-v1$"):
@@ -684,11 +709,11 @@ class TestPayloadBytes:
 
     def test_node_texts_match_per_node_format(self):
         """``_f17s``, which the grid writer and reader take the node texts
-        from, equals ``_f17`` per node for every grid from 4 to 516 angles."""
+        from, equals ``format(x, ".17g")`` per node for every grid from 4 to 516 angles."""
         assert _f17s(np.array([])) == []
         for n_phi in range(4, 517, 2):
             nodes = AngleGrid(n_phi).nodes
-            assert _f17s(nodes) == [_f17(x) for x in nodes], n_phi
+            assert _f17s(nodes) == [format(x, ".17g") for x in nodes], n_phi
 
 
 def _around(x: np.ndarray, ulps: int) -> np.ndarray:

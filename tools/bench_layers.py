@@ -18,10 +18,11 @@ and ``density_payload_to_json`` formats the random state's density matrix as
 to 13 significant digits, so that no row's ``phi`` is its node's own text
 and the reader converts every row's ``phi`` to a number to check it.
 The ``cli.*`` cases time whole commands end to end: ``check`` of the random
-state, ``reconstruct`` (least squares) of its grid and the self-star
-``star`` of that grid, each run in-process through the click entry point, as
-``bench/harness.py`` runs its jobs, on input files written to the temporary
-directory and with its output written there.
+state, ``wigner`` of it (by the OAM path), ``reconstruct`` (least squares)
+of its grid and the self-star ``star`` of that grid, each run in-process
+through the click entry point, as ``bench/harness.py`` runs its jobs, on
+input files written to the temporary directory and with its output written
+there.
 
 Several source trees can be measured in one run; in every round of a case
 the trees take turns, in reversed order on every other round, so a slow
@@ -77,6 +78,7 @@ LAYERS = (
     "read_wigner",
     "read_wigner.lenient",
     "cli.check",
+    "cli.wigner",
     "cli.reconstruct",
     "cli.star",
 )
@@ -151,10 +153,10 @@ def _command(name: str, w, psi, W, tmp: str):
     from cylwig import cli
 
     out = os.path.join(tmp, "out")
-    if name == "check":
+    if name in ("check", "wigner"):
         src = os.path.join(tmp, "state.json")
         cw.write_state(psi, src)
-        args = ["check", src]
+        args = [name, src]
     else:
         src = os.path.join(tmp, "grid.csv")
         cw.write_wigner(W, src)

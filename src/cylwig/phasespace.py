@@ -451,15 +451,18 @@ class ReconstructionResult:
     ``matrix`` is Hermitian as built (element ``(m, n)`` is the conjugate of
     ``(n, m)``, the diagonal real) and trace-renormalized; ``residual`` is the
     max-abs mismatch of the forward map against the input grid; ``status``
-    is "warning" when the residual exceeds 1e-6 (expected for the literal
-    inverse at modest padding, whose odd elements carry O(1/P) error).
+    is "warning" when the residual exceeds ``RESIDUAL_WARNING`` (expected for
+    the literal inverse at modest padding, whose odd elements carry O(1/P)
+    error).
     """
 
     window: OamWindow
     matrix: np.ndarray = field(repr=False)
     residual: float
-    status: str
-    method: str
+
+    @property
+    def status(self) -> str:
+        return "warning" if self.residual > RESIDUAL_WARNING else "ok"
 
     def to_density(self) -> DensityMatrix:
         return DensityMatrix(self.window, self.matrix)
@@ -562,8 +565,7 @@ def reconstruct_density(
     matrix = _inverse(W, window, method)
     model = _wigner_of_operator(matrix, window, W.l_lo, W.l_hi, W.grid)
     residual = float(np.max(np.abs(model - W.values)))
-    status = "warning" if residual > RESIDUAL_WARNING else "ok"
-    return ReconstructionResult(window, matrix, residual, status, method)
+    return ReconstructionResult(window, matrix, residual)
 
 
 def star_product(
@@ -623,11 +625,11 @@ def star_product(
 # holds the grid, NaN until a cell is read, and one block.  loadtxt
 # reads l, phi_index and value as floats and keeps phi as text: phi only
 # names the node that phi_index already gives, so the node's own 17-digit
-# text, the one the writer prints, passes by a comparison of text.  Every
-# other phi text of a block is converted to a number in one call and
-# checked.  The value is then the one field per row whose conversion the
-# grid needs.  A block that does not parse is scanned again in Python to
-# name its first bad data row.
+# text, the one the writer prints, passes by a comparison of text.  A block
+# with any other phi is parsed once more for its phi column alone, and each
+# such row's number is checked.  The value is then the one field per row
+# whose conversion a written grid needs.  A block that does not parse is
+# scanned again in Python to name its first bad data row.
 
 # Lines per ``np.loadtxt`` call, blank and comment lines included.  The block
 # is held as a list of strings beside its parsed rows: at 4,096 lines the
@@ -636,8 +638,8 @@ def star_product(
 _READ_BLOCK = 1024
 
 # Characters of each phi field that loadtxt keeps.  A node's 17-digit text
-# has at most 23 ("-1.2246467991473532e-16"), so it never fills the field; a
-# field that does may have been cut, and is then read again from its line.
+# has at most 23 ("-1.2246467991473532e-16"), so a field cut to this width
+# never equals it, and its number is read whole from its line.
 _PHI_WIDTH = 24
 _ROW = np.dtype(
     [("l", float), ("phi_index", float), ("phi", f"U{_PHI_WIDTH}"), ("value", float)]
@@ -838,8 +840,9 @@ def read_wigner(path) -> WignerGrid:
       ``_``); ``l`` and ``phi_index`` are integers naming each cell of
       ``[l_lo, l_hi] x [0, n_phi)`` exactly once, and the value is finite;
     - ``phi`` is the node ``phi_index``: the node's own 17-digit text, which
-      ``write_wigner`` prints, passes as it stands; any other text must be a
-      number by the same rules within ``1e-12`` of the node.
+      ``write_wigner`` prints, passes as it stands; any other field, and every
+      field of a block that holds a NUL, must be a number by the same rules
+      within ``1e-12`` of the node.
 
     The grid is sized once, from the header and the file's size (a pipe,
     which has none, is refused): a header with ``l_hi < l_lo``, or whose
@@ -925,22 +928,15 @@ def _header_int(meta: dict, key: str) -> int:
     raise ValueError(f"wigner CSV header {key}={text!r} is not an integer")
 
 
-def _data_rows(block: list[str]):
-    """The data rows of ``block`` by ``np.loadtxt``'s rules: text from ``#``
-    on is dropped and empty lines are skipped (a line of spaces is a row)."""
-    for line in block:
-        text = line.split("#", 1)[0].rstrip("\n")
-        if text:
-            yield text
-
-
 def _malformed_row(block: list[str], offset: int) -> str:
     """One-line message naming the first data row of ``block`` that is not
-    four numbers, by ``np.loadtxt``'s rules (see :func:`_data_rows`), with
-    fields split on ``,``.  Data rows are counted from 1 over the whole
+    four numbers, with fields split on ``,``.  Data rows are those of
+    ``np.loadtxt``: text from ``#`` on is dropped and empty lines are skipped
+    (a line of spaces is a row).  They are counted from 1 over the whole
     file, after the ``offset`` rows of earlier blocks."""
     row = offset
-    for row, text in enumerate(_data_rows(block), offset + 1):
+    texts = (line.split("#", 1)[0].rstrip("\n") for line in block)
+    for row, text in enumerate(filter(None, texts), offset + 1):
         where, fields = f"malformed wigner CSV data row {row}", text.split(",")
         if len(fields) != 4:
             return f"{where}: expected 4 fields, got {len(fields)}"
@@ -962,27 +958,15 @@ def _is_number(field: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def _phi_fields(block: list[str]) -> list[str]:
-    """The whole ``phi`` field of each data row of a block that parsed."""
-    return [text.split(",")[2] for text in _data_rows(block)]
-
-
-def _phi_numbers(text: np.ndarray, rows: np.ndarray, block: list[str], offset: int):
-    """The ``phi`` of the parsed ``rows`` of ``block``, whose texts are
-    ``text``, read as ``np.loadtxt`` reads a number; a text that is not one
-    raises the block's malformed-row message."""
-    texts = text.tolist()
-    if (np.char.str_len(text) == _PHI_WIDTH).any():
-        fields = _phi_fields(block)  # a field that fills the width may be cut
-        texts = [fields[i] for i in rows.tolist()]
+def _phi_numbers(block: list[str], offset: int) -> np.ndarray:
+    """The ``phi`` of every data row of ``block``, read whole from its line
+    as ``np.loadtxt`` reads a number, in the order of the block's parsed
+    rows; a ``phi`` that is not a number raises the block's malformed-row
+    message."""
     try:
-        phis = np.loadtxt(texts, delimiter=",", comments=None, ndmin=1)
+        return np.loadtxt(block, delimiter=",", comments="#", usecols=2, ndmin=1)
     except ValueError:
-        phis = None
-    # loadtxt skips an empty text, which is not a number either
-    if phis is None or len(phis) < len(texts):
-        raise ValueError(_malformed_row(block, offset))
-    return phis
+        raise ValueError(_malformed_row(block, offset)) from None
 
 
 def _check_cells(
@@ -993,15 +977,11 @@ def _check_cells(
     scatter its values into the flat grid ``values``, whose cells not yet
     read hold NaN.
 
-    A ``phi`` equal to ``node_text[phi_index]`` names that node; any other
-    ``phi`` must be a number within 1e-12 of it.  The last entry of
-    ``node_text`` stands for every node past the others.
+    A ``phi`` equal to ``node_text[phi_index]`` names that node.  Every
+    other row is loose: its ``phi``, read whole from its line, must be a
+    number within 1e-12 of the node.  The last entry of ``node_text`` stands
+    for every node past the others.
     """
-    # numpy drops a text field's trailing NULs, which no number holds.  One
-    # join per block costs less than a test per line (15 against 55 us per
-    # 1,024 lines at +-16).
-    if "\0" in "".join(block) and not all(map(_is_number, _phi_fields(block))):
-        raise ValueError(_malformed_row(block, offset))
     n_phi = grid.n_phi
     ls, js, text, value = cells["l"], cells["phi_index"], cells["phi"], cells["value"]
     for bad, what in (
@@ -1012,17 +992,21 @@ def _check_cells(
     ):
         if bad.any():
             # a phi that is not a number makes the block malformed first
-            _phi_numbers(text, np.arange(len(text)), block, offset)
+            _phi_numbers(block, offset)
             k = int(np.argmax(bad))
             raise ValueError(
                 f"wigner CSV cell (l={ls[k]:.17g}, phi_index={js[k]:.17g}) "
                 + what.format(value[k])
             )
     js = js.astype(np.int64)
-    n_text = len(node_text) - 1
-    loose = np.flatnonzero(text != node_text[np.minimum(js, n_text)])
+    loose = np.flatnonzero(text != node_text[np.minimum(js, len(node_text) - 1)])
+    # numpy drops a text field's trailing NULs, which no number holds, so in
+    # a block that holds a NUL every row is loose.  One join per block costs
+    # less than a test per line (15 against 55 us per 1,024 lines at +-16).
+    if "\0" in "".join(block):
+        loose = np.arange(len(js))
     if len(loose):
-        phis = _phi_numbers(text[loose], loose, block, offset)
+        phis = _phi_numbers(block, offset)[loose]
     flat = (ls - l_lo).astype(np.int64) * n_phi + js
     # A cell repeats if an earlier block set it, or if a later row of this
     # block overwrites the row position scattered here.

@@ -435,8 +435,9 @@ def _payload(
     """The state or density in the JSON payload ``text``, built by its
     ``format``, which must be one of ``formats``.  Text that is not such a
     payload raises ValueError naming ``source``; a missing key, an ill-typed
-    field (a JSON boolean among the numbers included) or a number beyond
-    float range raises ValueError naming the format."""
+    field (a JSON boolean among the numbers included), a density row whose
+    length is not the number of rows, a number beyond float range or an
+    empty list raises ValueError naming the format."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -457,6 +458,13 @@ def _payload(
             values = np.array([complex(re, im) for re, im in rows[0]])
         else:
             rows = data["elements"]
+            # by length first: numpy's own refusal of a ragged list varies by version
+            for i, row in enumerate(rows):
+                if len(row) != len(rows):
+                    entries = "entry" if len(row) == 1 else "entries"
+                    raise ValueError(
+                        f"element row {i} holds {len(row)} {entries}, expected {len(rows)}"
+                    )
             values = np.array([[complex(re, im) for re, im in row] for row in rows])
         # complex() takes a JSON boolean as 0 or 1; a test by type, since True == 1
         for i, row in enumerate(rows):
@@ -468,6 +476,9 @@ def _payload(
         raise ValueError(f"{fmt} payload is missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed {fmt} payload: {exc}") from None
+    if not values.size:
+        key = "coefficients" if fmt == _STATE else "elements"
+        raise ValueError(f"{fmt} payload holds no {key}")
     window = OamWindow(l_min, l_min + len(values) - 1)
     return PureState(window, values) if fmt == _STATE else DensityMatrix(window, values)
 

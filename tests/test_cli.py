@@ -582,15 +582,30 @@ class TestMalformedInput:
                   ('{"format":"cylwig-wigner-v1","l_min":0}',
                    "{path} holds payload format 'cylwig-wigner-v1', "
                    "not cylwig-state-v1 or cylwig-density-v1"),
+                  ('{"format":"cylwig-density-v1","l_min":0,"elements":[[[1,0]],[[1,0],[0,0]]]}',
+                   "malformed cylwig-density-v1 payload: element row 0 holds 1 entry, "
+                   "expected 2"),
+                  ('{"format":"cylwig-density-v1","l_min":0,"elements":[[[1,0],[0,0]]]}',
+                   "malformed cylwig-density-v1 payload: element row 0 holds 2 entries, "
+                   "expected 1"),
+                  ('{"format":"cylwig-density-v1","l_min":0,"elements":[]}',
+                   "cylwig-density-v1 payload holds no elements"),
+                  ('{"format":"cylwig-state-v1","l_min":0,"coefficients":[]}',
+                   "cylwig-state-v1 payload holds no coefficients"),
               )),
         ],
         ids=["check-density", "check-not-json", "check-list", "check-foreign-format",
-             "wigner-not-json", "wigner-list", "wigner-foreign-format"],
+             "check-ragged-density", "check-non-square-density", "check-empty-density",
+             "check-empty-state", "wigner-not-json", "wigner-list", "wigner-foreign-format",
+             "wigner-ragged-density", "wigner-non-square-density", "wigner-empty-density",
+             "wigner-empty-state"],
     )
     def test_not_a_state_refused_exit_2(self, tmp_path, command, payload, message):
         """``check`` certifies a pure state: a density file, text that is not
         JSON, a JSON list or a foreign ``format`` is refused in one line, and
-        ``wigner`` words the last three alike; neither writes its output."""
+        ``wigner`` words the last three alike; neither writes its output.
+        Both refuse a ragged, non-square or empty payload in one line naming
+        the row or the key, before ``check`` asks whether it is a state."""
         path, out = tmp_path / "in.json", tmp_path / "out"
         path.write_text(payload + "\n")
         cp = run(command, str(path), "-o", str(out), check=False)

@@ -1032,6 +1032,8 @@ class TestWignerFiles:
                   "field 4: '\u0661' is not a number"),
             _case("non_numeric_phi", lambda x: _edit_row(x, 0, 3, 2, "abc"),
                   "field 3: 'abc' is not a number"),
+            _case("empty_phi", lambda x: _edit_row(x, 0, 3, 2, ""),
+                  "data row 148, field 3: '' is not a number"),
             _case("fractional_l", lambda x: _edit_row(x, 0, 3, 0, "1.5"),
                   r"\(l=1.5, phi_index=3\) has a non-integer index"),
             _case("fractional_phi_index", lambda x: _edit_row(x, 0, 3, 1, "1.5"),
@@ -1127,6 +1129,8 @@ class TestWignerFiles:
             lambda lines: lines[:2] + [" " + x.replace(",", " , ") + " " for x in lines[2:]],
             lambda lines: lines[:2] + list(np.random.default_rng(0).permutation(lines[2:])),
             lambda lines: lines[:2] + ["# a comment"] + lines[2:],
+            # a NUL in a block reads every phi of it from its line
+            lambda lines: lines[:12] + ["# note \0"] + lines[12:],
             lambda lines: lines[:2] + [
                 ",".join(p[:2] + [format(float(p[2]), ".13g"), p[3]])
                 for p in (x.split(",") for x in lines[2:])
@@ -1137,7 +1141,8 @@ class TestWignerFiles:
             lambda lines: _edit_phi(lines, lambda phi: format(phi, ".17g") + "000"),
         ],
         ids=["crlf", "empty_lines", "spaces_around_fields", "shuffled", "comment_line",
-             "phi_13_digits", "phi_40_digits", "phi_plus_sign", "phi_trailing_zeros"],
+             "nul_in_comment_line", "phi_13_digits", "phi_40_digits", "phi_plus_sign",
+             "phi_trailing_zeros"],
     )
     def test_lenient_csv_accepted(self, tmp_path, build):
         W, lines = _small_csv_lines()

@@ -627,6 +627,34 @@ class TestStateFiles:
         with pytest.raises(ValueError, match=re.escape(f"payload: {where}") + "$"):
             read(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"format":"cylwig-density-v1","l_min":0,"elements":[[[1,0]],[[1,0],[0,0]]]}',
+             "malformed cylwig-density-v1 payload: element row 0 holds 1 entry, expected 2"),
+            ('{"format":"cylwig-density-v1","l_min":0,"elements":[[[1,0],[0,0]],[[0,0]]]}',
+             "malformed cylwig-density-v1 payload: element row 1 holds 1 entry, expected 2"),
+            ('{"format":"cylwig-density-v1","l_min":0,"elements":[[[1,0],[0,0]]]}',
+             "malformed cylwig-density-v1 payload: element row 0 holds 2 entries, expected 1"),
+            ('{"format":"cylwig-density-v1","l_min":0,"elements":[[]]}',
+             "malformed cylwig-density-v1 payload: element row 0 holds 0 entries, expected 1"),
+            ('{"format":"cylwig-density-v1","l_min":0,"elements":[]}',
+             "cylwig-density-v1 payload holds no elements"),
+            ('{"format":"cylwig-state-v1","l_min":0,"coefficients":[]}',
+             "cylwig-state-v1 payload holds no coefficients"),
+        ],
+        ids=["density-ragged-first-row", "density-ragged-second-row", "density-not-square",
+             "density-empty-row", "density-empty", "state-empty"],
+    )
+    def test_misshapen_payload_rejected(self, text, message):
+        """A density row must hold one entry per row, checked before numpy
+        sees the list (whose own refusal of a ragged list differs across
+        versions), and neither payload may be empty."""
+        read = state_from_json if "state" in text else density_from_json
+        with pytest.raises(ValueError) as info:
+            read(text)
+        assert str(info.value) == message
+
     def test_rejects_foreign_payload(self):
         with pytest.raises(ValueError, match="^text holds payload format 'other', "
                            "not cylwig-state-v1$"):

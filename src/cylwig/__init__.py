@@ -25,13 +25,7 @@ from .errors import (
     ReconstructionError,
     TruncationError,
 )
-from .numerics import (
-    AngleGrid,
-    PeriodicSamples,
-    bessel_i0,
-    circle_quadrature,
-    theta3,
-)
+from .numerics import AngleGrid, bessel_i0, theta3
 from .phasespace import (
     ReconstructionResult,
     WignerGrid,

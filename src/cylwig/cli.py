@@ -81,9 +81,12 @@ def _apply_transform(psi: states.PureState, expr: str) -> states.PureState:
             raise ValueError(f"--apply displace needs 'displace=LD,PHID', got {expr!r}")
         return states.displace(psi, int(fields[0]), float(fields[1]))
     if name == "phase":
-        coeffs = [float(c) for c in arg.split(",") if c != ""]
-        if not coeffs:
+        fields = arg.split(",")
+        if not any(fields):
             raise ValueError(f"--apply phase needs 'phase=C0,C1,...', got {expr!r}")
+        if "" in fields:  # a dropped field would shift every later degree
+            raise ValueError(f"--apply phase field {fields.index('') + 1} of {expr!r} is empty")
+        coeffs = [float(c) for c in fields]
 
         def poly(l: int) -> float:
             try:

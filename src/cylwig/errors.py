@@ -27,10 +27,6 @@ class BandLimitError(CylwigError):
 class ReconstructionError(CylwigError):
     """The stored grid does not resolve the density-matrix recovery."""
 
-    def __init__(self, message, deficient_directions=None):
-        super().__init__(message)
-        self.deficient_directions = deficient_directions or []
-
 
 class RealnessError(CylwigError):
     """A grid that must be real carries a too-large imaginary part."""

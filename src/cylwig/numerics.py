@@ -1,15 +1,15 @@
-"""Uniform angle grids and the rectangle rule on them, plus the two special
-functions the toolkit needs (third Jacobi theta, modified Bessel I0).
+"""Uniform angle grids, plus the two special functions the toolkit needs
+(third Jacobi theta, modified Bessel I0).
 
 Everything here works on 2*pi-periodic data sampled on uniform nodes
-``phi_j = -pi + 2*pi*j/n_phi``.  The rectangle rule on such nodes integrates
-trigonometric polynomials of degree < n_phi exactly, which is the only kind
-of integrand the rest of the package produces.
+``phi_j = -pi + 2*pi*j/n_phi``.  The rectangle rule on them,
+``grid.spacing * f(grid.nodes).sum()``, integrates trigonometric polynomials
+of degree < n_phi exactly: the only integrands the package produces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +20,6 @@ SERIES_TOL = 1e-16
 __all__ = [
     "TWO_PI",
     "AngleGrid",
-    "PeriodicSamples",
-    "circle_quadrature",
     "theta3",
     "bessel_i0",
 ]
@@ -55,32 +53,6 @@ class AngleGrid:
 
     def node(self, j: int) -> float:
         return -np.pi + TWO_PI * j / self.n_phi
-
-
-@dataclass(frozen=True)
-class PeriodicSamples:
-    """Complex samples of a 2*pi-periodic function on an :class:`AngleGrid`."""
-
-    grid: AngleGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.grid.n_phi,):
-            raise ValueError(
-                f"expected {self.grid.n_phi} samples, got shape {values.shape}"
-            )
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
-def circle_quadrature(samples: PeriodicSamples) -> complex:
-    """Integrate over the 2*pi interval by the rectangle rule.
-
-    Exact for trigonometric polynomials of degree < ``n_phi``.
-    """
-    return samples.grid.spacing * complex(samples.values.sum())
 
 
 def theta3(z: float, q: float) -> float:

@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import TruncationError, _check_budget
-from .numerics import TWO_PI, AngleGrid, PeriodicSamples
+from .numerics import TWO_PI, AngleGrid
 
 __all__ = [
     "OamWindow",
@@ -214,9 +214,9 @@ def coherent_state(
             f"phi0={phi0} makes the phase l*phi0 non-finite on window "
             f"[{window.l_min}, {window.l_max}]"
         )
-    # Tail mass over the excluded lattice points, summed far enough out that
-    # the remainder is irrelevant at the 1e-12 threshold.
-    reach = int(np.ceil(8 * sigma + abs(l0) + window.span)) + 8
+    # Tail mass over the excluded lattice points of a probe centred on l0,
+    # whose reach drops only terms below e^-64, irrelevant at 1e-12.
+    reach = int(np.ceil(8 * sigma + window.span)) + 8
     # window-sized weights and complex factors; the probe lattice, its mask
     # and the Gaussian over its excluded points
     _check_budget("coherent state", 9 * window.size + 4 * (2 * reach + 1))
@@ -374,14 +374,14 @@ def angle_wavefunction_at(state: PureState, phi) -> np.ndarray:
     return (np.exp(1j * phi[..., None] * ls) @ state.coefficients) / np.sqrt(TWO_PI)
 
 
-def angle_wavefunction(state: PureState, grid: AngleGrid) -> PeriodicSamples:
-    """Wavefunction samples on a grid fine enough to be alias-free."""
+def angle_wavefunction(state: PureState, grid: AngleGrid) -> np.ndarray:
+    """Complex wavefunction samples at the nodes of an alias-free grid."""
     if grid.n_phi <= 2 * state.window.size:
         raise ValueError(
             f"n_phi={grid.n_phi} aliases a window of size {state.window.size}; "
             f"need n_phi > {2 * state.window.size}"
         )
-    return PeriodicSamples(grid, angle_wavefunction_at(state, grid.nodes))
+    return angle_wavefunction_at(state, grid.nodes)
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
@@ -427,6 +427,39 @@ def density_to_json(rho: DensityMatrix) -> str:
 
 _STATE = "cylwig-state-v1"
 _DENSITY = "cylwig-density-v1"
+_JSON_TYPE = {dict: "object", list: "list", str: "string", bool: "boolean",
+              int: "number", float: "number", type(None): "null"}
+_NUMBER = {int, float}
+
+
+def _entries(value, what: str, expected: int | None = None) -> list:
+    """``value`` if it is a JSON list, of ``expected`` entries when given;
+    otherwise a ValueError naming ``what`` and the type or the length."""
+    if type(value) is not list:
+        raise ValueError(f"{what} is a JSON {_JSON_TYPE[type(value)]}, not a list")
+    if expected is not None and len(value) != expected:
+        entries = "entry" if len(value) == 1 else "entries"
+        raise ValueError(f"{what} holds {len(value)} {entries}, expected {expected}")
+    return value
+
+
+def _numbers(row: list, where: str) -> list[complex]:
+    """The complex numbers of a JSON list of ``[re, im]`` pairs, read in one
+    pass; the first entry that is not a list of two JSON numbers raises a
+    ValueError naming it, as ``where.format(j)``, with its type or length."""
+    try:
+        out = [complex(re, im) for re, im in row
+               if type(re) in _NUMBER and type(im) in _NUMBER]
+        if len(out) == len(row):
+            return out
+    except (TypeError, ValueError):  # a pair that does not unpack into two
+        pass
+    for j, pair in enumerate(row):
+        # complex() takes a JSON boolean as 0 or 1: a test by type, since True == 1
+        bad = [type(x) for x in _entries(pair, where.format(j), 2) if type(x) not in _NUMBER]
+        if bad:
+            name = _JSON_TYPE[bad[0]]
+            raise ValueError(f"{where.format(j)} holds a JSON {name}: {json.dumps(pair)}")
 
 
 def _payload(
@@ -434,50 +467,41 @@ def _payload(
 ) -> PureState | DensityMatrix:
     """The state or density in the JSON payload ``text``, built by its
     ``format``, which must be one of ``formats``.  Text that is not such a
-    payload raises ValueError naming ``source``; a missing key, an ill-typed
-    field (a JSON boolean among the numbers included), a density row whose
-    length is not the number of rows, a number beyond float range or an
-    empty list raises ValueError naming the format."""
+    payload raises ValueError naming ``source``.  A missing key, a list that
+    is not a JSON list (``coefficients``, ``elements`` or a density row), a
+    pair that is not a list of two JSON numbers (a boolean included), a
+    density row whose length is not the number of rows, a number beyond
+    float range or an empty list raises ValueError naming the format."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{source} is not a JSON payload ({exc})") from None
     if not isinstance(data, dict):
-        raise ValueError(f"{source} holds a JSON {type(data).__name__}, not a payload")
+        raise ValueError(f"{source} holds a JSON {_JSON_TYPE[type(data)]}, not a payload")
     fmt = data.get("format")
     if fmt not in formats:
         expected = " or ".join(formats)
         raise ValueError(f"{source} holds payload format {fmt!r}, not {expected}")
+    key = "coefficients" if fmt == _STATE else "elements"
     try:
         l_min = data["l_min"]
         # a JSON integer: a bool, a float or a string is refused, not converted
         if type(l_min) is not int:
             raise ValueError(f"l_min must be an integer, got {json.dumps(l_min)}")
+        rows = _entries(data[key], key)
         if fmt == _STATE:
-            rows = [data["coefficients"]]
-            values = np.array([complex(re, im) for re, im in rows[0]])
+            values = np.array(_numbers(rows, "coefficient {}"))
         else:
-            rows = data["elements"]
             # by length first: numpy's own refusal of a ragged list varies by version
-            for i, row in enumerate(rows):
-                if len(row) != len(rows):
-                    entries = "entry" if len(row) == 1 else "entries"
-                    raise ValueError(
-                        f"element row {i} holds {len(row)} {entries}, expected {len(rows)}"
-                    )
-            values = np.array([[complex(re, im) for re, im in row] for row in rows])
-        # complex() takes a JSON boolean as 0 or 1; a test by type, since True == 1
-        for i, row in enumerate(rows):
-            for j, (re, im) in enumerate(row):
-                if type(re) is bool or type(im) is bool:
-                    where = f"coefficient {j}" if fmt == _STATE else f"element ({i}, {j})"
-                    raise ValueError(f"{where} holds a JSON boolean: {json.dumps([re, im])}")
+            values = np.array([
+                _numbers(_entries(row, f"element row {i}", len(rows)), f"element ({i}, {{}})")
+                for i, row in enumerate(rows)
+            ])
     except KeyError as exc:
         raise ValueError(f"{fmt} payload is missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"malformed {fmt} payload: {exc}") from None
     if not values.size:
-        key = "coefficients" if fmt == _STATE else "elements"
         raise ValueError(f"{fmt} payload holds no {key}")
     window = OamWindow(l_min, l_min + len(values) - 1)
     return PureState(window, values) if fmt == _STATE else DensityMatrix(window, values)

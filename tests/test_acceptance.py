@@ -100,8 +100,8 @@ def test_criterion_3_marginals():
     for name, psi, kappa in cases:
         rho = to_density(psi)
         W = wigner_from_oam(rho, 32, grid)
-        density = np.abs(angle_wavefunction(psi, grid).values) ** 2
-        marg = marginal_angle(W).values.real + angle_marginal_tail(rho, W)
+        density = np.abs(angle_wavefunction(psi, grid)) ** 2
+        marg = marginal_angle(W) + angle_marginal_tail(rho, W)
         angle_worst = max(angle_worst, float(np.max(np.abs(marg - density))))
         pops = marginal_oam(W)
         ls = W.rows()

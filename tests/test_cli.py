@@ -82,6 +82,15 @@ class TestStateCommand:
         cp = run("state", "--kind", "eigen", "--l0", "0", "--window", "oops", check=False)
         assert cp.returncode == 2
 
+    def test_coherent_far_from_zero(self, tmp_path):
+        """The coherent state's tail probe is sized by ``sigma`` and the
+        window, not by ``|l0|``, so a state about ``l0 = 10**9`` builds."""
+        out = tmp_path / "c.json"
+        cp = run("state", "--kind", "coherent", "--l0", "1000000000",
+                 "--window", "999999992:1000000008", "-o", str(out), check=False)
+        assert cp.returncode == 0 and cp.stderr == ""
+        assert state_from_json(out.read_text()).window.l_min == 999999992
+
     def test_truncation_exit_3(self):
         cp = run("state", "--kind", "coherent", "--l0", "0", "--window", "-2:2", check=False)
         assert cp.returncode == 3
@@ -96,8 +105,12 @@ class TestRefusedFlags:
         (["--apply", "displace=1"], "--apply displace needs 'displace=LD,PHID', "
          "got 'displace=1'"),
         (["--apply", "phase="], "--apply phase needs 'phase=C0,C1,...', got 'phase='"),
+        (["--apply", "phase=,0.5"], "--apply phase field 1 of 'phase=,0.5' is empty"),
+        (["--apply", "phase=0,,1"], "--apply phase field 2 of 'phase=0,,1' is empty"),
+        (["--apply", "phase=0,1,"], "--apply phase field 3 of 'phase=0,1,' is empty"),
         (["--apply", "bogus"], "unknown --apply transform 'bogus'"),
-    ], ids=["displace-fields", "phase-empty", "bogus"])
+    ], ids=["displace-fields", "phase-empty", "phase-leading-comma",
+            "phase-interior-comma", "phase-trailing-comma", "bogus"])
     def test_state_apply_exit_2(self, tmp_path, args, message):
         out = tmp_path / "s.json"
         cp = run("state", "--kind", "eigen", "--window", "-8:8", *args, "-o", str(out),
@@ -553,6 +566,38 @@ class TestMalformedInput:
         assert cp.returncode == 2
         assert cp.stdout == "" and not out.exists()
         assert cp.stderr == f"error: malformed {where} holds a JSON boolean: [true, false]\n"
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("check", '{"format":"cylwig-state-v1","l_min":0,"coefficients":{}}',
+             "malformed cylwig-state-v1 payload: coefficients is a JSON object, not a list"),
+            ("wigner", '{"format":"cylwig-state-v1","l_min":0,"coefficients":[[1,0,0]]}',
+             "malformed cylwig-state-v1 payload: coefficient 0 holds 3 entries, expected 2"),
+            ("check", '{"format":"cylwig-state-v1","l_min":0,"coefficients":[["1",0]]}',
+             'malformed cylwig-state-v1 payload: coefficient 0 holds a JSON string: ["1", 0]'),
+            ("wigner", '{"format":"cylwig-density-v1","l_min":0,"elements":"ab"}',
+             "malformed cylwig-density-v1 payload: elements is a JSON string, not a list"),
+            ("wigner", '{"format":"cylwig-density-v1","l_min":0,"elements":[{"ab":[1,2]}]}',
+             "malformed cylwig-density-v1 payload: element row 0 is a JSON object, not a list"),
+            ("wigner", '{"format":"cylwig-density-v1","l_min":0,"elements":[[1]]}',
+             "malformed cylwig-density-v1 payload: element (0, 0) is a JSON number, not a list"),
+            ("check", '"state"', "{path} holds a JSON string, not a payload"),
+        ],
+        ids=["check-coefficients-object", "wigner-coefficient-triple",
+             "check-coefficient-string", "wigner-elements-string", "wigner-row-object",
+             "wigner-element-number", "check-string"],
+    )
+    def test_ill_typed_payload_exit_2(self, tmp_path, command, payload, message):
+        """A payload list, density row or pair of the wrong JSON type or
+        length exits 2 in one line naming it and its type; nothing is
+        written."""
+        path, out = tmp_path / "bad.json", tmp_path / "out"
+        path.write_text(payload + "\n")
+        cp = run(command, str(path), "-o", str(out), check=False)
+        assert cp.returncode == 2
+        assert cp.stdout == "" and not out.exists()
+        assert cp.stderr == "error: " + message.format(path=path) + "\n"
 
     @pytest.mark.parametrize("text", ["# format=cylwig-wigner-v1\n0,0,-3.14,0.25\n",
                                       '{"format":"cylwig-state-v1","l_min":0,'],

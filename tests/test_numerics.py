@@ -5,20 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import iv
 
-from cylwig import (
-    AngleGrid,
-    PeriodicSamples,
-    bessel_i0,
-    circle_quadrature,
-    theta3,
-)
+from cylwig import AngleGrid, bessel_i0, theta3
 
 TWO_PI = 2 * np.pi
 
 
-def sampled(fn, n_phi):
+def rectangle_rule(fn, n_phi):
+    """``spacing * sum`` of ``fn`` over the nodes of ``AngleGrid(n_phi)``."""
     grid = AngleGrid(n_phi)
-    return PeriodicSamples(grid, fn(grid.nodes))
+    return grid.spacing * fn(grid.nodes).sum()
 
 
 class TestAngleGrid:
@@ -32,29 +27,23 @@ class TestAngleGrid:
         with pytest.raises(ValueError):
             AngleGrid(n)
 
-    def test_samples_length_checked(self):
-        with pytest.raises(ValueError):
-            PeriodicSamples(AngleGrid(8), np.zeros(7))
-
 
 class TestCircleQuadrature:
     def test_constant(self):
-        s = sampled(lambda p: np.ones_like(p, dtype=complex), 8)
-        assert_allclose(circle_quadrature(s), TWO_PI, rtol=0, atol=1e-14)
+        total = rectangle_rule(lambda p: np.ones_like(p, dtype=complex), 8)
+        assert_allclose(total, TWO_PI, rtol=0, atol=1e-14)
 
     def test_pure_harmonic_vanishes(self):
-        s = sampled(lambda p: np.exp(1j * p), 8)
-        assert abs(circle_quadrature(s)) < 1e-14
+        assert abs(rectangle_rule(lambda p: np.exp(1j * p), 8)) < 1e-14
 
     def test_cos_squared(self):
         # analytic: integral of cos^2 over 2 pi is pi; rule exact at degree 2
-        s = sampled(lambda p: np.cos(p) ** 2 + 0j, 8)
-        assert_allclose(circle_quadrature(s), np.pi, rtol=0, atol=1e-14)
+        total = rectangle_rule(lambda p: np.cos(p) ** 2 + 0j, 8)
+        assert_allclose(total, np.pi, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("k", range(1, 16))
     def test_exactness_all_harmonics(self, k):
-        s = sampled(lambda p: np.exp(1j * k * p), 16)
-        assert abs(circle_quadrature(s)) < 1e-14
+        assert abs(rectangle_rule(lambda p: np.exp(1j * k * p), 16)) < 1e-14
 
 
 class TestTheta3:

@@ -18,7 +18,6 @@ from cylwig import (
     angle_wavefunction,
     angle_wavefunction_at,
     apply_phase_function,
-    circle_quadrature,
     coherent_state,
     density_from_json,
     density_to_json,
@@ -114,6 +113,15 @@ class TestCoherent:
             abs(psi.coefficient(0)), theta3(0.0, np.exp(-1.0)) ** -0.5, atol=1e-14
         )
 
+    def test_far_centre_matches_centre_zero(self):
+        """The tail probe is centred on ``l0`` and sized by ``sigma`` and the
+        span only: a state about ``l0 = 10**9`` builds, with the bits of the
+        same state about 0."""
+        far = coherent_state(10**9, 0.0, 1.0, OamWindow(10**9 - 8, 10**9 + 8))
+        near = coherent_state(0, 0.0, 1.0, OamWindow(-8, 8))
+        assert np.array_equal(far.coefficients.view(np.uint64),
+                              near.coefficients.view(np.uint64))
+
     def test_narrow_sigma_is_eigenstate(self):
         w = OamWindow(-8, 8)
         psi = coherent_state(2, 0.0, 0.05, w)
@@ -123,7 +131,7 @@ class TestCoherent:
     def test_angle_density_peaks_at_phi0(self):
         psi = coherent_state(2, np.pi / 2, 1.0, OamWindow(-16, 16))
         grid = AngleGrid(256)
-        density = np.abs(angle_wavefunction(psi, grid).values) ** 2
+        density = np.abs(angle_wavefunction(psi, grid)) ** 2
         peak = grid.nodes[int(np.argmax(density))]
         assert abs(peak - np.pi / 2) <= grid.spacing
 
@@ -188,11 +196,8 @@ class TestVonMises:
         # |Psi|^2 = exp(2 kappa cos phi) / (2 pi I0(2 kappa)) integrates to 1
         psi = von_mises_state(2.0, OamWindow(-16, 16))
         grid = AngleGrid(128)
-        samples = angle_wavefunction(psi, grid)
-        norm = circle_quadrature(
-            type(samples)(grid, np.abs(samples.values) ** 2 + 0j)
-        )
-        assert_allclose(norm.real, 1.0, atol=1e-13)
+        norm = grid.spacing * (np.abs(angle_wavefunction(psi, grid)) ** 2).sum()
+        assert_allclose(norm, 1.0, atol=1e-13)
 
     def test_coefficient_ratios_match_bessel(self):
         psi = von_mises_state(1.0, OamWindow(-16, 16))
@@ -213,7 +218,7 @@ class TestVonMises:
         kappa = 2.0
         psi = von_mises_state(kappa, OamWindow(-16, 16))
         grid = AngleGrid(128)
-        density = np.abs(angle_wavefunction(psi, grid).values) ** 2
+        density = np.abs(angle_wavefunction(psi, grid)) ** 2
         want = np.exp(2 * kappa * np.cos(grid.nodes)) / (TWO_PI * iv(0, 2 * kappa))
         assert np.max(np.abs(density - want)) < 1e-10
 
@@ -521,7 +526,7 @@ class TestDensity:
 class TestAngleWavefunction:
     def test_eigenstate_flat_modulus(self):
         psi = oam_eigenstate(3, OamWindow(-4, 4))
-        vals = angle_wavefunction(psi, AngleGrid(32)).values
+        vals = angle_wavefunction(psi, AngleGrid(32))
         assert_allclose(np.abs(vals), 1 / np.sqrt(TWO_PI), atol=1e-14)
 
     def test_two_term_superposition_density(self):
@@ -529,18 +534,15 @@ class TestAngleWavefunction:
         plus = PureState(w, (oam_eigenstate(0, w).coefficients
                              + oam_eigenstate(1, w).coefficients) / np.sqrt(2))
         grid = AngleGrid(32)
-        density = np.abs(angle_wavefunction(plus, grid).values) ** 2
+        density = np.abs(angle_wavefunction(plus, grid)) ** 2
         want = (1 + np.cos(grid.nodes)) / TWO_PI
         assert_allclose(density, want, atol=1e-14)
 
     def test_parseval(self):
         psi = random_pure_state(OamWindow(-6, 6), 2)
         grid = AngleGrid(64)
-        samples = angle_wavefunction(psi, grid)
-        total = circle_quadrature(
-            type(samples)(grid, np.abs(samples.values) ** 2 + 0j)
-        )
-        assert abs(total.real - 1.0) < 1e-13
+        total = grid.spacing * (np.abs(angle_wavefunction(psi, grid)) ** 2).sum()
+        assert abs(total - 1.0) < 1e-13
 
     def test_alias_precondition(self):
         psi = random_pure_state(OamWindow(-6, 6), 2)
@@ -550,7 +552,7 @@ class TestAngleWavefunction:
     def test_arbitrary_angle_matches_nodes(self):
         psi = random_pure_state(OamWindow(-5, 5), 8)
         grid = AngleGrid(64)
-        by_grid = angle_wavefunction(psi, grid).values
+        by_grid = angle_wavefunction(psi, grid)
         by_point = angle_wavefunction_at(psi, grid.nodes)
         assert np.array_equal(by_grid, by_point)
 
@@ -654,6 +656,70 @@ class TestStateFiles:
         with pytest.raises(ValueError) as info:
             read(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"format":"cylwig-state-v1","l_min":0,"coefficients":{}}',
+             "coefficients is a JSON object, not a list"),
+            ('{"format":"cylwig-state-v1","l_min":0,"coefficients":"ab"}',
+             "coefficients is a JSON string, not a list"),
+            ('{"format":"cylwig-state-v1","l_min":0,"coefficients":null}',
+             "coefficients is a JSON null, not a list"),
+            ('{"format":"cylwig-state-v1","l_min":0,"coefficients":[[0.6,0],1.0]}',
+             "coefficient 1 is a JSON number, not a list"),
+            ('{"format":"cylwig-state-v1","l_min":0,"coefficients":["ab"]}',
+             "coefficient 0 is a JSON string, not a list"),
+            ('{"format":"cylwig-state-v1","l_min":0,"coefficients":[[1,0,0]]}',
+             "coefficient 0 holds 3 entries, expected 2"),
+            ('{"format":"cylwig-state-v1","l_min":0,"coefficients":[[1]]}',
+             "coefficient 0 holds 1 entry, expected 2"),
+            ('{"format":"cylwig-state-v1","l_min":0,"coefficients":[["1",0]]}',
+             'coefficient 0 holds a JSON string: ["1", 0]'),
+            ('{"format":"cylwig-state-v1","l_min":0,"coefficients":[[1,null]]}',
+             "coefficient 0 holds a JSON null: [1, null]"),
+            ('{"format":"cylwig-state-v1","l_min":0,"coefficients":[[1,[0]]]}',
+             "coefficient 0 holds a JSON list: [1, [0]]"),
+            ('{"format":"cylwig-density-v1","l_min":0,"elements":"ab"}',
+             "elements is a JSON string, not a list"),
+            ('{"format":"cylwig-density-v1","l_min":0,"elements":{"ab":[1,2]}}',
+             "elements is a JSON object, not a list"),
+            ('{"format":"cylwig-density-v1","l_min":0,"elements":[{"a":1}]}',
+             "element row 0 is a JSON object, not a list"),
+            ('{"format":"cylwig-density-v1","l_min":0,"elements":[[[1,0],[0,0]],"ab"]}',
+             "element row 1 is a JSON string, not a list"),
+            ('{"format":"cylwig-density-v1","l_min":0,"elements":[[[1,0],[0,0]],[[0,0],"x"]]}',
+             "element (1, 1) is a JSON string, not a list"),
+            ('{"format":"cylwig-density-v1","l_min":0,"elements":[[{"re":1,"im":0}]]}',
+             "element (0, 0) is a JSON object, not a list"),
+            ('{"format":"cylwig-density-v1","l_min":0,"elements":[[[1,{}]]]}',
+             "element (0, 0) holds a JSON object: [1, {}]"),
+        ],
+        ids=["state-object", "state-string", "state-null", "state-number-pair",
+             "state-string-pair", "state-triple", "state-single", "state-string-entry",
+             "state-null-entry", "state-list-entry", "density-string", "density-object",
+             "density-object-row", "density-string-row", "density-string-pair",
+             "density-object-pair", "density-object-entry"],
+    )
+    def test_ill_typed_payload_rejected(self, text, message):
+        """``coefficients``, ``elements`` and each density row must be JSON
+        lists and each pair a list of two JSON numbers; the first entry that
+        is not is named with its JSON type (or its length) in one line,
+        where a string or an object would otherwise pass as a list."""
+        read = state_from_json if "state" in text else density_from_json
+        fmt = "cylwig-state-v1" if "state" in text else "cylwig-density-v1"
+        with pytest.raises(ValueError) as info:
+            read(text)
+        assert str(info.value) == f"malformed {fmt} payload: {message}"
+
+    @pytest.mark.parametrize("text, name", [
+        ('"state"', "string"), ("3", "number"), ("2.5", "number"), ("null", "null"),
+        ("true", "boolean"), ("[1, 2]", "list"),
+    ])
+    def test_non_object_payload_named_by_json_type(self, text, name):
+        with pytest.raises(ValueError) as info:
+            state_from_json(text)
+        assert str(info.value) == f"text holds a JSON {name}, not a payload"
 
     def test_rejects_foreign_payload(self):
         with pytest.raises(ValueError, match="^text holds payload format 'other', "

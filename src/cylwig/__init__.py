@@ -25,7 +25,6 @@ from .errors import (
     ReconstructionError,
     TruncationError,
 )
-from .numerics import AngleGrid, bessel_i0, theta3
 from .phasespace import (
     ReconstructionResult,
     WignerGrid,
@@ -44,6 +43,7 @@ from .phasespace import (
     write_wigner,
 )
 from .states import (
+    AngleGrid,
     DensityMatrix,
     OamWindow,
     PureState,

@@ -24,14 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import _check_budget
-from .numerics import AngleGrid
 from .phasespace import (
     WignerGrid,
     default_angle_grid,
     default_pad,
     wigner_from_oam,
 )
-from .states import PureState, displace
+from .states import AngleGrid, PureState, displace
 
 __all__ = [
     "NegativityReport",

@@ -19,16 +19,28 @@ import numpy as np
 
 from . import analysis, phasespace, states
 from .errors import CylwigError
-from .numerics import AngleGrid
 
 __all__ = ["cli", "main"]
+
+
+def _numeric_fields(kinds, fields: list[str], flag: str, text: str) -> list:
+    """``fields`` of the ``flag`` value ``text``, each read by its type in
+    ``kinds`` (int or float); the first that does not read is named."""
+    out = []
+    for i, (kind, f) in enumerate(zip(kinds, fields), 1):
+        try:
+            out.append(kind(f))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{flag} field {i} of {text!r} is not {what}: {f!r}") from None
+    return out
 
 
 def _parse_window(text: str) -> states.OamWindow:
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"window must look like 'a:b', got {text!r}")
-    return states.OamWindow(int(parts[0]), int(parts[1]))
+    return states.OamWindow(*_numeric_fields((int, int), parts, "--window", text))
 
 
 def _warn(line: str) -> None:
@@ -79,14 +91,15 @@ def _apply_transform(psi: states.PureState, expr: str) -> states.PureState:
         fields = arg.split(",")
         if len(fields) != 2:
             raise ValueError(f"--apply displace needs 'displace=LD,PHID', got {expr!r}")
-        return states.displace(psi, int(fields[0]), float(fields[1]))
+        ld, phid = _numeric_fields((int, float), fields, "--apply displace", expr)
+        return states.displace(psi, ld, phid)
     if name == "phase":
         fields = arg.split(",")
         if not any(fields):
             raise ValueError(f"--apply phase needs 'phase=C0,C1,...', got {expr!r}")
         if "" in fields:  # a dropped field would shift every later degree
             raise ValueError(f"--apply phase field {fields.index('') + 1} of {expr!r} is empty")
-        coeffs = [float(c) for c in fields]
+        coeffs = _numeric_fields([float] * len(fields), fields, "--apply phase", expr)
 
         def poly(l: int) -> float:
             try:
@@ -146,7 +159,7 @@ def wigner(input_file, nphi, pad, method, output):
     """Transform a state/density file into a Wigner grid (CSV)."""
     source = states.read_payload(input_file)
     window = source.window
-    grid = AngleGrid(nphi) if nphi is not None else phasespace.default_angle_grid(window)
+    grid = states.AngleGrid(nphi) if nphi is not None else phasespace.default_angle_grid(window)
     l_pad = pad if pad is not None else phasespace.default_pad(window)
     if method == "angle" and not isinstance(source, states.PureState):
         raise ValueError("--method angle requires a pure-state input")
@@ -286,7 +299,7 @@ def render(grid_file, output, range_str):
         parts = range_str.split(":")
         if len(parts) != 2:
             raise ValueError(f"--range must be 'auto' or 'MIN:MAX', got {range_str!r}")
-        w_min, w_max = float(parts[0]), float(parts[1])
+        w_min, w_max = _numeric_fields((float, float), parts, "--range", range_str)
         if not np.isfinite([w_min, w_max]).all() or w_min > w_max:
             raise ValueError(
                 f"--range MIN:MAX needs finite MIN <= MAX, got {range_str!r}"

@@ -101,8 +101,7 @@ from .errors import (
     ReconstructionError,
     _check_budget,
 )
-from .numerics import TWO_PI, AngleGrid
-from .states import DensityMatrix, OamWindow, PureState
+from .states import TWO_PI, AngleGrid, DensityMatrix, OamWindow, PureState
 
 __all__ = [
     "WignerGrid",

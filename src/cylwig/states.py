@@ -1,5 +1,6 @@
-"""Truncated OAM states on the cylinder and the group operations acting on
-them: ladder shifts, rotations, displacements, and phase functions of L.
+"""The two axes of the cylinder (an OAM window and a uniform angle grid),
+truncated OAM states on it and the group operations acting on them: ladder
+shifts, rotations, displacements, and phase functions of L.
 
 Conventions
 -----------
@@ -24,10 +25,11 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import TruncationError, _check_budget
-from .numerics import TWO_PI, AngleGrid
 
 __all__ = [
+    "TWO_PI",
     "OamWindow",
+    "AngleGrid",
     "PureState",
     "DensityMatrix",
     "oam_eigenstate",
@@ -57,6 +59,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 TAIL_TOL = 1e-12
+TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,39 @@ class OamWindow:
 
     def union(self, other: "OamWindow") -> "OamWindow":
         return OamWindow(min(self.l_min, other.l_min), max(self.l_max, other.l_max))
+
+
+@dataclass(frozen=True)
+class AngleGrid:
+    """Uniform grid of ``n_phi`` nodes ``phi_j = -pi + 2*pi*j/n_phi``.
+
+    ``n_phi`` must be even and at least 4 so that half-angle shifts map one
+    uniform grid onto another.  The rectangle rule on these nodes,
+    ``grid.spacing * f(grid.nodes).sum()``, integrates trigonometric
+    polynomials of degree < n_phi exactly: the only integrands the package
+    produces.
+    """
+
+    n_phi: int
+
+    def __post_init__(self):
+        if self.n_phi < 4 or self.n_phi % 2 != 0:
+            raise ValueError(
+                f"n_phi must be an even integer >= 4, got {self.n_phi}"
+            )
+
+    @property
+    def spacing(self) -> float:
+        return TWO_PI / self.n_phi
+
+    @property
+    def nodes(self) -> np.ndarray:
+        phi = -np.pi + TWO_PI * np.arange(self.n_phi) / self.n_phi
+        phi.flags.writeable = False
+        return phi
+
+    def node(self, j: int) -> float:
+        return -np.pi + TWO_PI * j / self.n_phi
 
 
 @dataclass(frozen=True)
@@ -198,7 +234,8 @@ def coherent_state(
     """Cylinder coherent state with Gaussian OAM coefficients.
 
     ``c_l = N exp(-(l-l0)^2/(2 sigma^2)) e^{-i l phi0}``.  For sigma = 1 the
-    normalization satisfies ``N^-2 = theta3(0 | 1/e)``.  The window must hold
+    normalization satisfies ``N^-2 = theta_3(0 | 1/e) = sum_n e^(-n^2)``, the
+    third Jacobi theta function at nome 1/e.  The window must hold
     all but ``< 1e-12`` of the squared-coefficient mass.
     """
     if not (np.isfinite(sigma) and sigma > 0):

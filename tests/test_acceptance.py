@@ -24,7 +24,6 @@ from cylwig import (
     angle_wavefunction,
     apply_phase_function,
     autocorrelation_check,
-    bessel_i0,
     coherent_state,
     covariance_residual,
     default_angle_grid,
@@ -110,7 +109,7 @@ def test_criterion_3_marginals():
         want[sel] = np.abs(psi.coefficients) ** 2
         oam_worst = max(oam_worst, float(np.max(np.abs(pops - want))))
         if kappa is not None:
-            vm = np.exp(2 * kappa * np.cos(grid.nodes)) / (TWO_PI * bessel_i0(2 * kappa))
+            vm = np.exp(2 * kappa * np.cos(grid.nodes)) / (TWO_PI * np.i0(2 * kappa))
             vm_worst = max(vm_worst, float(np.max(np.abs(marg - vm))))
     ok = angle_worst <= 1e-10 and oam_worst <= 1e-9 and vm_worst <= 1e-8
     assert _report(

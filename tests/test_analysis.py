@@ -64,6 +64,10 @@ class TestNegativity:
         rep = negativity(W, 1e-8)
         assert rep.min_value < -1e-6
 
+    def test_unknown_classification_refused(self):
+        with pytest.raises(ValueError, match="^unknown classification 'bogus'$"):
+            replace(negativity(delta_grid(), 1e-8), classification="bogus")
+
     def test_argmin_is_grid_point(self):
         psi = random_pure_state(OamWindow(-4, 4), 2)
         W = wigner_from_oam(to_density(psi), 8, AngleGrid(36))
@@ -288,6 +292,11 @@ class TestAutocorrelation:
         res = autocorrelation_check(psi.coefficients, 6)
         assert not res.ok
         assert res.max_abs > 1e-2
+
+    def test_lags_past_the_end_skipped(self):
+        # lag 1: 1 * 0.5 + 0.5 * 0.25; lag 2: 0.25; lags 3..10 do not exist
+        res = autocorrelation_check([1, 0.5, 0.25], 10)
+        assert res.max_abs == 0.625 and not res.ok
 
     def test_j_max_validated(self):
         with pytest.raises(ValueError):

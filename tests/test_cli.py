@@ -76,11 +76,17 @@ class TestStateCommand:
         psi = state_from_json(out.read_text())
         assert abs(abs(psi.coefficient(1)) - 1.0) < 1e-14
 
-    def test_invalid_flags_exit_2(self):
+    def test_invalid_flags_exit_2(self, tmp_path):
         cp = run("state", "--kind", "eigen", "--l0", "9", "--window", "-4:4", check=False)
         assert cp.returncode == 2
         cp = run("state", "--kind", "eigen", "--l0", "0", "--window", "oops", check=False)
         assert cp.returncode == 2
+        out = tmp_path / "s.json"
+        for window, field, text in [("1:x", 2, "x"), ("x:1", 1, "x"), ("0:1.5", 2, "1.5")]:
+            cp = run("state", "--kind", "eigen", "--window", window, "-o", str(out), check=False)
+            assert cp.returncode == 2 and cp.stdout == "" and not out.exists()
+            assert cp.stderr == (f"error: --window field {field} of {window!r} "
+                                 f"is not an integer: {text!r}\n")
 
     def test_coherent_far_from_zero(self, tmp_path):
         """The coherent state's tail probe is sized by ``sigma`` and the
@@ -109,8 +115,15 @@ class TestRefusedFlags:
         (["--apply", "phase=0,,1"], "--apply phase field 2 of 'phase=0,,1' is empty"),
         (["--apply", "phase=0,1,"], "--apply phase field 3 of 'phase=0,1,' is empty"),
         (["--apply", "bogus"], "unknown --apply transform 'bogus'"),
+        (["--apply", "displace=1,x"],
+         "--apply displace field 2 of 'displace=1,x' is not a number: 'x'"),
+        (["--apply", "displace=x,1"],
+         "--apply displace field 1 of 'displace=x,1' is not an integer: 'x'"),
+        (["--apply", "phase=0, ,1"],
+         "--apply phase field 2 of 'phase=0, ,1' is not a number: ' '"),
     ], ids=["displace-fields", "phase-empty", "phase-leading-comma",
-            "phase-interior-comma", "phase-trailing-comma", "bogus"])
+            "phase-interior-comma", "phase-trailing-comma", "bogus",
+            "displace-phid-text", "displace-ld-text", "phase-blank-field"])
     def test_state_apply_exit_2(self, tmp_path, args, message):
         out = tmp_path / "s.json"
         cp = run("state", "--kind", "eigen", "--window", "-8:8", *args, "-o", str(out),
@@ -902,11 +915,12 @@ class TestRender:
         run("state", "--kind", "eigen", "--l0", "0", "--window", "-4:4", "-o", str(state))
         run("wigner", str(state), "--nphi", "36", "--pad", "4", "-o", str(grid))
         out = tmp_path / "x.ppm"
-        for bad in ("bad", "1:-1", "nan:nan", "inf:inf", "-inf:1"):
+        for bad in ("bad", "1:-1", "nan:nan", "inf:inf", "-inf:1", "a:1", "1:b"):
             cp = run("render", str(grid), "-o", str(out), "--range", bad, check=False)
             assert cp.returncode == 2, bad
             assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
             assert not out.exists()
+        assert cp.stderr == "error: --range field 2 of '1:b' is not a number: 'b'\n"
 
 
 class TestRoundTripFidelity:

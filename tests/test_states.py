@@ -30,7 +30,6 @@ from cylwig import (
     read_payload,
     state_from_json,
     state_to_json,
-    theta3,
     to_density,
     von_mises_state,
     write_density,
@@ -62,6 +61,42 @@ class TestWindow:
         assert OamWindow(-(2**53 - 1), 2**53 - 1).span == 2**54 - 2
 
 
+def rectangle_rule(fn, n_phi):
+    """``spacing * sum`` of ``fn`` over the nodes of ``AngleGrid(n_phi)``."""
+    grid = AngleGrid(n_phi)
+    return grid.spacing * fn(grid.nodes).sum()
+
+
+class TestAngleGrid:
+    def test_nodes(self):
+        grid = AngleGrid(8)
+        assert grid.nodes[0] == -np.pi
+        assert_allclose(np.diff(grid.nodes), TWO_PI / 8)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 0])
+    def test_rejects_bad_sizes(self, n):
+        with pytest.raises(ValueError):
+            AngleGrid(n)
+
+
+class TestCircleQuadrature:
+    def test_constant(self):
+        total = rectangle_rule(lambda p: np.ones_like(p, dtype=complex), 8)
+        assert_allclose(total, TWO_PI, rtol=0, atol=1e-14)
+
+    def test_pure_harmonic_vanishes(self):
+        assert abs(rectangle_rule(lambda p: np.exp(1j * p), 8)) < 1e-14
+
+    def test_cos_squared(self):
+        # analytic: integral of cos^2 over 2 pi is pi; rule exact at degree 2
+        total = rectangle_rule(lambda p: np.cos(p) ** 2 + 0j, 8)
+        assert_allclose(total, np.pi, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_exactness_all_harmonics(self, k):
+        assert abs(rectangle_rule(lambda p: np.exp(1j * k * p), 16)) < 1e-14
+
+
 _W = OamWindow(-3, 3)
 
 
@@ -77,6 +112,10 @@ _W = OamWindow(-3, 3)
     pytest.param(lambda: coherent_state(4, window=_W), "l0=4 outside window [-3, 3]",
                  id="coherent-l0"),
     pytest.param(lambda: mix([]), "mix() needs at least one (weight, state) pair", id="mix"),
+    pytest.param(lambda: state_from_json('{"format": "cylwig-state-v1", "coefficients": []}'),
+                 "cylwig-state-v1 payload is missing key 'l_min'", id="state-payload-key"),
+    pytest.param(lambda: density_from_json('{"format": "cylwig-density-v1", "l_min": 0}'),
+                 "cylwig-density-v1 payload is missing key 'elements'", id="density-payload-key"),
 ])
 def test_refused(call, message):
     with pytest.raises(ValueError) as err:
@@ -107,10 +146,10 @@ class TestEigenstate:
 
 
 class TestCoherent:
-    def test_theta3_normalization_anchor(self):
+    def test_lattice_sum_normalization_anchor(self):
         psi = coherent_state(0, 0.0, 1.0, OamWindow(-16, 16))
         assert_allclose(
-            abs(psi.coefficient(0)), theta3(0.0, np.exp(-1.0)) ** -0.5, atol=1e-14
+            abs(psi.coefficient(0)), np.exp(-np.arange(-8, 9) ** 2.0).sum() ** -0.5, atol=1e-14
         )
 
     def test_far_centre_matches_centre_zero(self):

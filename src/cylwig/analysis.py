@@ -2,19 +2,17 @@
 classification theorem: among pure states, exactly the OAM eigenstates have
 non-negative Wigner functions.
 
-The certifier mirrors the structure of the classification argument:
+The certifier maps the state to its Wigner grid, scans the grid for
+negativity, and then decides by the theorem's own criterion: a state with
+exactly one nonzero OAM coefficient is an eigenstate, whose grid is
+``delta/2pi``, exactly 0 off its one row; any other state keeps the scan's
+verdict, ``negative_witnessed`` below ``-tolerance`` and ``inconclusive``
+otherwise.
 
-1. compute the Wigner grid and scan it for negativity;
-2. if none is found at tolerance, check that the angle-wavefunction modulus
-   is flat (no point may beat the geometric mean of its neighbours at any
-   separation);
-3. check that each angle column of the grid is supported on a single row
-   and that this row does not drift with the angle;
-4. accept as an eigenstate only with near-unit fidelity to one.
-
-Two further executable checks accompany it: the flatness inequality itself
-and the vanishing of all off-zero autocorrelations of a coefficient sequence
-whose inverse transform has constant modulus.
+The two lemmas of the classification argument are executable checks beside
+it: the flatness inequality of the angle-wavefunction modulus, and the
+vanishing of all off-zero autocorrelations of a coefficient sequence whose
+inverse transform has constant modulus.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ __all__ = [
 DEFAULT_TOLERANCE = 1e-8
 FLATNESS_TOL = 1e-10
 AUTOCORR_TOL = 1e-10
-SUPPORT_TOL = 1e-10
-EIGENSTATE_FIDELITY = 1.0 - 1e-10
 
 CLASSIFICATIONS = ("oam_eigenstate", "negative_witnessed", "inconclusive")
 
@@ -80,8 +76,8 @@ def negativity(W: WignerGrid, tolerance: float = DEFAULT_TOLERANCE) -> Negativit
     Reports the minimum and its location, the integrated negative part, and
     the nearest eigenstate read off the (exact) OAM marginal.  Classification
     is ``negative_witnessed`` below ``-tolerance`` and ``inconclusive``
-    otherwise; promoting a non-negative grid to ``oam_eigenstate`` is the
-    certifier's job.
+    otherwise; ``oam_eigenstate`` is the certifier's decision, from the
+    coefficients.
     """
     if not 0.0 < tolerance < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
@@ -182,53 +178,28 @@ def autocorrelation_check(f, j_max: int) -> AutocorrelationCheck:
     return AutocorrelationCheck(worst <= AUTOCORR_TOL, worst)
 
 
-def _single_row_support(W: WignerGrid):
-    """Row support per angle column: (ok, l0) where ok means every column is
-    carried by exactly one row and it is the same row throughout."""
-    above = np.abs(W.values) > SUPPORT_TOL
-    # n_phi cells above, all of them on the row that carries column 0
-    row = int(np.argmax(above[:, 0]))
-    if np.count_nonzero(above) != W.grid.n_phi or not above[row].all():
-        return False, None
-    return True, int(W.l_lo + row)
-
-
 def hudson_certify(
     psi: PureState,
     n_phi: int | None = None,
     pad: int | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> NegativityReport:
-    """Classify a pure state by its Wigner function.
-
-    Pipeline: forward map, exhaustive negativity scan, then (only for grids
-    non-negative at tolerance) the flatness inequality, single-row support,
-    row constancy over the angle, and the eigenstate fidelity gate.  The
-    forward map runs through the OAM-basis sums, whose off-row zeros are
-    exact for eigenstates, so their reported minimum is exactly 0.  The
-    flatness gate samples ``psi`` on the doubled grid by one inverse FFT and
-    holds one ``(n_phi, n_phi)`` array, ``n_phi^2 + O(n_phi)`` floats within
-    the memory budget, beside the grid of the forward map.
+    """Classify a pure state: ``oam_eigenstate`` exactly when one coefficient
+    is nonzero, otherwise the classification of the negativity scan of its
+    Wigner grid.  The forward map runs through the OAM-basis sums, whose
+    off-row zeros are exact, so an eigenstate's reported minimum is exactly
+    0 on any grid with more than its one row.  The nearest eigenstate is read off the coefficients, and the memory
+    is that of the forward map.
     """
     grid = AngleGrid(n_phi) if n_phi is not None else default_angle_grid(psi.window)
     l_pad = pad if pad is not None else default_pad(psi.window)
-    W = wigner_from_oam(psi, l_pad, grid)
-    report = negativity(W, tolerance)
+    report = negativity(wigner_from_oam(psi, l_pad, grid), tolerance)
     probs = np.abs(psi.coefficients) ** 2
     best = int(np.argmax(probs))
     nearest = (int(psi.window.l_min + best), float(probs[best]))
-    if not report.is_nonnegative:
-        classification = "negative_witnessed"
-    else:
-        supported, l_support = _single_row_support(W)
-        checks = (
-            flatness_check(psi, grid).flat
-            and supported
-            and l_support == nearest[0]
-            and nearest[1] >= EIGENSTATE_FIDELITY
-        )
-        classification = "oam_eigenstate" if checks else "inconclusive"
-    return replace(report, classification=classification, nearest_eigenstate=nearest)
+    if np.count_nonzero(psi.coefficients) == 1:
+        report = replace(report, classification="oam_eigenstate")
+    return replace(report, nearest_eigenstate=nearest)
 
 
 def covariance_residual(psi: PureState, ld: int, phid: float) -> float:

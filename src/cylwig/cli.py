@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import sys
 
 import click
@@ -25,12 +26,19 @@ __all__ = ["cli", "main"]
 
 def _numeric_fields(kinds, fields: list[str], flag: str, text: str) -> list:
     """``fields`` of the ``flag`` value ``text``, each read by its type in
-    ``kinds`` (int or float); the first that does not read is named."""
+    ``kinds`` (int or float); the first that does not read is named.  A field
+    past Python's limit on the digits of an integer string is named by its
+    digit count, not echoed."""
     out = []
     for i, (kind, f) in enumerate(zip(kinds, fields), 1):
         try:
             out.append(kind(f))
         except ValueError:
+            digits = sum(ch.isdigit() for ch in f)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+            if kind is int and 0 < limit < digits:
+                raise ValueError(f"{flag} field {i} has {digits} digits, more than the "
+                                 f"{limit} that Python reads as an integer") from None
             what = "an integer" if kind is int else "a number"
             raise ValueError(f"{flag} field {i} of {text!r} is not {what}: {f!r}") from None
     return out
@@ -205,17 +213,7 @@ def scan(samples, window_str, seed, nphi, pad, tol, output):
         report = dataclasses.replace(report, seed=seed + i)
         counts[report.classification] += 1
         lines.append(analysis.report_to_json(report))
-    summary = (
-        '{"summary":{"oam_eigenstate":%d,"negative_witnessed":%d,'
-        '"inconclusive":%d},"samples":%d}'
-        % (
-            counts["oam_eigenstate"],
-            counts["negative_witnessed"],
-            counts["inconclusive"],
-            samples,
-        )
-    )
-    lines.append(summary)
+    lines.append(json.dumps({"summary": counts, "samples": samples}, separators=(",", ":")))
     _write_text("\n".join(lines) + "\n", output)
 
 

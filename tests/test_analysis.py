@@ -9,6 +9,7 @@ from cylwig import (
     DensityMatrix,
     MemoryBudgetError,
     OamWindow,
+    PureState,
     apply_phase_function,
     autocorrelation_check,
     coherent_state,
@@ -31,6 +32,13 @@ from cylwig import analysis, errors
 from cylwig.states import angle_wavefunction_at
 
 TWO_PI = 2 * np.pi
+
+
+def near_eigenstate_coefficients(l1, eps):
+    """Coefficients of ``|0> + eps|l1>`` on the window -4:4, normalized."""
+    c = np.zeros(9, dtype=complex)
+    c[4], c[4 + l1] = np.sqrt(1.0 - eps * eps), eps
+    return c
 
 
 def delta_grid(l0=1, window=OamWindow(-4, 4)):
@@ -150,13 +158,10 @@ class TestFlatness:
 
 
     def test_budget_refuses_before_allocating(self):
-        """At 40000 angles the (n_phi, n_phi) arrays need tens of GiB; the
-        forward map of an eigenstate fits the budget, the flatness gate not."""
+        """At 40000 angles the (n_phi, n_phi) arrays need tens of GiB."""
         psi = oam_eigenstate(0, OamWindow(-4, 4))
         with pytest.raises(MemoryBudgetError, match="flatness check needs about"):
             flatness_check(psi, AngleGrid(40000))
-        with pytest.raises(MemoryBudgetError, match="GiB memory budget"):
-            hudson_certify(psi, n_phi=40000)
 
     def test_estimate_bounds_peak(self, monkeypatch):
         psi = oam_eigenstate(1, OamWindow(-4, 4))
@@ -190,16 +195,6 @@ def _reference_flatness(psi, grid):
     return flat, witness, max_violation
 
 
-def _reference_support(W):
-    above = np.abs(W.values) > analysis.SUPPORT_TOL
-    if np.any(above.sum(axis=0) != 1):
-        return False, None
-    rows = np.argmax(above, axis=0)
-    if np.any(rows != rows[0]):
-        return False, None
-    return True, int(W.l_lo + rows[0])
-
-
 # windows +-0..+-16 and asymmetric ones; on the 4- and 8-angle grids the wider
 # ones alias onto the doubled grid
 GATE_WINDOWS = [OamWindow(-h, h) for h in range(17)] + [
@@ -222,8 +217,8 @@ GATE_STATES = {
 
 class TestGatesMatchReference:
     """The FFT samples and strided views of ``flatness_check``, and the
-    counting forms of the support and negativity gates, give the verdicts,
-    witnesses and values of the gathers and per-column sums they replaced."""
+    negativity scan's sum, give the verdicts, witnesses and values of the
+    gathers and per-column sums they replaced."""
 
     @pytest.mark.parametrize("kind", sorted(GATE_STATES))
     def test_flatness(self, kind):
@@ -245,22 +240,11 @@ class TestGatesMatchReference:
         for psi in (oam_eigenstate(half // 2, w), oam_eigenstate(-half, w),
                     random_pure_state(w, half)):
             W = wigner_from_oam(to_density(psi), pad, grid)
-            assert analysis._single_row_support(W) == _reference_support(W)
             rep = negativity(W, 1e-8)
             volume = float(W.grid.spacing * (0.0 - np.minimum(W.values, 0.0).sum()))
             assert rep.negative_volume == volume
             if psi.coefficients[np.argmax(np.abs(psi.coefficients))] == 1.0:
                 assert rep.negative_volume == 0.0 and not np.signbit(rep.negative_volume)
-                assert analysis._single_row_support(W)[0]
-
-    def test_support_drifting_row(self):
-        """Columns carried by one row each, but not the same row, fail."""
-        W = delta_grid()
-        values = np.zeros_like(W.values)
-        values[5, :10] = values[6, 10:] = 0.1
-        drifting = replace(W, values=values)
-        assert analysis._single_row_support(drifting) == _reference_support(drifting)
-        assert analysis._single_row_support(drifting) == (False, None)
 
 
 class TestAutocorrelation:
@@ -332,11 +316,64 @@ class TestHudsonCertify:
         c = np.zeros(9, dtype=complex)
         c[4] = np.sqrt(1 - 1e-4)
         c[5] = np.sqrt(1e-4)
-        from cylwig import PureState
-
         psi = PureState(w, c)
         rep = hudson_certify(psi)
         assert rep.classification != "oam_eigenstate"
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-13, 1e-17])
+    @pytest.mark.parametrize("l1", [1, 2])
+    def test_near_eigenstate_is_not_one(self, l1, eps):
+        """``|0> + eps|l1>`` has two nonzero coefficients, so it is no
+        eigenstate, however small its negativity: mixed parity (``l1 = 1``)
+        and same parity (``l1 = 2``) alike."""
+        psi = PureState(OamWindow(-4, 4), near_eigenstate_coefficients(l1, eps))
+        rep = hudson_certify(psi)
+        assert rep.classification == "inconclusive"
+        assert -1e-8 <= rep.min_value < 0.0
+        assert rep.nearest_eigenstate == (0, 1.0)
+
+    @pytest.mark.parametrize("kind", sorted(GATE_STATES))
+    def test_eigenstate_exactly_when_one_coefficient(self, kind):
+        """Over eigenstates, displaced and phased eigenstates, coherent and
+        random states at windows 0 to +-16: ``oam_eigenstate`` exactly when one
+        coefficient is nonzero, and then the minimum is exactly 0 (on a
+        one-mode window the default pad is 0, so the grid is the one row
+        ``1/2pi``)."""
+        for k, w in enumerate(GATE_WINDOWS):
+            psi = GATE_STATES[kind](w, k)
+            rep = hudson_certify(psi)
+            one = np.count_nonzero(psi.coefficients) == 1
+            assert (rep.classification == "oam_eigenstate") == one, w
+            if one:
+                assert rep.negative_volume == 0.0, w
+                assert rep.min_value == 0.0 if w.span else rep.min_value > 0.0, w
+            else:
+                assert rep.classification == "negative_witnessed", w
+
+    def test_eigenstate_at_40000_angles(self):
+        """The certifier holds no ``(n_phi, n_phi)`` array: an eigenstate on
+        40000 angles needs only its forward map."""
+        rep = hudson_certify(oam_eigenstate(0, OamWindow(-4, 4)), n_phi=40000)
+        assert rep.classification == "oam_eigenstate"
+        assert rep.min_value == 0.0
+        assert rep.nearest_eigenstate == (0, 1.0)
+
+    def test_peak_within_forward_map_estimate(self):
+        """The certifier's tracemalloc peak stays within the forward map's own
+        estimate, ``2 rows (n_phi + n_t) + 6 (n_t + 1) n_phi`` floats."""
+        w = OamWindow(-4, 4)
+        psi, n_phi = oam_eigenstate(1, w), 4000
+        rows, n_t = w.size + 2 * default_pad(w), 2 * w.span + 1
+        estimate = 8 * (2 * rows * (n_phi + n_t) + 6 * (n_t + 1) * n_phi)
+        hudson_certify(psi, n_phi=n_phi)
+        tracemalloc.start()
+        try:
+            rep = hudson_certify(psi, n_phi=n_phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.classification == "oam_eigenstate"
+        assert peak <= estimate
 
     @pytest.mark.parametrize("l0", [-16, 0, 16])
     def test_completeness_up_to_span_32(self, l0):

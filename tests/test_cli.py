@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from cylwig import (
+    OamWindow,
+    PureState,
     cli,
     default_angle_grid,
     default_pad,
@@ -24,6 +26,10 @@ from cylwig import (
 from cylwig.phasespace import wigner_to_csv
 
 CLI = [sys.executable, "-m", "cylwig"]
+# one digit more than Python reads as an integer string
+BIG_INT = "1" * (sys.get_int_max_str_digits() + 1)
+BIG_INT_MESSAGE = (f"has {len(BIG_INT)} digits, more than the {len(BIG_INT) - 1} "
+                   "that Python reads as an integer")
 
 
 def run(*args, check=True):
@@ -87,6 +93,11 @@ class TestStateCommand:
             assert cp.returncode == 2 and cp.stdout == "" and not out.exists()
             assert cp.stderr == (f"error: --window field {field} of {window!r} "
                                  f"is not an integer: {text!r}\n")
+        # a bound past Python's integer-string limit is named by its digit count
+        cp = run("state", "--kind", "eigen", "--window", f"0:{BIG_INT}", "-o", str(out),
+                 check=False)
+        assert cp.returncode == 2 and cp.stdout == "" and not out.exists()
+        assert cp.stderr == f"error: --window field 2 {BIG_INT_MESSAGE}\n"
 
     def test_coherent_far_from_zero(self, tmp_path):
         """The coherent state's tail probe is sized by ``sigma`` and the
@@ -121,9 +132,11 @@ class TestRefusedFlags:
          "--apply displace field 1 of 'displace=x,1' is not an integer: 'x'"),
         (["--apply", "phase=0, ,1"],
          "--apply phase field 2 of 'phase=0, ,1' is not a number: ' '"),
+        (["--apply", f"displace={BIG_INT},0"], f"--apply displace field 1 {BIG_INT_MESSAGE}"),
     ], ids=["displace-fields", "phase-empty", "phase-leading-comma",
             "phase-interior-comma", "phase-trailing-comma", "bogus",
-            "displace-phid-text", "displace-ld-text", "phase-blank-field"])
+            "displace-phid-text", "displace-ld-text", "phase-blank-field",
+            "displace-ld-digits"])
     def test_state_apply_exit_2(self, tmp_path, args, message):
         out = tmp_path / "s.json"
         cp = run("state", "--kind", "eigen", "--window", "-8:8", *args, "-o", str(out),
@@ -241,6 +254,17 @@ class TestCheckAndScan:
         assert summary["samples"] == 8
         assert summary["summary"]["negative_witnessed"] == 8
         assert summary["summary"]["oam_eigenstate"] == 0
+
+    def test_check_near_eigenstate_inconclusive(self, tmp_path):
+        """``|0> + 1e-10|1>`` has two nonzero coefficients, so its tiny
+        negative minimum leaves it ``inconclusive``, not an eigenstate."""
+        c = np.zeros(9, dtype=complex)
+        c[4], c[5] = np.sqrt(1.0 - 1e-20), 1e-10
+        state = tmp_path / "n.json"
+        state.write_text(state_to_json(PureState(OamWindow(-4, 4), c)) + "\n")
+        cp = run("check", str(state))
+        assert '"classification":"inconclusive"' in cp.stdout
+        assert json.loads(cp.stdout)["min_value"] < 0.0
 
     def test_scan_negativity_is_not_an_error(self):
         cp = run("scan", "--samples", "2", "--window", "-4:4", "--seed", "0")
@@ -735,16 +759,15 @@ class TestMemoryBudget:
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
         assert "memory budget" in cp.stderr
 
-    def test_flatness_gate_exit_3(self, tmp_path):
+    def test_eigenstate_check_at_40000_angles(self, tmp_path):
+        """The certifier holds only its forward map, which fits the budget."""
         state = tmp_path / "e.json"
         run("state", "--kind", "eigen", "--window", "-4:4", "-o", str(state))
-        cp = run("check", str(state), "--nphi", "40000", check=False)
-        assert cp.returncode == 3
-        assert cp.stdout == ""
-        assert "Traceback" not in cp.stderr
-        assert cp.stderr.startswith("error: flatness check needs about ")
-        assert cp.stderr.count("\n") == 1 and "memory budget" in cp.stderr
-
+        cp = run("check", str(state), "--nphi", "40000")
+        assert cp.stderr == ""
+        report = json.loads(cp.stdout)
+        assert report["classification"] == "oam_eigenstate"
+        assert report["min_value"] == 0.0
 
     def test_grid_over_budget_exit_3(self, tmp_path):
         """A grid over the memory budget exits 3 once its header is read."""

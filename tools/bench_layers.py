@@ -39,10 +39,11 @@ range of the other tree's round medians::
 Only the standard library and numpy are used.  Inputs use the default grid
 (``4*span + 4`` angles) and padding (``8*span`` rows).  The state is random
 (seed 1), except in ``hudson_certify.eigenstate``, ``flatness_check`` and
-``write_wigner.eigenstate``: a random state stops at the negativity gate,
-while the eigenstate ``|0>`` passes through every gate, the
-``(n_phi, n_phi)`` flatness check included, which ``flatness_check`` times
-alone.  ``random_pure_state`` times state construction with its validation;
+``write_wigner.eigenstate``, which take the eigenstate ``|0>``.  Either
+certification times the forward map, the negativity scan and the count of
+nonzero coefficients; ``flatness_check`` times the ``(n_phi, n_phi)``
+flatness inequality of ``|0>``, which the certifier does not call.
+``random_pure_state`` times state construction with its validation;
 ``star_product`` is the self-star of the random state's grid by the operator
 method.
 """
@@ -234,7 +235,8 @@ def main() -> None:
     result = {
         "what": "per-call wall time of library layers, default grid and pad, "
                 "random pure state (seed 1; star_product its self-star) or, "
-                "for hudson_certify.eigenstate, flatness_check and "
+                "for hudson_certify.eigenstate (forward map, negativity scan "
+                "and coefficient count), flatness_check and "
                 "write_wigner.eigenstate, the eigenstate |0>; cli.* cases "
                 "run the command in-process on files of that state and its "
                 "grid; median and quartiles of the pooled calls and each "

@@ -636,6 +636,9 @@ _ROW = np.dtype(
 # Cells per chunk of the writer's vectorized formatter, which holds a few
 # dozen bytes per cell; a chunk is whole rows, at least one.
 _CSV_CHUNK = 4096
+# Cells per chunk of the reader's parse of the writer's own bytes; see
+# ``_read_written``.
+_READ_CELLS = 2048
 _HEADER_INTS = ("l_lo", "l_hi", "n_phi", "source_l_min", "source_l_max", "pad")
 
 
@@ -768,6 +771,137 @@ def _f17_bytes(values: np.ndarray) -> np.ndarray:
     return words.view(np.uint8)
 
 
+# The reader's inverse of ``_f17_bytes``: a value field of one of the
+# formatter's fast-range shapes, or zero,
+#     -?0    -?0.0{0,3}[1-9]\d{0,16}    -?[1-9](.\d{1,16})?e-\d{2,3}  (e-281 at most:
+#     the double nearest 1e-280 is 9.9999999999999996e-281)
+# is its 17 digits ``D``, padded with trailing zeros as the formatter's
+# words hold them, over ``10^M``: ``M = 17 + z`` for ``z`` zeros after
+# "0.", ``16 + XX`` for the exponent ``e-XX``.  ``D`` is read eight digits
+# to a 64-bit word (SWAR), and ``D 10^-M`` is ``D 2^t/10^M`` times ``2^-t``,
+# the first a Dekker product ``p + r`` with the double-double ``2^t/10^M``
+# in [1, 2], both taken from Python ints, the second exact.  ``s = p + r``
+# is then the correctly rounded value, unless the exact quotient lies near
+# a tie: a value whose residual ``p + r - s`` lies within ``2^-30`` of half
+# the gap to the neighbouring double on its side (at a power of two the gap
+# below is half the gap above) is refused.  The product's error is below
+# ``2^-45`` of a gap, and text written by ``%.17g`` lies some 0.02 of a gap
+# from any tie, so no written value is refused: the guard is for hand-made
+# 17-digit decimals.
+_F17_EXP_MAX = 281
+_F17_M = 16 + _F17_EXP_MAX + 1  # M from 0 to 16 + 281
+_DIGITS = _U(0x3030303030303030)
+_MANTISSA = _U(2**52 - 1)
+# For n from 0 to 16: masks of the first n bytes of two words, and '0' after them.
+_KEEP = np.array([[2 ** (8 * min(n, 8)) - 1, 2 ** (8 * min(max(n - 8, 0), 8)) - 1]
+                  for n in range(17)], np.uint64)
+_ZERO_FILL = _DIGITS & ~_KEEP
+_SWAR_STEPS = [(_U(0x0F0F0F0F0F0F0F0F), _U(2561), _U(8)),
+               (_U(0x00FF00FF00FF00FF), _U(6553601), _U(16)),
+               (_U(0x0000FFFF0000FFFF), _U(42949672960001), _U(32))]
+
+
+def _f17_inverse_table():
+    rows = []
+    for m in range(_F17_M):
+        t = (10**m).bit_length()
+        hi = 2**t / 10**m  # int / int rounds correctly
+        num, den = hi.as_integer_ratio()
+        rows.append((hi, (2**t * den - num * 10**m) / (10**m * den), 2.0**-t))
+    hi, lo, scale = np.array(rows).T
+    c = hi * _SPLIT
+    hh = c - (c - hi)
+    return np.stack([hh, hi - hh, hi, lo, scale], axis=1)
+
+
+_F17_INV = _f17_inverse_table()
+
+
+def _sixteen_digits(w: np.ndarray, n: np.ndarray):
+    """The first ``n`` (0 to 16) bytes of each pair of words ``w`` (which is
+    overwritten), as digits followed by zeros, as a number below ``10**16``;
+    None if one of those bytes is not a digit."""
+    w &= _KEEP[n]
+    w |= _ZERO_FILL[n]
+    if not (((w & _U(0xF0F0F0F0F0F0F0F0)) | (((w + _U(0x0606060606060606))
+              & _U(0xF0F0F0F0F0F0F0F0)) >> _U(4))) == _U(0x3333333333333333)).all():
+        return None
+    for mask, factor, shift in _SWAR_STEPS:  # 10a + b per 16 bits, then 32, then 64
+        w &= mask
+        w *= factor
+        w >>= shift
+    return w[:, 0] * _U(10**8) + w[:, 1]
+
+
+def _f17_fields(at: np.ndarray, pairs: np.ndarray, v0: np.ndarray, v1: np.ndarray):
+    """``D``, ``M`` and the sign of each value field ``[v0, v1)`` of a byte
+    buffer whose word at each offset is ``at`` and whose two words are
+    ``pairs``, or None if a field is not of an accepted shape."""
+    w = at[v0]
+    neg = (w & _U(0xFF)) == _U(0x2D)  # '-'
+    # The first 7 bytes after the sign less "0.0000": a digit's byte is its value.
+    y = np.where(neg, w >> _U(8), w) ^ _U(0x303030302E30)
+    del w
+    n = v1 - v0 - neg
+    fixed = (y & _U(0xFFFF)) == _U(0)  # "0."
+    dot = (y & _U(0xFF00)) == _U(0)
+    skip = ((y & _U(0xFF0000)) == _U(0)).astype(np.int64)  # zeros after "0."
+    skip += (y & _U(0xFFFF0000)) == _U(0)
+    skip += (y & _U(0xFFFFFF0000)) == _U(0)
+    skip = fixed * (skip + 2)  # bytes before the first digit
+    lead = (y >> (_U(8) * skip.astype(np.uint64))) & _U(0xFF)
+    del y
+    # the exponent, the field's last bytes: "e-XX" or "e-XXX"
+    t = at[v1 - 8]
+    three = ((t >> _U(24)) & _U(0xFFFF)) == _U(0x2D65)
+    sci = three | (((t >> _U(32)) & _U(0xFFFF)) == _U(0x2D65))
+    q = (t >> _U(40)) ^ _U(0x303030)  # its last three bytes' digit values
+    del t
+    sci &= ((q | (q + _U(0x767676))) & np.where(three, _U(0x808080), _U(0x808000))) == _U(0)
+    xx = ((((q >> _U(8)) * _U(10)) + (q >> _U(16))) & _U(0xFF)) + three * (q & _U(0xFF)) * _U(100)
+    del q
+    # digits after the first: those after "0.0{z}d", after "d.", or none in "de-XX"
+    nf = n - np.where(fixed, skip + 1, 6 + three)
+    ok = np.where(fixed, nf >= 0, sci & (xx <= _U(_F17_EXP_MAX)) & ((nf == -1) | (dot & (nf > 0))))
+    ok &= (lead - _U(1) < _U(9)) & (nf <= 16)
+    ok |= (n == 1) & (lead == _U(0))  # "0"
+    if not ok.all():
+        return None
+    del ok
+    m = np.where(fixed, 15 + skip, 16 + np.minimum(xx, _U(_F17_EXP_MAX)).astype(np.int64))
+    del xx
+    rest = _sixteen_digits(pairs[v0 + neg + skip + 2 - fixed], np.maximum(nf, 0))
+    if rest is None:
+        return None
+    lead *= _U(10**16)
+    lead += rest
+    return lead.view(np.int64), m, neg
+
+
+def _f17_round(digits: np.ndarray, m: np.ndarray, neg: np.ndarray, out: np.ndarray) -> bool:
+    """Write ``digits 10^-m``, negated where ``neg``, correctly rounded, to
+    ``out``; False if one lies near a tie."""
+    a = digits.astype(float)
+    da = (digits - a.astype(np.int64)).astype(float)  # exact, |da| <= 8
+    c = a * _SPLIT
+    ah = c - (c - a)
+    del c
+    al = a - ah
+    bh, bl, hi, lo, scale = _F17_INV[m].T
+    p = a * hi
+    r = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo + da * hi
+    del a, da, ah, al
+    s = p + r
+    r -= s - p  # exact: s is p + r rounded
+    gap = np.spacing(s)
+    gap[(r < 0) & ((s.view(np.uint64) & _MANTISSA) == _U(0))] /= 2
+    if (np.abs(2 * np.abs(r) - gap) <= gap * 2.0**-29).any():
+        return False
+    np.multiply(s, scale, out=out)
+    np.negative(out, out=out, where=neg)
+    return True
+
+
 def write_wigner(W: WignerGrid, path) -> None:
     """Write ``W`` as cylwig-wigner-v1 CSV to a path, as bytes, or to an
     open text handle, as text."""
@@ -787,25 +921,34 @@ def _fixed(texts: list[str]) -> np.ndarray:
     return np.array([t.encode("ascii") for t in texts]).reshape(-1, 1).view(np.uint8)
 
 
+def _csv_header(l_lo: int, l_hi: int, n_phi: int, l_min: int, l_max: int, pad: int) -> bytes:
+    """The two header lines, without the newline that starts the first cell."""
+    return (
+        "# format=cylwig-wigner-v1\n"
+        f"# l_lo={l_lo} l_hi={l_hi} n_phi={n_phi} "
+        f"source_l_min={l_min} source_l_max={l_max} pad={pad}"
+    ).encode("ascii")
+
+
+def _cell_texts(ls, nodes: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed texts of every cell as rows of NUL-padded bytes: ``\\n{l}``
+    for each grid row ``l`` and ``,{j},{phi_j},`` for each node text."""
+    return (_fixed([f"\n{l}" for l in ls]),
+            _fixed([f",{j},{phi}," for j, phi in enumerate(nodes)]))
+
+
 def _csv_pieces(W: WignerGrid):
     """The CSV bytes of ``W``: the header, then the cells, a chunk of whole
     rows at a time, then the final newline.  Every cell is a newline and
     ``l,j,phi_j,value``."""
-    yield (
-        "# format=cylwig-wigner-v1\n"
-        f"# l_lo={W.l_lo} l_hi={W.l_hi} n_phi={W.grid.n_phi} "
-        f"source_l_min={W.source_window.l_min} "
-        f"source_l_max={W.source_window.l_max} pad={W.pad}"
-    ).encode("ascii")
-    nodes = _f17s(W.grid.nodes)
-    ls = W.rows().tolist()
+    yield _csv_header(W.l_lo, W.l_hi, W.grid.n_phi, W.source_window.l_min,
+                      W.source_window.l_max, W.pad)
     # One byte matrix per chunk, (rows, n_phi, row text + column text +
     # value), whose NULs are dropped.
-    row_text = _fixed([f"\n{l}" for l in ls])
-    col_text = _fixed([f",{j},{phi}," for j, phi in enumerate(nodes)])
+    row_text, col_text = _cell_texts(W.rows().tolist(), _f17s(W.grid.nodes))
     r, c = row_text.shape[1], row_text.shape[1] + col_text.shape[1]
     step = max(1, _CSV_CHUNK // W.grid.n_phi)
-    for i in range(0, len(ls), step):
+    for i in range(0, W.n_rows, step):
         values = W.values[i : i + step]
         chunk = np.empty((*values.shape, c + 32), np.uint8)
         chunk[:, :, :r] = row_text[i : i + step, None]
@@ -881,28 +1024,97 @@ def read_wigner(path) -> WignerGrid:
         # which no field holds: they take the numeric check.
         _check_budget("wigner grid", 2 * n_cells)
         values = np.full(n_cells, np.nan)  # NaN: not yet read
-        node_text = np.array([*_f17s(grid.nodes[: n_cells // 12]), ","], dtype=_ROW["phi"])
-        n_rows = 0
-        lines = itertools.chain([line], fh)
-        with warnings.catch_warnings():
-            # loadtxt warns of a block that holds only blank or comment lines.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            while block := list(itertools.islice(lines, _READ_BLOCK)):
-                try:
-                    cells = np.loadtxt(block, _ROW, delimiter=",", comments="#", ndmin=1)
-                except ValueError:
-                    raise ValueError(_malformed_row(block, n_rows)) from None
-                _check_cells(cells, block, n_rows, l_lo, l_hi, grid, node_text, values)
-                n_rows += len(cells)
-    # No cell repeats, so at least n_cells rows cover every cell.
-    if n_rows < n_cells:
-        raise ValueError(
-            "wigner CSV does not cover every (l, phi_index) cell: the header "
-            f"needs {n_cells} cells, the file has {n_rows} rows"
-        )
+        nodes = _f17s(grid.nodes[: n_cells // 12])
+        header = _csv_header(l_lo, l_hi, n_phi, source_l_min, source_l_max, pad)
+        if len(nodes) < n_phi or not _read_written(
+            fh.fileno(), info.st_size, header,
+            *_cell_texts(range(l_lo, l_hi + 1), nodes), values.reshape(-1, n_phi),
+        ):
+            values.fill(np.nan)
+            _read_rows(itertools.chain([line], fh), l_lo, l_hi, grid, nodes, values)
     window = OamWindow(source_l_min, source_l_max)
     values = values.reshape(l_hi - l_lo + 1, n_phi)
     return WignerGrid(l_lo, l_hi, grid, values, window, pad, _fresh=True)
+
+
+def _read_rows(lines, l_lo: int, l_hi: int, grid: AngleGrid, nodes, values) -> None:
+    """Fill the flat grid ``values``, all NaN, from the data ``lines`` by
+    ``np.loadtxt``, ``_READ_BLOCK`` lines at a time; ``nodes`` are the texts
+    of the first nodes."""
+    n_rows = 0
+    node_text = np.array([*nodes, ","], dtype=_ROW["phi"])
+    with warnings.catch_warnings():
+        # loadtxt warns of a block that holds only blank or comment lines.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        while block := list(itertools.islice(lines, _READ_BLOCK)):
+            try:
+                cells = np.loadtxt(block, _ROW, delimiter=",", comments="#", ndmin=1)
+            except ValueError:
+                raise ValueError(_malformed_row(block, n_rows)) from None
+            _check_cells(cells, block, n_rows, l_lo, l_hi, grid, node_text, values)
+            n_rows += len(cells)
+    # No cell repeats, so at least as many rows as cells cover every cell.
+    if n_rows < values.size:
+        raise ValueError(
+            "wigner CSV does not cover every (l, phi_index) cell: the header "
+            f"needs {values.size} cells, the file has {n_rows} rows"
+        )
+
+
+def _read_written(fd: int, size: int, header: bytes, row_text, col_text, values) -> bool:
+    """Fill the grid ``values`` from the open file ``fd`` of ``size`` bytes
+    if the file holds exactly what ``write_wigner`` writes for ``header``:
+    the header, each cell as ``row_text`` + ``col_text`` + an accepted value
+    (see ``_f17_fields``) in the writer's order, and the final newline.
+
+    Chunks of whole grid rows, at most ``_READ_CELLS`` cells (or of one row's
+    cells), are read into one reused buffer.  A cell starts at a newline;
+    its texts are checked by masked comparisons of the 64-bit words at each
+    cell's offsets, and its value field, up to the next newline, is parsed
+    in place.  Returns False at the first difference, with ``values`` part
+    filled; a ``\\n{l}`` longer than one word also returns False.
+    """
+    n_rows, n_phi = values.shape
+    if row_text.shape[1] > 8 or os.pread(fd, len(header), 0) != header:
+        return False
+    rword, rmask, rlen = _text_words(row_text)
+    cword, cmask, clen = _text_words(col_text)
+    rword, rmask, rlen, k = rword[:, 0], rmask[:, 0], rlen[:, None], cword.shape[1]
+    r, c = (_READ_CELLS // n_phi, n_phi) if n_phi <= _READ_CELLS else (1, _READ_CELLS)
+    cell = row_text.shape[1] + col_text.shape[1] + 24  # bytes a cell can take
+    start = len(header)
+    buf = np.zeros(min(min(r * c, values.size) * cell + 1, size - start) + 8 * k + 24, np.uint8)
+    # the word and the two words at each byte, and the column texts' words
+    at = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+    pairs = np.ndarray((buf.size - 15, 2), "<u8", buf, strides=(1, 8))
+    texts = np.ndarray((buf.size - 8 * k + 1, k), "<u8", buf, strides=(1, 8))
+    for i in range(0, n_rows, r):
+        for j in range(0, n_phi, c):
+            rows, cols = slice(i, i + r), slice(j, j + c)
+            block = values[rows, cols]
+            got = os.preadv(fd, [buf[: min(block.size * cell + 1, size - start)]], start)
+            nl = np.flatnonzero(buf[:got] == 10)[: block.size + 1]
+            if len(nl) <= block.size or nl[0] != 0:
+                return False
+            s = nl[:-1].reshape(block.shape)
+            if (((at[s] & rmask[rows, None]) != rword[rows, None]).any()
+                    or ((texts[s + rlen[rows]] & cmask[cols]) != cword[cols]).any()):
+                return False
+            fields = _f17_fields(at, pairs, (s + rlen[rows] + clen[cols]).ravel(), nl[1:])
+            if fields is None or not _f17_round(*fields, block.reshape(-1)):
+                return False
+            del fields
+            start += int(nl[-1])
+    return start + 1 == size
+
+
+def _text_words(text: np.ndarray):
+    """Rows of NUL-padded bytes as little-endian 64-bit words, the words'
+    masks of 0xFF over the non-NUL bytes, and the rows' lengths."""
+    padded = np.zeros((len(text), -(-text.shape[1] // 8) * 8), np.uint8)
+    padded[:, : text.shape[1]] = text
+    kept = padded != 0
+    return padded.view("<u8"), (kept * np.uint8(0xFF)).view("<u8"), kept.sum(1)
 
 
 def _header_int(meta: dict, key: str) -> int:

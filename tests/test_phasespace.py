@@ -1233,7 +1233,10 @@ class TestStreamedCodec:
 
 class TestReadBlocks:
     """The reader with blocks of a few lines: checks, data row numbers and
-    coverage run across block boundaries, and no loadtxt warning escapes."""
+    coverage run across block boundaries, and no loadtxt warning escapes.
+    Every file gets a comment line after its header, which the loadtxt path
+    skips and the reader of the writer's own bytes refuses, so each read
+    here takes the loadtxt path."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -1242,7 +1245,7 @@ class TestReadBlocks:
     @staticmethod
     def _read(tmp_path, lines):
         path = tmp_path / "grid.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines[:2] + ["# not the writer's bytes"] + lines[2:]) + "\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -1383,3 +1386,135 @@ class TestReadBlocks:
         with pytest.raises(ValueError, match=r"does not cover every \(l, phi_index\) cell: "
                            "the header needs 312 cells, the file has 311 rows"):
             self._read(tmp_path, lines)
+
+
+@pytest.fixture
+def no_loadtxt(monkeypatch):
+    """``np.loadtxt`` raises, so a read succeeds only on the writer's bytes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt was called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+
+
+def _read_outcome(path):
+    """The grid's value bits, or the one-line message, of reading ``path``."""
+    try:
+        return read_wigner(path).values.view(np.uint64).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _swap_rows(data: bytes, a: int, b: int) -> bytes:
+    lines = data.split(b"\n")
+    lines[a], lines[b] = lines[b], lines[a]
+    return b"\n".join(lines)
+
+
+def _with_values(*bad) -> WignerGrid:
+    W, _ = _small_csv_lines()
+    values = W.values.copy()
+    values[3, 5:5 + len(bad)] = bad
+    return WignerGrid(W.l_lo, W.l_hi, W.grid, values, W.source_window, W.pad)
+
+
+class TestWrittenBytes:
+    """``write_wigner``'s own bytes are read without ``np.loadtxt`` and give
+    the written bits; any other file is read by the loadtxt path as it
+    stands, so it gives the same grid or message as that path alone."""
+
+    @pytest.mark.parametrize("pad", [None, 2], ids=["default_pad", "pad_2"])
+    @pytest.mark.parametrize("half", [4, 8, 16, 32])
+    @pytest.mark.parametrize("kind", ["random", "coherent", "von_mises", "eigenstate"])
+    def test_written_grids_read_without_loadtxt(self, tmp_path, no_loadtxt, kind, half, pad):
+        w = OamWindow(-half, half)
+        psi = {"random": lambda: random_pure_state(w, half),
+               "coherent": lambda: coherent_state(1, 0.7, 0.5, w),
+               "von_mises": lambda: von_mises_state(0.3, w),
+               "eigenstate": lambda: oam_eigenstate(1, w)}[kind]()
+        W = wigner_from_oam(psi, default_pad(w) if pad is None else pad, default_angle_grid(w))
+        write_wigner(W, tmp_path / "grid.csv")
+        back = read_wigner(tmp_path / "grid.csv")
+        assert (back.l_lo, back.l_hi, back.grid, back.pad) == (W.l_lo, W.l_hi, W.grid, W.pad)
+        assert back.source_window == W.source_window
+        assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+
+    @pytest.mark.parametrize("cells", [7, 10, 24, 48, 50])
+    def test_chunks_of_whole_rows_or_part_of_one(self, tmp_path, no_loadtxt, monkeypatch, cells):
+        """Chunks of part of a row (24 nodes) and of one or two whole rows."""
+        monkeypatch.setattr(phasespace, "_READ_CELLS", cells)
+        W, _ = _small_csv_lines()
+        write_wigner(W, tmp_path / "grid.csv")
+        back = read_wigner(tmp_path / "grid.csv")
+        assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda b: b.replace(b",0.0", b",0.x", 1),  # a letter in a value
+            lambda b: b.replace(b",-1.5707963267948966,", b",-1.570796326795,", 1),  # 13 digits
+            lambda b: b.replace(b"\n-3,4,", b"\n-3,5,", 1),  # a changed phi_index
+            lambda b: b.replace(b"\n-3,4,", b"\n-4,4,", 1),  # a changed l
+            lambda b: _swap_rows(b, 40, 41),
+            lambda b: _swap_rows(b, 2, 300),
+            lambda b: b.replace(b"\n", b"\n# note\n", 2).replace(b"\n# note\n", b"\n", 1),
+            lambda b: b.replace(b"\n-2,", b"\n\n-2,", 1),  # a blank line
+            lambda b: b.replace(b"\n", b"\r\n"),
+            lambda b: b[:-1],  # no final newline
+            lambda b: b + b"# end\n",
+            lambda b: b + b"\n",
+            lambda b: b[:-1] + b"0\n",  # a 17-digit value with an 18th digit
+            lambda b: b.replace(b"pad=4", b"pad=04"),  # the header's own text
+        ],
+        ids=["letter_in_value", "phi_13_digits", "phi_index_changed", "l_changed",
+             "rows_swapped", "far_rows_swapped", "comment_after_header", "blank_line",
+             "crlf", "no_final_newline", "trailing_comment", "trailing_blank_line",
+             "digit_appended", "header_text"],
+    )
+    def test_other_bytes_read_by_loadtxt(self, tmp_path, monkeypatch, edit):
+        W, _ = _small_csv_lines()
+        path = tmp_path / "grid.csv"
+        write_wigner(W, path)
+        data = path.read_bytes()
+        path.write_bytes(edit(data))
+        assert path.read_bytes() != data
+        self._same_as_loadtxt_alone(path, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "values",
+        [(1.5,), (1e-300,), (5e-324, -2.2250738585072009e-308), (1.0,), (-3e-285,)],
+        ids=["above_one", "1e-300", "subnormal", "one", "exponent_285"],
+    )
+    def test_values_outside_the_fast_range(self, tmp_path, monkeypatch, values):
+        """The writer formats these by ``'%.17g' %`` itself; the loadtxt
+        path reads them, to the written bits."""
+        W = _with_values(*values)
+        write_wigner(W, tmp_path / "grid.csv")
+        self._same_as_loadtxt_alone(tmp_path / "grid.csv", monkeypatch)
+        back = read_wigner(tmp_path / "grid.csv")
+        assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+
+    def test_row_label_longer_than_a_word(self, tmp_path, monkeypatch):
+        rho = to_density(oam_eigenstate(10**7, OamWindow(10**7 - 1, 10**7 + 1)))
+        W = wigner_from_oam(rho, 6, AngleGrid(8))
+        write_wigner(W, tmp_path / "grid.csv")
+        self._same_as_loadtxt_alone(tmp_path / "grid.csv", monkeypatch)
+        assert np.array_equal(read_wigner(tmp_path / "grid.csv").values, W.values)
+
+    @staticmethod
+    def _same_as_loadtxt_alone(path, monkeypatch):
+        """Reading ``path`` gives what the loadtxt path alone gives, and the
+        reader of the writer's bytes refused the file."""
+        tried = []
+        read_written = phasespace._read_written
+
+        def spy(*args):
+            tried.append(read_written(*args))
+            return tried[-1]
+
+        monkeypatch.setattr(phasespace, "_read_written", spy)
+        got = _read_outcome(path)
+        assert tried == [False]
+        monkeypatch.setattr(phasespace, "_read_written", lambda *args: False)
+        assert got == _read_outcome(path)

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +38,8 @@ from cylwig import (
 )
 from cylwig import errors
 from cylwig.phasespace import default_angle_grid, default_pad, wigner_from_oam
-from cylwig.phasespace import _digits8, _f17_bytes, _f17s
+from cylwig.phasespace import WignerGrid, _digits8, _f17_bytes, _f17_round, _f17s
+from cylwig.phasespace import read_wigner, write_wigner
 from cylwig.states import density_payload_to_json
 
 TWO_PI = 2 * np.pi
@@ -930,3 +932,133 @@ class TestF17Bytes:
             digits = _digits8(word)
             texts = (digits | np.uint64(0x3030303030303030)).astype("<u8").view("S8")
             assert texts.tolist() == [b"%08d" % n for n in word.tolist()]
+
+
+@pytest.fixture
+def no_loadtxt(monkeypatch):
+    """``np.loadtxt`` raises, so a read succeeds only on the writer's bytes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt was called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+
+
+def _rows_of(values: list, n_phi: int) -> int:
+    """Rows of ``n_phi`` cells that hold ``values``: at least 12, so that the
+    reader formats every node's text."""
+    return max(12, -(-len(values) // n_phi))
+
+
+def _value_file(path, texts: list[str], n_phi: int = 1000) -> None:
+    """A file of the writer's bytes but for its value fields, ``texts`` in
+    order (then "0"), on rows from 0 of a window without padding."""
+    rows = _rows_of(texts, n_phi)
+    nodes = _f17s(AngleGrid(n_phi).nodes)
+    texts = texts + ["0"] * (rows * n_phi - len(texts))
+    path.write_text(
+        f"# format=cylwig-wigner-v1\n# l_lo=0 l_hi={rows - 1} n_phi={n_phi} "
+        f"source_l_min=0 source_l_max={rows - 1} pad=0"
+        + "".join(f"\n{k // n_phi},{k % n_phi},{nodes[k % n_phi]},{t}"
+                  for k, t in enumerate(texts))
+        + "\n"
+    )
+
+
+def _decimals(n: int, seed: int) -> list[str]:
+    """``n`` random decimals of the shapes the reader parses: ``-?0``,
+    ``-?0.0{0,3}[1-9]\\d{0,16}`` and ``-?[1-9](.\\d{1,16})?e-\\d{2,3}`` down to
+    ``e-281``, trailing zeros and short exponents included."""
+    rng = _rng(seed)
+    sign = np.where(rng.random(n) < 0.5, "-", "").tolist()
+    form = rng.choice(3, n, p=[0.45, 0.5, 0.05]).tolist()
+    zeros = rng.integers(0, 4, n).tolist()
+    lead = rng.integers(1, 10, n).tolist()
+    count = rng.integers(0, 17, n).tolist()
+    digits = ["%016d" % d for d in rng.integers(0, 10**16, n).tolist()]
+    exp = rng.integers(0, 282, n).tolist()
+    wide = (rng.random(n) < 0.3).tolist()
+    out = []
+    for s, f, z, d, k, more, e, w in zip(sign, form, zeros, lead, count, digits, exp, wide):
+        if f == 0:
+            out.append(f"{s}0.{'0' * z}{d}{more[:k]}")
+        elif f == 1:
+            frac = f".{more[:k]}" if k else ""
+            out.append(f"{s}{d}{frac}e-{e:03d}" if w or e > 99 else f"{s}{d}{frac}e-{e:02d}")
+        else:
+            out.append(f"{s}0")
+    return out
+
+
+def _near_ties(n: int, seed: int) -> list[str]:
+    """The 17-digit decimals nearest the midpoints between ``n`` random
+    doubles of the fast range and their successors, with their neighbours
+    one unit of the last digit away, as ``d.ddde-XX``."""
+    x = 10.0 ** _rng(seed).uniform(-280, 0, n)
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 17
+        for a, b in zip(x.tolist(), np.nextafter(x, 1.0).tolist()):
+            mid = (Decimal(a) + Decimal(b)).fma(Decimal("0.5"), 0)  # rounded once
+            sign, digits, exp = mid.as_tuple()
+            for step in (-1, 0, 1):
+                text = str(int("".join(map(str, digits))) + step)
+                k = len(text) - 1 + exp  # decimal exponent of the first digit
+                out.append(f"{text[0]}.{text[1:]}e-{-k:02d}")
+    return out
+
+
+class TestF17Parse:
+    """The reader of ``write_wigner``'s own bytes gives each value the bits
+    ``float()`` gives its text: on every fast-range double and zero of the
+    formatter's inputs (1.59 million), as written grids, and on 300,000
+    hand-made decimals of the shapes it parses."""
+
+    @pytest.mark.parametrize("name", list(_F17_INPUTS))
+    def test_written_values(self, tmp_path, no_loadtxt, name):
+        x = _F17_INPUTS[name]()
+        x = x[((np.abs(x) >= 1e-280) & (np.abs(x) < 1.0)) | (x == 0.0)]
+        assert x.size > 0
+        n_phi = 1000
+        values = np.zeros(_rows_of(x, n_phi) * n_phi)
+        values[: x.size] = x
+        rows = values.size // n_phi
+        W = WignerGrid(0, rows - 1, AngleGrid(n_phi), values.reshape(rows, n_phi),
+                       OamWindow(0, rows - 1), 0)
+        write_wigner(W, tmp_path / "grid.csv")
+        back = read_wigner(tmp_path / "grid.csv")
+        assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+
+    def test_hand_made_decimals(self, tmp_path, no_loadtxt):
+        texts = _decimals(300_000, 29)
+        _value_file(tmp_path / "grid.csv", texts)
+        got = read_wigner(tmp_path / "grid.csv").values.ravel()[: len(texts)]
+        want = np.array([float(t) for t in texts])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_near_ties(self, tmp_path):
+        """Decimals within about a twentieth of a gap of a midpoint lie
+        outside the tie guard: they read without loadtxt, to ``float()``."""
+        texts = _near_ties(20_000, 30)
+        _value_file(tmp_path / "grid.csv", texts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "loadtxt", None)
+            got = read_wigner(tmp_path / "grid.csv").values.ravel()[: len(texts)]
+        want = np.array([float(t) for t in texts])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_ties_refused(self):
+        """Integers are exact decimals: between 2**55 and 2**57 the doubles
+        are 8 and 16 apart, so 2**56 - 4 (below a power of two, where the gap
+        is half the gap above), 2**56 + 8 and 2**56 + 24 are ties, which the
+        guard refuses; their neighbours round as ``float()`` rounds them."""
+        base = 2**56
+        for offsets, refused in (([-4], True), ([8], True), ([24], True),
+                                 ([-5, -3, 7, 9, 23, 25], False)):
+            digits = np.array([base + k for k in offsets], np.int64)
+            out = np.zeros(digits.size)
+            ok = _f17_round(digits, np.zeros(digits.size, np.intp),
+                            np.zeros(digits.size, bool), out)
+            assert ok is not refused, offsets
+            if ok:
+                assert out.tolist() == [float(d) for d in digits.tolist()]

@@ -14,12 +14,18 @@ at the end of the round; ``write_wigner.eigenstate`` writes the grid of
 random state's grid text in memory,
 and ``density_payload_to_json`` formats the random state's density matrix as
 ``reconstruct`` formats its result.
+``read_wigner`` reads the writer's own bytes, which take the reader's
+parser of those bytes; the two other read cases take the loadtxt path.
 ``read_wigner.lenient`` reads the same grid with its ``phi`` column printed
 to 13 significant digits, so that no row's ``phi`` is its node's own text
 and the reader converts every row's ``phi`` to a number to check it.
+``read_wigner.general`` reads the written grid with one ``#`` line after its
+header, which the parser of the writer's bytes refuses at its first
+comparison: it times the loadtxt path with that refused attempt.
 The ``cli.*`` cases time whole commands end to end: ``check`` of the random
 state, ``wigner`` of it (by the OAM path), ``reconstruct`` (least squares)
-of its grid and the self-star ``star`` of that grid, each run in-process
+of its grid, the self-star ``star`` of that grid, ``overlap`` of the grid
+with itself and ``render`` of it to a PPM image, each run in-process
 through the click entry point, as ``bench/harness.py`` runs its jobs, on
 input files written to the temporary directory and with its output written
 there.
@@ -78,10 +84,13 @@ LAYERS = (
     "write_wigner.eigenstate",
     "read_wigner",
     "read_wigner.lenient",
+    "read_wigner.general",
     "cli.check",
     "cli.wigner",
     "cli.reconstruct",
     "cli.star",
+    "cli.overlap",
+    "cli.render",
 )
 WINDOWS = (4, 16, 64)
 SEED = 1
@@ -92,7 +101,7 @@ BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREAD
 
 def _call(layer: str, half: int, tmp: str):
     """The timed call of one case, with its inputs built; ``write_wigner``
-    and both ``read_wigner`` cases use grid files in the directory ``tmp``."""
+    and the ``read_wigner`` cases use grid files in the directory ``tmp``."""
     import cylwig as cw
 
     w = cw.OamWindow(-half, half)
@@ -138,6 +147,13 @@ def _call(layer: str, half: int, tmp: str):
                     line = f"{l},{j},{float(phi):.13g},{value}"
                 fh.write(line)
         return lambda: cw.read_wigner(path)
+    if layer == "read_wigner.general":
+        cw.write_wigner(W, path)
+        with open(path, "rb") as fh:
+            first, second, rest = fh.read().split(b"\n", 2)
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join([first, second, b"# not the writer's bytes", rest]))
+        return lambda: cw.read_wigner(path)
     if layer == "angle_marginal_tail":
         return lambda: cw.angle_marginal_tail(rho, W)
     if layer == "star_product":
@@ -148,8 +164,8 @@ def _call(layer: str, half: int, tmp: str):
 
 def _command(name: str, w, psi, W, tmp: str):
     """The CLI command ``name`` on input files in ``tmp``, writing its output
-    there, run by the click entry point in-process; an error exits through
-    ``SystemExit``."""
+    there (``overlap`` prints its number to stdout), run by the click entry
+    point in-process; an error exits through ``SystemExit``."""
     import cylwig as cw
     from cylwig import cli
 
@@ -161,9 +177,11 @@ def _command(name: str, w, psi, W, tmp: str):
     else:
         src = os.path.join(tmp, "grid.csv")
         cw.write_wigner(W, src)
-        args = (["reconstruct", src, "--window", f"{w.l_min}:{w.l_max}"]
-                if name == "reconstruct" else ["star", src, src])
-    args += ["-o", out]
+        args = {"reconstruct": ["reconstruct", src, "--window", f"{w.l_min}:{w.l_max}"],
+                "star": ["star", src, src], "overlap": ["overlap", src, src],
+                "render": ["render", src]}[name]
+    if name != "overlap":
+        args += ["-o", out]
     return lambda: cli.cli.main(args=args, prog_name="cylwig", standalone_mode=False)
 
 
@@ -237,9 +255,11 @@ def main() -> None:
                 "random pure state (seed 1; star_product its self-star) or, "
                 "for hudson_certify.eigenstate (forward map, negativity scan "
                 "and coefficient count), flatness_check and "
-                "write_wigner.eigenstate, the eigenstate |0>; cli.* cases "
-                "run the command in-process on files of that state and its "
-                "grid; median and quartiles of the pooled calls and each "
+                "write_wigner.eigenstate, the eigenstate |0>; read_wigner.general "
+                "reads the written grid with a '#' line after its header; "
+                "cli.* cases (check, wigner, reconstruct, star, overlap, "
+                "render) run the command in-process on files of that state "
+                "and its grid; median and quartiles of the pooled calls and each "
                 "round's median in ms; peak RSS of the case's process in MB",
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
                 "numpy": numpy.__version__, "blas_threads": 1,

@@ -609,16 +609,25 @@ def star_product(
 # The rules a file must meet on input are in ``read_wigner``.
 #
 # Both ways the text is streamed: the writer formats a chunk of whole grid
-# rows at a time and the reader hands ``_READ_BLOCK`` lines at a time to ``np.loadtxt``, so
-# neither holds the file's text or all its parsed rows at once: the reader
-# holds the grid, NaN until a cell is read, and one block.  loadtxt
-# reads l, phi_index and value as floats and keeps phi as text: phi only
-# names the node that phi_index already gives, so the node's own 17-digit
-# text, the one the writer prints, passes by a comparison of text.  A block
-# with any other phi is parsed once more for its phi column alone, and each
-# such row's number is checked.  The value is then the one field per row
-# whose conversion a written grid needs.  A block that does not parse is
-# scanned again in Python to name its first bad data row.
+# rows at a time, and the reader holds the grid, NaN until a cell is read,
+# and one chunk or block.  The reader has two paths.  A file that holds
+# exactly the writer's bytes for its header (the header as the writer prints
+# it, each cell as "\n{l}" and ",{j},{phi_j}," in the writer's order with a
+# value of one of ``_f17_bytes``'s fast-range shapes or 0, and the final
+# newline) is parsed by ``_read_written`` in chunks of whole grid rows,
+# with no string-to-float conversion: its digits are read eight to a 64-bit
+# word and scaled by an error-free product (see ``_f17_fields``), to the
+# bits ``float()`` gives.  At the first byte that differs that path gives
+# up, and the file is read again from its first data row by the general
+# path, which hands ``_READ_BLOCK`` lines at a time to ``np.loadtxt``, so
+# every message is the general path's.  loadtxt reads l, phi_index and value
+# as floats and keeps phi as text: phi only names the node that phi_index
+# already gives, so in a file that is not the writer's bytes (one with a
+# comment line, CRLF line ends or a value the fast path refuses) the node's
+# own 17-digit text passes by a comparison of text.  A block with any other
+# phi is parsed once more for its phi column alone, and each such row's
+# number is checked.  A block that does not parse is scanned again in
+# Python to name its first bad data row.
 
 # Lines per ``np.loadtxt`` call, blank and comment lines included.  The block
 # is held as a list of strings beside its parsed rows: at 4,096 lines the
@@ -790,12 +799,10 @@ def _f17_bytes(values: np.ndarray) -> np.ndarray:
 # 17-digit decimals.
 _F17_EXP_MAX = 281
 _F17_M = 16 + _F17_EXP_MAX + 1  # M from 0 to 16 + 281
-_DIGITS = _U(0x3030303030303030)
 _MANTISSA = _U(2**52 - 1)
-# For n from 0 to 16: masks of the first n bytes of two words, and '0' after them.
+# For n from 0 to 16: the masks of the first n bytes of two words.
 _KEEP = np.array([[2 ** (8 * min(n, 8)) - 1, 2 ** (8 * min(max(n - 8, 0), 8)) - 1]
                   for n in range(17)], np.uint64)
-_ZERO_FILL = _DIGITS & ~_KEEP
 _SWAR_STEPS = [(_U(0x0F0F0F0F0F0F0F0F), _U(2561), _U(8)),
                (_U(0x00FF00FF00FF00FF), _U(6553601), _U(16)),
                (_U(0x0000FFFF0000FFFF), _U(42949672960001), _U(32))]
@@ -821,10 +828,10 @@ def _sixteen_digits(w: np.ndarray, n: np.ndarray):
     """The first ``n`` (0 to 16) bytes of each pair of words ``w`` (which is
     overwritten), as digits followed by zeros, as a number below ``10**16``;
     None if one of those bytes is not a digit."""
-    w &= _KEEP[n]
-    w |= _ZERO_FILL[n]
+    keep = _KEEP[n]
+    w &= keep  # a dropped byte is 0, which the SWAR steps take as digit 0
     if not (((w & _U(0xF0F0F0F0F0F0F0F0)) | (((w + _U(0x0606060606060606))
-              & _U(0xF0F0F0F0F0F0F0F0)) >> _U(4))) == _U(0x3333333333333333)).all():
+              & _U(0xF0F0F0F0F0F0F0F0)) >> _U(4))) == (keep & _U(0x3333333333333333))).all():
         return None
     for mask, factor, shift in _SWAR_STEPS:  # 10a + b per 16 bits, then 32, then 64
         w &= mask
@@ -982,6 +989,12 @@ def read_wigner(path) -> WignerGrid:
     memory budget raises ``MemoryBudgetError``.  Every other failure is one
     ``ValueError`` line naming the header key, the data row (counted from 1
     over the file) and field, or the cell.
+
+    A file that holds exactly what ``write_wigner`` writes for its header,
+    with every value of the formatter's fast range (``1e-280 <= |x| < 1``)
+    or 0, of at least 12 rows whose ``\\n{l}`` fits one 64-bit word, is read
+    without ``np.loadtxt`` (``_read_written``), to the same bits.  Any other
+    file is read by the rules above, which also give every message.
     """
     with open(path, "r", encoding="utf-8") as fh:
         info = os.fstat(fh.fileno())
@@ -1018,10 +1031,12 @@ def read_wigner(path) -> WignerGrid:
                 f"wigner CSV header needs {n_cells} cells, more than the file's "
                 f"{info.st_size} bytes hold at 8 bytes per row"
             )
-        # The grid and the node texts, which take 4 * _PHI_WIDTH bytes each:
-        # at most n_cells // 12 of them are made, never more bytes than the
-        # grid.  The rows of later nodes meet the last entry, the delimiter,
-        # which no field holds: they take the numeric check.
+        # The grid and the node texts, which take 4 * _PHI_WIDTH bytes each
+        # in the general path: at most n_cells // 12 of them are made, never
+        # more bytes than the grid.  There the rows of later nodes meet the
+        # last entry, the delimiter, which no field holds: they take the
+        # numeric check.  The writer's bytes are parsed only when every node
+        # has its text, so a grid of fewer than 12 rows takes the general path.
         _check_budget("wigner grid", 2 * n_cells)
         values = np.full(n_cells, np.nan)  # NaN: not yet read
         nodes = _f17s(grid.nodes[: n_cells // 12])

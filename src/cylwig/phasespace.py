@@ -794,9 +794,10 @@ def _f17_bytes(values: np.ndarray) -> np.ndarray:
 # a tie: a value whose residual ``p + r - s`` lies within ``2^-30`` of half
 # the gap to the neighbouring double on its side (at a power of two the gap
 # below is half the gap above) is refused.  The product's error is below
-# ``2^-45`` of a gap, and text written by ``%.17g`` lies some 0.02 of a gap
-# from any tie, so no written value is refused: the guard is for hand-made
-# 17-digit decimals.
+# ``2^-45`` of a gap.  Text written by ``%.17g`` differs from its double by
+# at most half a unit of its 17th digit, at most 0.45 of the gap on either
+# side, so it lies at least 0.05 of a gap from any tie: no written value is
+# refused, and the guard is for hand-made 17-digit decimals.
 _F17_EXP_MAX = 281
 _F17_M = 16 + _F17_EXP_MAX + 1  # M from 0 to 16 + 281
 _MANTISSA = _U(2**52 - 1)
@@ -1041,10 +1042,13 @@ def read_wigner(path) -> WignerGrid:
         values = np.full(n_cells, np.nan)  # NaN: not yet read
         nodes = _f17s(grid.nodes[: n_cells // 12])
         header = _csv_header(l_lo, l_hi, n_phi, source_l_min, source_l_max, pad)
+        # The text handle reads on from where its binary buffer stands.
+        resume = fh.buffer.tell()
         if len(nodes) < n_phi or not _read_written(
-            fh.fileno(), info.st_size, header,
+            fh.buffer, info.st_size, header,
             *_cell_texts(range(l_lo, l_hi + 1), nodes), values.reshape(-1, n_phi),
         ):
+            fh.buffer.seek(resume)
             values.fill(np.nan)
             _read_rows(itertools.chain([line], fh), l_lo, l_hi, grid, nodes, values)
     window = OamWindow(source_l_min, source_l_max)
@@ -1076,8 +1080,8 @@ def _read_rows(lines, l_lo: int, l_hi: int, grid: AngleGrid, nodes, values) -> N
         )
 
 
-def _read_written(fd: int, size: int, header: bytes, row_text, col_text, values) -> bool:
-    """Fill the grid ``values`` from the open file ``fd`` of ``size`` bytes
+def _read_written(raw, size: int, header: bytes, row_text, col_text, values) -> bool:
+    """Fill the grid ``values`` from the binary file ``raw`` of ``size`` bytes
     if the file holds exactly what ``write_wigner`` writes for ``header``:
     the header, each cell as ``row_text`` + ``col_text`` + an accepted value
     (see ``_f17_fields``) in the writer's order, and the final newline.
@@ -1090,7 +1094,8 @@ def _read_written(fd: int, size: int, header: bytes, row_text, col_text, values)
     filled; a ``\\n{l}`` longer than one word also returns False.
     """
     n_rows, n_phi = values.shape
-    if row_text.shape[1] > 8 or os.pread(fd, len(header), 0) != header:
+    raw.seek(0)
+    if row_text.shape[1] > 8 or raw.read(len(header)) != header:
         return False
     rword, rmask, rlen = _text_words(row_text)
     cword, cmask, clen = _text_words(col_text)
@@ -1107,7 +1112,8 @@ def _read_written(fd: int, size: int, header: bytes, row_text, col_text, values)
         for j in range(0, n_phi, c):
             rows, cols = slice(i, i + r), slice(j, j + c)
             block = values[rows, cols]
-            got = os.preadv(fd, [buf[: min(block.size * cell + 1, size - start)]], start)
+            raw.seek(start)
+            got = raw.readinto(buf[: min(block.size * cell + 1, size - start)])
             nl = np.flatnonzero(buf[:got] == 10)[: block.size + 1]
             if len(nl) <= block.size or nl[0] != 0:
                 return False

@@ -1481,6 +1481,22 @@ class TestWrittenBytes:
         assert path.read_bytes() != data
         self._same_as_loadtxt_alone(path, monkeypatch)
 
+    @pytest.mark.parametrize("at", [-2, 12_000], ids=["last_cell", "mid_file"])
+    def test_difference_after_many_chunks(self, tmp_path, monkeypatch, at):
+        """The loadtxt path reads from the first data row again after chunks
+        of the file were parsed: a letter in the last value, or in a value
+        past the text handle's first read."""
+        monkeypatch.setattr(phasespace, "_READ_CELLS", 24)
+        W, _ = _small_csv_lines()
+        path = tmp_path / "grid.csv"
+        write_wigner(W, path)
+        data = bytearray(path.read_bytes())
+        k = data.index(b"\n", at % len(data)) - 1  # a value's last digit
+        assert chr(data[k]).isdigit() and k > 8192
+        data[k] = ord("x")
+        path.write_bytes(bytes(data))
+        self._same_as_loadtxt_alone(path, monkeypatch)
+
     @pytest.mark.parametrize(
         "values",
         [(1.5,), (1e-300,), (5e-324, -2.2250738585072009e-308), (1.0,), (-3e-285,)],

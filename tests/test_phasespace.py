@@ -1388,16 +1388,6 @@ class TestReadBlocks:
             self._read(tmp_path, lines)
 
 
-@pytest.fixture
-def no_loadtxt(monkeypatch):
-    """``np.loadtxt`` raises, so a read succeeds only on the writer's bytes."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.loadtxt was called")
-
-    monkeypatch.setattr(np, "loadtxt", refuse)
-
-
 def _read_outcome(path):
     """The grid's value bits, or the one-line message, of reading ``path``."""
     try:

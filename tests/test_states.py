@@ -934,16 +934,6 @@ class TestF17Bytes:
             assert texts.tolist() == [b"%08d" % n for n in word.tolist()]
 
 
-@pytest.fixture
-def no_loadtxt(monkeypatch):
-    """``np.loadtxt`` raises, so a read succeeds only on the writer's bytes."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.loadtxt was called")
-
-    monkeypatch.setattr(np, "loadtxt", refuse)
-
-
 def _rows_of(values: list, n_phi: int) -> int:
     """Rows of ``n_phi`` cells that hold ``values``: at least 12, so that the
     reader formats every node's text."""
@@ -1036,14 +1026,12 @@ class TestF17Parse:
         want = np.array([float(t) for t in texts])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_near_ties(self, tmp_path):
+    def test_near_ties(self, tmp_path, no_loadtxt):
         """Decimals within about a twentieth of a gap of a midpoint lie
         outside the tie guard: they read without loadtxt, to ``float()``."""
         texts = _near_ties(20_000, 30)
         _value_file(tmp_path / "grid.csv", texts)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np, "loadtxt", None)
-            got = read_wigner(tmp_path / "grid.csv").values.ravel()[: len(texts)]
+        got = read_wigner(tmp_path / "grid.csv").values.ravel()[: len(texts)]
         want = np.array([float(t) for t in texts])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

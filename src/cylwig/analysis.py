@@ -2,12 +2,12 @@
 classification theorem: among pure states, exactly the OAM eigenstates have
 non-negative Wigner functions.
 
-The certifier maps the state to its Wigner grid, scans the grid for
-negativity, and then decides by the theorem's own criterion: a state with
-exactly one nonzero OAM coefficient is an eigenstate, whose grid is
-``delta/2pi``, exactly 0 off its one row; any other state keeps the scan's
-verdict, ``negative_witnessed`` below ``-tolerance`` and ``inconclusive``
-otherwise.
+The certifier decides by the theorem's own criterion: a state with exactly
+one nonzero OAM coefficient is an eigenstate, whose grid is ``delta/2pi``,
+exactly 0 off its one row, so its report is written from that closed form
+without mapping it; any other state is mapped to its Wigner grid, scanned
+for negativity, and keeps the scan's verdict, ``negative_witnessed`` below
+``-tolerance`` and ``inconclusive`` otherwise.
 
 The two lemmas of the classification argument are executable checks beside
 it: the flatness inequality of the angle-wavefunction modulus, and the
@@ -24,6 +24,7 @@ import numpy as np
 from .errors import _check_budget
 from .phasespace import (
     WignerGrid,
+    _stored_rows,
     default_angle_grid,
     default_pad,
     wigner_from_oam,
@@ -70,6 +71,11 @@ class NegativityReport:
         return self.min_value >= -self.tolerance
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not 0.0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+
+
 def negativity(W: WignerGrid, tolerance: float = DEFAULT_TOLERANCE) -> NegativityReport:
     """Exhaustive scan of the stored grid.
 
@@ -79,8 +85,7 @@ def negativity(W: WignerGrid, tolerance: float = DEFAULT_TOLERANCE) -> Negativit
     otherwise; ``oam_eigenstate`` is the certifier's decision, from the
     coefficients.
     """
-    if not 0.0 < tolerance < np.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+    _check_tolerance(tolerance)
     # the first cell holding the minimum (the first NaN, if any), as argmin finds
     # it; argmin itself copies the grid first, since the grid is read-only
     low = W.values.min()
@@ -186,18 +191,36 @@ def hudson_certify(
 ) -> NegativityReport:
     """Classify a pure state: ``oam_eigenstate`` exactly when one coefficient
     is nonzero, otherwise the classification of the negativity scan of its
-    Wigner grid.  The forward map runs through the OAM-basis sums, whose
-    off-row zeros are exact, so an eigenstate's reported minimum is exactly
-    0 on any grid with more than its one row.  The nearest eigenstate is read off the coefficients, and the memory
-    is that of the forward map.
+    Wigner grid, mapped through the OAM-basis sums.  The nearest eigenstate
+    is read off the coefficients.
+
+    An eigenstate ``|l0>`` is not mapped: its grid is ``delta/2pi``, exactly 0
+    off row ``l0`` (the OAM-basis sums keep those zeros exact), and about
+    ``1/2pi`` on it, since the norm is within 1e-12 of 1.  Its report is the
+    scan's of that grid: minimum 0 at the first zero cell in row-major order,
+    node 0 of row ``l_lo``, or of the next row if ``l_lo`` is ``l0``, and no
+    negative volume.  The requested geometry and the tolerance are checked
+    as for a mapped state, in the same order and with the same errors, and
+    no array larger than the coefficients is made; a grid of the one row
+    ``l0`` is mapped and scanned.  Any other state's memory is that of its
+    forward map.
     """
     grid = AngleGrid(n_phi) if n_phi is not None else default_angle_grid(psi.window)
     l_pad = pad if pad is not None else default_pad(psi.window)
-    report = negativity(wigner_from_oam(psi, l_pad, grid), tolerance)
     probs = np.abs(psi.coefficients) ** 2
     best = int(np.argmax(probs))
     nearest = (int(psi.window.l_min + best), float(probs[best]))
-    if np.count_nonzero(psi.coefficients) == 1:
+    eigen = np.count_nonzero(psi.coefficients) == 1
+    if eigen:
+        l_lo, l_hi = _stored_rows(psi.window, l_pad, grid)
+        if l_hi > l_lo:
+            _check_tolerance(tolerance)
+            argmin = (l_lo + (l_lo == nearest[0]), float(grid.node(0)))
+            return NegativityReport(
+                0.0, argmin, 0.0, tolerance, "oam_eigenstate", nearest
+            )
+    report = negativity(wigner_from_oam(psi, l_pad, grid), tolerance)
+    if eigen:
         report = replace(report, classification="oam_eigenstate")
     return replace(report, nearest_eigenstate=nearest)
 

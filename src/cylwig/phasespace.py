@@ -993,8 +993,9 @@ def read_wigner(path) -> WignerGrid:
 
     A file that holds exactly what ``write_wigner`` writes for its header,
     with every value of the formatter's fast range (``1e-280 <= |x| < 1``)
-    or 0, of at least 12 rows whose ``\\n{l}`` fits one 64-bit word, is read
-    without ``np.loadtxt`` (``_read_written``), to the same bits.  Any other
+    or 0, of at least 12 rows or at most ``_READ_CELLS`` angles, whose
+    ``\\n{l}`` fits one 64-bit word, is read without ``np.loadtxt``
+    (``_read_written``), to the same bits.  Any other
     file is read by the rules above, which also give every message.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -1034,13 +1035,13 @@ def read_wigner(path) -> WignerGrid:
             )
         # The grid and the node texts, which take 4 * _PHI_WIDTH bytes each
         # in the general path: at most n_cells // 12 of them are made, never
-        # more bytes than the grid.  There the rows of later nodes meet the
-        # last entry, the delimiter, which no field holds: they take the
-        # numeric check.  The writer's bytes are parsed only when every node
-        # has its text, so a grid of fewer than 12 rows takes the general path.
+        # more bytes than the grid, or all n_phi when n_phi <= _READ_CELLS,
+        # a bounded few.  There the rows of later nodes meet the last entry,
+        # the delimiter, which no field holds: they take the numeric check.
+        # The writer's bytes are parsed only when every node has its text.
         _check_budget("wigner grid", 2 * n_cells)
         values = np.full(n_cells, np.nan)  # NaN: not yet read
-        nodes = _f17s(grid.nodes[: n_cells // 12])
+        nodes = _f17s(grid.nodes[: max(n_cells // 12, min(n_phi, _READ_CELLS))])
         header = _csv_header(l_lo, l_hi, n_phi, source_l_min, source_l_max, pad)
         # The text handle reads on from where its binary buffer stands.
         resume = fh.buffer.tell()

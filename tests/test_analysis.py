@@ -310,8 +310,8 @@ class TestHudsonCertify:
         assert rep.min_value < -1e-6
 
     def test_soundness_near_miss(self):
-        # a state extremely close to an eigenstate but below the fidelity
-        # gate must not be classified as one
+        # a state of fidelity 1 - 1e-4 with |0> has a second nonzero
+        # coefficient, so it must not be classified as an eigenstate
         w = OamWindow(-4, 4)
         c = np.zeros(9, dtype=complex)
         c[4] = np.sqrt(1 - 1e-4)
@@ -352,17 +352,25 @@ class TestHudsonCertify:
 
     def test_eigenstate_at_40000_angles(self):
         """The certifier holds no ``(n_phi, n_phi)`` array: an eigenstate on
-        40000 angles needs only its forward map."""
+        40000 angles is not even mapped, its report is written from the
+        closed form ``delta/2pi``."""
         rep = hudson_certify(oam_eigenstate(0, OamWindow(-4, 4)), n_phi=40000)
         assert rep.classification == "oam_eigenstate"
         assert rep.min_value == 0.0
         assert rep.nearest_eigenstate == (0, 1.0)
 
-    def test_peak_within_forward_map_estimate(self):
+    @pytest.mark.parametrize("kind", ["eigenstate", "two_coefficients"])
+    def test_peak_within_forward_map_estimate(self, kind):
         """The certifier's tracemalloc peak stays within the forward map's own
-        estimate, ``2 rows (n_phi + n_t) + 6 (n_t + 1) n_phi`` floats."""
+        estimate, ``2 rows (n_phi + n_t) + 6 (n_t + 1) n_phi`` floats, for a
+        state it maps (two nonzero coefficients) and for an eigenstate, which
+        it does not map."""
         w = OamWindow(-4, 4)
-        psi, n_phi = oam_eigenstate(1, w), 4000
+        c = np.zeros(w.size, dtype=complex)
+        c[5] = 1.0
+        if kind == "two_coefficients":
+            c[4:6] = np.sqrt(0.5)
+        psi, n_phi = PureState(w, c), 4000
         rows, n_t = w.size + 2 * default_pad(w), 2 * w.span + 1
         estimate = 8 * (2 * rows * (n_phi + n_t) + 6 * (n_t + 1) * n_phi)
         hudson_certify(psi, n_phi=n_phi)
@@ -372,8 +380,25 @@ class TestHudsonCertify:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.classification == "oam_eigenstate"
+        expected = {"eigenstate": "oam_eigenstate", "two_coefficients": "negative_witnessed"}
+        assert rep.classification == expected[kind]
         assert peak <= estimate
+
+    def test_eigenstate_peak_is_not_a_grid(self):
+        """At +-64 the grid of ``|1>`` would take 9 MB; certifying it takes
+        below 1% of that."""
+        w = OamWindow(-64, 64)
+        psi = oam_eigenstate(1, w)
+        grid_bytes = 8 * (w.size + 2 * default_pad(w)) * default_angle_grid(w).n_phi
+        hudson_certify(psi)
+        tracemalloc.start()
+        try:
+            rep = hudson_certify(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.classification == "oam_eigenstate"
+        assert peak < 0.01 * grid_bytes
 
     @pytest.mark.parametrize("l0", [-16, 0, 16])
     def test_completeness_up_to_span_32(self, l0):
@@ -401,6 +426,90 @@ class TestHudsonCertify:
         assert base.min_value == phased.min_value
         assert base.argmin == phased.argmin
         assert base.negative_volume == phased.negative_volume
+
+
+def _mapped_report(psi, n_phi=None, pad=None, tolerance=analysis.DEFAULT_TOLERANCE):
+    """The certifier's report of ``psi`` by the grid path: the negativity scan
+    of its mapped grid, classified and given its nearest eigenstate as the
+    certifier does."""
+    grid = AngleGrid(n_phi) if n_phi is not None else default_angle_grid(psi.window)
+    l_pad = pad if pad is not None else default_pad(psi.window)
+    report = negativity(wigner_from_oam(psi, l_pad, grid), tolerance)
+    probs = np.abs(psi.coefficients) ** 2
+    best = int(np.argmax(probs))
+    if np.count_nonzero(psi.coefficients) == 1:
+        report = replace(report, classification="oam_eigenstate")
+    return replace(report, nearest_eigenstate=(psi.window.l_min + best, float(probs[best])))
+
+
+def _error(call):
+    """The type and message of what ``call`` raises, or None."""
+    try:
+        call()
+    except (ValueError, errors.CylwigError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+EIGEN_KINDS = {
+    "eigen": lambda psi: psi,
+    "displaced": lambda psi: displace(psi, 0, 0.83),
+    "phased": lambda psi: apply_phase_function(psi, lambda l: 0.13 * l**3 - 0.7 * l),
+}
+
+
+class TestEigenstateReport:
+    """An eigenstate's report is written without mapping it, and is the grid
+    path's report byte for byte, with the same errors."""
+
+    @pytest.mark.parametrize("kind", sorted(EIGEN_KINDS))
+    def test_same_report_bytes_as_the_grid_path(self, kind):
+        """Windows of 1 to 41 modes at two lower bounds, ``l0`` at either end
+        and in the middle, pads 0, 1, 2 and the default, and the smallest
+        ``n_phi`` the band limit allows beside the default (a one-row grid,
+        one mode at pad 0, is mapped by both)."""
+        for size in range(1, 42):
+            for lo in (-(size // 2), 3):
+                w = OamWindow(lo, lo + size - 1)
+                for l0 in sorted({w.l_min, (w.l_min + w.l_max) // 2, w.l_max}):
+                    psi = EIGEN_KINDS[kind](oam_eigenstate(l0, w))
+                    for pad in (0, 1, 2, None):
+                        for n_phi in (2 * w.span + 4, None):
+                            got = report_to_json(hudson_certify(psi, n_phi, pad))
+                            want = report_to_json(_mapped_report(psi, n_phi, pad))
+                            assert got == want, (w, l0, pad, n_phi)
+
+    def test_eigenstate_is_not_mapped(self, monkeypatch):
+        """Only a grid of the one row ``l0`` maps an eigenstate."""
+        mapped = []
+        map_ = analysis.wigner_from_oam
+        monkeypatch.setattr(analysis, "wigner_from_oam",
+                            lambda *args: mapped.append(args) or map_(*args))
+        for w, pad in [(OamWindow(-4, 4), None), (OamWindow(-4, 4), 0),
+                       (OamWindow(2, 2), 1), (OamWindow(2, 2), None)]:
+            assert hudson_certify(oam_eigenstate(w.l_max, w), pad=pad).min_value >= 0.0
+        assert [(args[0].window, args[1]) for args in mapped] == [(OamWindow(2, 2), 0)]
+
+    @pytest.mark.parametrize(
+        "n_phi, pad, tolerance",
+        [(None, -1, 1e-8), (None, -1, 0.0), (8, 0, 1e-8), (8, -1, float("nan")),
+         (8, 0, -1.0), (None, 10**12, 1e-8), (None, 10**12, float("inf")),
+         (9, 0, 1e-8), (None, 0, 0.0), (None, None, float("nan"))],
+        ids=["negative_pad", "negative_pad_bad_tol", "band_limit", "band_limit_negative_pad",
+             "band_limit_bad_tol", "over_budget", "over_budget_bad_tol", "odd_n_phi",
+             "zero_tol", "nan_tol"],
+    )
+    def test_same_errors_as_the_grid_path(self, n_phi, pad, tolerance):
+        """A negative pad, a band-limit violation, an over-budget request and
+        a bad tolerance raise, first of all, what the grid path raises."""
+        w = OamWindow(-4, 4)
+        eigen = oam_eigenstate(1, w)
+        c = np.zeros(w.size, dtype=complex)
+        c[4:6] = np.sqrt(0.5)
+        want = _error(lambda: _mapped_report(eigen, n_phi, pad, tolerance))
+        assert want is not None
+        assert _error(lambda: hudson_certify(eigen, n_phi, pad, tolerance)) == want
+        assert _error(lambda: hudson_certify(PureState(w, c), n_phi, pad, tolerance)) == want
 
 
 class TestPureStatesMapDirectly:

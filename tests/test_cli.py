@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -12,13 +13,16 @@ import numpy as np
 import pytest
 
 from cylwig import (
+    AngleGrid,
     OamWindow,
     PureState,
     cli,
     default_angle_grid,
     default_pad,
+    negativity,
     phasespace,
     read_wigner,
+    report_to_json,
     state_from_json,
     state_to_json,
     wigner_from_oam,
@@ -237,6 +241,29 @@ class TestCheckAndScan:
         report = json.loads(cp.stdout)
         assert report["classification"] == "oam_eigenstate"
         assert report["min_value"] == 0
+
+    @pytest.mark.parametrize(
+        "apply, flags",
+        [([], []), ([], ["--pad", "0"]), (["--apply", "displace=2,0.4"], ["--nphi", "20"]),
+         (["--apply", "phase=0.1,0.3,-0.2"], ["--pad", "1", "--tol", "1e-3"])],
+        ids=["eigen", "eigen_pad_0", "displaced", "phased"],
+    )
+    def test_check_eigenstate_bytes(self, tmp_path, apply, flags):
+        """``check`` of an eigenstate, which the certifier does not map,
+        prints the report of the mapped grid's negativity scan."""
+        state = tmp_path / "e.json"
+        run("state", "--kind", "eigen", "--l0", "-3", "--window", "-3:4", *apply,
+            "-o", str(state))
+        psi = state_from_json(state.read_text())
+        opts = dict(zip(flags[::2], flags[1::2]))
+        grid = AngleGrid(int(opts.get("--nphi", default_angle_grid(psi.window).n_phi)))
+        W = wigner_from_oam(psi, int(opts.get("--pad", default_pad(psi.window))), grid)
+        report = dataclasses.replace(
+            negativity(W, float(opts.get("--tol", 1e-8))), classification="oam_eigenstate",
+            nearest_eigenstate=(psi.window.l_min + int(np.argmax(np.abs(psi.coefficients))),
+                                float(np.max(np.abs(psi.coefficients) ** 2))))
+        cp = run("check", str(state), *flags)
+        assert cp.stdout == report_to_json(report) + "\n"
 
     def test_check_coherent(self, tmp_path):
         state = tmp_path / "c.json"
@@ -759,8 +786,20 @@ class TestMemoryBudget:
         assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
         assert "memory budget" in cp.stderr
 
+    def test_huge_pad_eigenstate_check_exit_3(self, tmp_path):
+        """An eigenstate, which the certifier does not map, is refused as a
+        mapped state is."""
+        state = tmp_path / "e.json"
+        run("state", "--kind", "eigen", "--window", "-4:4", "-o", str(state))
+        cp = run("check", str(state), "--pad", str(10**12), check=False)
+        assert cp.returncode == 3
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("error: Wigner map needs about ")
+        assert cp.stderr.count("\n") == 1 and "memory budget" in cp.stderr
+
     def test_eigenstate_check_at_40000_angles(self, tmp_path):
-        """The certifier holds only its forward map, which fits the budget."""
+        """The certifier holds no grid of an eigenstate, which fits the
+        budget at any number of angles the band limit allows."""
         state = tmp_path / "e.json"
         run("state", "--kind", "eigen", "--window", "-4:4", "-o", str(state))
         cp = run("check", str(state), "--nphi", "40000")

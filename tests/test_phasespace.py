@@ -1430,6 +1430,23 @@ class TestWrittenBytes:
         assert back.source_window == W.source_window
         assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
 
+    @pytest.mark.parametrize(
+        "window, pad, rows",
+        [((-4, 4), 0, 9), ((-2, 2), 1, 7), ((3, 3), 0, 1)],
+        ids=["rows_9", "rows_7", "rows_1"],
+    )
+    def test_grids_of_few_rows_read_without_loadtxt(self, tmp_path, no_loadtxt,
+                                                     window, pad, rows):
+        """A grid of fewer than 12 rows, whose angles are few, is parsed too:
+        a random state at pad 0 or 1, and the one row of a one-mode window."""
+        w = OamWindow(*window)
+        W = wigner_from_oam(random_pure_state(w, 5), pad, default_angle_grid(w))
+        assert W.n_rows == rows
+        write_wigner(W, tmp_path / "grid.csv")
+        back = read_wigner(tmp_path / "grid.csv")
+        assert (back.l_lo, back.l_hi, back.pad) == (W.l_lo, W.l_hi, W.pad)
+        assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+
     @pytest.mark.parametrize("cells", [7, 10, 24, 48, 50])
     def test_chunks_of_whole_rows_or_part_of_one(self, tmp_path, no_loadtxt, monkeypatch, cells):
         """Chunks of part of a row (24 nodes) and of one or two whole rows."""

@@ -29,6 +29,22 @@ def test_layer_case_runs(layer, tmp_path):
     call()
 
 
+def test_layer_filter():
+    """``--layer`` repeats, keeps ``LAYERS`` order and defaults to every
+    layer; an unknown name is an argparse error."""
+    assert bench_layers.plan(bench_layers.parse_args([]).layer) == [
+        (half, layer) for half in bench_layers.WINDOWS for layer in bench_layers.LAYERS
+    ]
+    args = bench_layers.parse_args(["--layer", "cli.check", "--layer", "hudson_certify"])
+    assert bench_layers.plan(args.layer) == [
+        (half, layer) for half in bench_layers.WINDOWS
+        for layer in ("hudson_certify", "cli.check")
+    ]
+    with pytest.raises(SystemExit) as exc:
+        bench_layers.parse_args(["--layer", "no_such_layer"])
+    assert exc.value.code == 2
+
+
 def test_summarize_keeps_round_medians():
     """Pooled quartiles plus one median per round, in round order: the
     rounds' spread is what tells a moved layer from a noisy machine."""

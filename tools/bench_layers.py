@@ -23,12 +23,12 @@ and the reader converts every row's ``phi`` to a number to check it.
 header, which the parser of the writer's bytes refuses at its first
 comparison: it times the loadtxt path with that refused attempt.
 The ``cli.*`` cases time whole commands end to end: ``check`` of the random
-state, ``wigner`` of it (by the OAM path), ``reconstruct`` (least squares)
-of its grid, the self-star ``star`` of that grid, ``overlap`` of the grid
-with itself and ``render`` of it to a PPM image, each run in-process
-through the click entry point, as ``bench/harness.py`` runs its jobs, on
-input files written to the temporary directory and with its output written
-there.
+state (``cli.check.eigenstate``: of ``|0>``), ``wigner`` of it (by the OAM
+path), ``reconstruct`` (least squares) of its grid, the self-star ``star``
+of that grid, ``overlap`` of the grid with itself and ``render`` of it to a
+PPM image, each run in-process through the click entry point, as
+``bench/harness.py`` runs its jobs, on input files written to the temporary
+directory and with its output written there.
 
 Several source trees can be measured in one run; in every round of a case
 the trees take turns, in reversed order on every other round, so a slow
@@ -42,13 +42,19 @@ range of the other tree's round medians::
     python3 tools/bench_layers.py --tree parent=../parent/src --tree change=src \\
         -o BENCH.json
 
+``--layer NAME`` (repeatable) runs only the named layers, in the order of
+``LAYERS``; by default every layer runs.
+
 Only the standard library and numpy are used.  Inputs use the default grid
 (``4*span + 4`` angles) and padding (``8*span`` rows).  The state is random
-(seed 1), except in ``hudson_certify.eigenstate``, ``flatness_check`` and
-``write_wigner.eigenstate``, which take the eigenstate ``|0>``.  Either
-certification times the forward map, the negativity scan and the count of
-nonzero coefficients; ``flatness_check`` times the ``(n_phi, n_phi)``
-flatness inequality of ``|0>``, which the certifier does not call.
+(seed 1), except in ``hudson_certify.eigenstate``, ``cli.check.eigenstate``,
+``flatness_check`` and ``write_wigner.eigenstate``, which take the eigenstate
+``|0>``.  ``hudson_certify`` times the count of nonzero coefficients, the
+forward map and the negativity scan of the random state;
+``hudson_certify.eigenstate`` times the count and the report of ``|0>``
+written from its closed form, with the checks of the requested grid, and no
+forward map; ``flatness_check`` times the ``(n_phi, n_phi)`` flatness
+inequality of ``|0>``, which the certifier does not call.
 ``random_pure_state`` times state construction with its validation;
 ``star_product`` is the self-star of the random state's grid by the operator
 method.
@@ -86,6 +92,7 @@ LAYERS = (
     "read_wigner.lenient",
     "read_wigner.general",
     "cli.check",
+    "cli.check.eigenstate",
     "cli.wigner",
     "cli.reconstruct",
     "cli.star",
@@ -111,6 +118,8 @@ def _call(layer: str, half: int, tmp: str):
     eigen = cw.oam_eigenstate(0, w)
     if layer == "hudson_certify.eigenstate":
         return lambda: cw.hudson_certify(eigen)
+    if layer == "cli.check.eigenstate":
+        return _command("check", w, eigen, None, tmp)
     if layer == "flatness_check":
         return lambda: cw.flatness_check(eigen, grid)
     if layer == "write_wigner.eigenstate":
@@ -225,13 +234,26 @@ def spawn_case(src: str, layer: str, half: int) -> dict:
     return json.loads(cp.stdout.splitlines()[-1])
 
 
-def main() -> None:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
                         help="a source tree (the directory holding cylwig/); repeatable")
+    parser.add_argument("--layer", action="append", choices=LAYERS, metavar="NAME",
+                        help="run only this layer; repeatable (default: every layer)")
     parser.add_argument("--case", nargs=2, metavar=("LAYER", "HALF"), help=argparse.SUPPRESS)
     parser.add_argument("-o", "--output", default=None)
-    args = parser.parse_args()
+    return parser.parse_args(argv)
+
+
+def plan(layers=None) -> list[tuple[int, str]]:
+    """The (window, layer) cases to run, window by window in ``LAYERS``
+    order: every layer, or only those in ``layers``."""
+    return [(half, layer) for half in WINDOWS for layer in LAYERS
+            if not layers or layer in layers]
+
+
+def main() -> None:
+    args = parse_args()
     if args.case:
         print(json.dumps(run_case(args.case[0], int(args.case[1]))))
         return
@@ -239,7 +261,7 @@ def main() -> None:
     import numpy
 
     cases = []
-    todo = [(half, layer) for half in WINDOWS for layer in LAYERS]
+    todo = plan(args.layer)
     for i, (half, layer) in enumerate(todo):
         runs = {label: [] for label, _ in trees}
         for r in range(ROUNDS):
@@ -253,9 +275,11 @@ def main() -> None:
     result = {
         "what": "per-call wall time of library layers, default grid and pad, "
                 "random pure state (seed 1; star_product its self-star) or, "
-                "for hudson_certify.eigenstate (forward map, negativity scan "
-                "and coefficient count), flatness_check and "
-                "write_wigner.eigenstate, the eigenstate |0>; read_wigner.general "
+                "for hudson_certify.eigenstate (coefficient count and the "
+                "closed-form report, no forward map), cli.check.eigenstate, "
+                "flatness_check and write_wigner.eigenstate, the eigenstate "
+                "|0>; hudson_certify of the random state times its forward "
+                "map and negativity scan; read_wigner.general "
                 "reads the written grid with a '#' line after its header; "
                 "cli.* cases (check, wigner, reconstruct, star, overlap, "
                 "render) run the command in-process on files of that state "

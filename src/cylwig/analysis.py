@@ -84,6 +84,15 @@ def negativity(W: WignerGrid, tolerance: float = DEFAULT_TOLERANCE) -> Negativit
     is ``negative_witnessed`` below ``-tolerance`` and ``inconclusive``
     otherwise; ``oam_eigenstate`` is the certifier's decision, from the
     coefficients.
+
+    The negative volume depends on the pad ``P`` of the stored rows, not
+    only on the state.  Far from the window
+    ``|W(l, phi)| ~ |S(phi)|/(2pi^2 |l|)``, with a sign that alternates with
+    ``l``, where ``S = sum_k (-1)^k X_{2 l_min + 1 + 2k}`` is the alternating
+    sum of the odd rows of ``X = Re(R @ E)`` (see :mod:`cylwig.phasespace`).
+    So the volume grows like ``V_0 + (1/2pi^2) int |S| dphi ln P``, and it
+    converges only where ``S`` vanishes, as for coherent states, whose rows
+    fall off like ``1/l^2``.
     """
     _check_tolerance(tolerance)
     # the first cell holding the minimum (the first NaN, if any), as argmin finds

@@ -183,7 +183,13 @@ def wigner(input_file, nphi, pad, method, output):
 @click.option("-o", "--output", type=click.Path(), default=None)
 @_cli_errors
 def check(input_file, nphi, pad, tol, output):
-    """Certify one state file; emits a negativity report (JSON)."""
+    """Certify one state file; emits a negativity report (JSON).
+
+    The report's negative_volume depends on --pad: it grows like
+    (1/2pi^2) * integral |S| dphi * ln(pad), where S(phi) is the sum over odd
+    m+n of (-1)^((m+n-1)/2) Re(rho_mn e^{i(m-n)phi}), and converges only where
+    S vanishes, as for a coherent state.
+    """
     psi = states.read_payload(input_file)
     if not isinstance(psi, states.PureState):
         raise ValueError(f"{input_file} holds a density matrix, not a pure state")
@@ -201,7 +207,11 @@ def check(input_file, nphi, pad, tol, output):
 @click.option("-o", "--output", type=click.Path(), default=None)
 @_cli_errors
 def scan(samples, window_str, seed, nphi, pad, tol, output):
-    """Certify random states (one JSON report per line, plus a summary)."""
+    """Certify random states (one JSON report per line, plus a summary).
+
+    Each report's negative_volume grows with --pad like
+    (1/2pi^2) * integral |S| dphi * ln(pad), with S(phi) as in check --help.
+    """
     if samples < 1:
         raise ValueError(f"--samples must be >= 1, got {samples}")
     window = _parse_window(window_str)

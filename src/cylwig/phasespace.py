@@ -620,14 +620,10 @@ def star_product(
 # bits ``float()`` gives.  At the first byte that differs that path gives
 # up, and the file is read again from its first data row by the general
 # path, which hands ``_READ_BLOCK`` lines at a time to ``np.loadtxt``, so
-# every message is the general path's.  loadtxt reads l, phi_index and value
-# as floats and keeps phi as text: phi only names the node that phi_index
-# already gives, so in a file that is not the writer's bytes (one with a
-# comment line, CRLF line ends or a value the fast path refuses) the node's
-# own 17-digit text passes by a comparison of text.  A block with any other
-# phi is parsed once more for its phi column alone, and each such row's
-# number is checked.  A block that does not parse is scanned again in
-# Python to name its first bad data row.
+# every message is the general path's.  loadtxt reads every field of every
+# row as a float, and each row's phi is checked against the node that its
+# phi_index names.  A block that does not parse is scanned again in Python
+# to name its first bad data row.
 
 # Lines per ``np.loadtxt`` call, blank and comment lines included.  The block
 # is held as a list of strings beside its parsed rows: at 4,096 lines the
@@ -635,13 +631,7 @@ def star_product(
 # +-64 the 8.6 MiB grid dominates either way (10.1 against 9.0 MiB).
 _READ_BLOCK = 1024
 
-# Characters of each phi field that loadtxt keeps.  A node's 17-digit text
-# has at most 23 ("-1.2246467991473532e-16"), so a field cut to this width
-# never equals it, and its number is read whole from its line.
-_PHI_WIDTH = 24
-_ROW = np.dtype(
-    [("l", float), ("phi_index", float), ("phi", f"U{_PHI_WIDTH}"), ("value", float)]
-)
+_ROW = np.dtype([("l", float), ("phi_index", float), ("phi", float), ("value", float)])
 # Cells per chunk of the writer's vectorized formatter, which holds a few
 # dozen bytes per cell; a chunk is whole rows, at least one.
 _CSV_CHUNK = 4096
@@ -979,10 +969,9 @@ def read_wigner(path) -> WignerGrid:
       (``float()`` takes the stripped text, which is ASCII and holds no
       ``_``); ``l`` and ``phi_index`` are integers naming each cell of
       ``[l_lo, l_hi] x [0, n_phi)`` exactly once, and the value is finite;
-    - ``phi`` is the node ``phi_index``: the node's own 17-digit text, which
-      ``write_wigner`` prints, passes as it stands; any other field, and every
-      field of a block that holds a NUL, must be a number by the same rules
-      within ``1e-12`` of the node.
+    - ``phi`` is a number by the same rules within ``1e-12`` of the node
+      ``phi_index``; the node's own 17-digit text, which ``write_wigner``
+      prints, reads as the node exactly.
 
     The grid is sized once, from the header and the file's size (a pipe,
     which has none, is refused): a header with ``l_hi < l_lo``, or whose
@@ -1033,36 +1022,33 @@ def read_wigner(path) -> WignerGrid:
                 f"wigner CSV header needs {n_cells} cells, more than the file's "
                 f"{info.st_size} bytes hold at 8 bytes per row"
             )
-        # The grid and the node texts, which take 4 * _PHI_WIDTH bytes each
-        # in the general path: at most n_cells // 12 of them are made, never
-        # more bytes than the grid, or all n_phi when n_phi <= _READ_CELLS,
-        # a bounded few.  There the rows of later nodes meet the last entry,
-        # the delimiter, which no field holds: they take the numeric check.
-        # The writer's bytes are parsed only when every node has its text.
+        # The grid, then either the nodes that the general path checks each
+        # phi against, at most one per cell, or the node texts of the
+        # writer's bytes, which are made only for at most n_cells // 12
+        # nodes, or for at most _READ_CELLS, a bounded few.
         _check_budget("wigner grid", 2 * n_cells)
         values = np.full(n_cells, np.nan)  # NaN: not yet read
-        nodes = _f17s(grid.nodes[: max(n_cells // 12, min(n_phi, _READ_CELLS))])
         header = _csv_header(l_lo, l_hi, n_phi, source_l_min, source_l_max, pad)
         # The text handle reads on from where its binary buffer stands.
         resume = fh.buffer.tell()
-        if len(nodes) < n_phi or not _read_written(
+        if n_phi > max(n_cells // 12, _READ_CELLS) or not _read_written(
             fh.buffer, info.st_size, header,
-            *_cell_texts(range(l_lo, l_hi + 1), nodes), values.reshape(-1, n_phi),
+            *_cell_texts(range(l_lo, l_hi + 1), _f17s(grid.nodes)),
+            values.reshape(-1, n_phi),
         ):
             fh.buffer.seek(resume)
             values.fill(np.nan)
-            _read_rows(itertools.chain([line], fh), l_lo, l_hi, grid, nodes, values)
+            _read_rows(itertools.chain([line], fh), l_lo, l_hi, grid, values)
     window = OamWindow(source_l_min, source_l_max)
     values = values.reshape(l_hi - l_lo + 1, n_phi)
     return WignerGrid(l_lo, l_hi, grid, values, window, pad, _fresh=True)
 
 
-def _read_rows(lines, l_lo: int, l_hi: int, grid: AngleGrid, nodes, values) -> None:
+def _read_rows(lines, l_lo: int, l_hi: int, grid: AngleGrid, values) -> None:
     """Fill the flat grid ``values``, all NaN, from the data ``lines`` by
-    ``np.loadtxt``, ``_READ_BLOCK`` lines at a time; ``nodes`` are the texts
-    of the first nodes."""
+    ``np.loadtxt``, ``_READ_BLOCK`` lines at a time."""
     n_rows = 0
-    node_text = np.array([*nodes, ","], dtype=_ROW["phi"])
+    nodes = grid.nodes
     with warnings.catch_warnings():
         # loadtxt warns of a block that holds only blank or comment lines.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -1071,7 +1057,7 @@ def _read_rows(lines, l_lo: int, l_hi: int, grid: AngleGrid, nodes, values) -> N
                 cells = np.loadtxt(block, _ROW, delimiter=",", comments="#", ndmin=1)
             except ValueError:
                 raise ValueError(_malformed_row(block, n_rows)) from None
-            _check_cells(cells, block, n_rows, l_lo, l_hi, grid, node_text, values)
+            _check_cells(cells, l_lo, l_hi, nodes, values)
             n_rows += len(cells)
     # No cell repeats, so at least as many rows as cells cover every cell.
     if n_rows < values.size:
@@ -1181,32 +1167,14 @@ def _is_number(field: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def _phi_numbers(block: list[str], offset: int) -> np.ndarray:
-    """The ``phi`` of every data row of ``block``, read whole from its line
-    as ``np.loadtxt`` reads a number, in the order of the block's parsed
-    rows; a ``phi`` that is not a number raises the block's malformed-row
-    message."""
-    try:
-        return np.loadtxt(block, delimiter=",", comments="#", usecols=2, ndmin=1)
-    except ValueError:
-        raise ValueError(_malformed_row(block, offset)) from None
-
-
-def _check_cells(
-    cells, block, offset, l_lo: int, l_hi: int, grid: AngleGrid, node_text, values
-) -> None:
-    """Check one block of parsed rows ``l, phi_index, phi, value`` (``block``
-    holds their lines, after the ``offset`` data rows of earlier blocks) and
+def _check_cells(cells, l_lo: int, l_hi: int, nodes: np.ndarray, values) -> None:
+    """Check one block of parsed rows ``l, phi_index, phi, value`` and
     scatter its values into the flat grid ``values``, whose cells not yet
-    read hold NaN.
-
-    A ``phi`` equal to ``node_text[phi_index]`` names that node.  Every
-    other row is loose: its ``phi``, read whole from its line, must be a
-    number within 1e-12 of the node.  The last entry of ``node_text`` stands
-    for every node past the others.
+    read hold NaN; each row's ``phi`` must lie within 1e-12 of its node in
+    ``nodes``.
     """
-    n_phi = grid.n_phi
-    ls, js, text, value = cells["l"], cells["phi_index"], cells["phi"], cells["value"]
+    n_phi = len(nodes)
+    ls, js, phis, value = cells["l"], cells["phi_index"], cells["phi"], cells["value"]
     for bad, what in (
         ((ls < l_lo) | (ls > l_hi) | (js < 0) | (js >= n_phi),
          f"outside [{l_lo}, {l_hi}] x [0, {n_phi})"),
@@ -1214,22 +1182,12 @@ def _check_cells(
         (~np.isfinite(value), "holds non-finite value {:.17g}"),
     ):
         if bad.any():
-            # a phi that is not a number makes the block malformed first
-            _phi_numbers(block, offset)
             k = int(np.argmax(bad))
             raise ValueError(
                 f"wigner CSV cell (l={ls[k]:.17g}, phi_index={js[k]:.17g}) "
                 + what.format(value[k])
             )
     js = js.astype(np.int64)
-    loose = np.flatnonzero(text != node_text[np.minimum(js, len(node_text) - 1)])
-    # numpy drops a text field's trailing NULs, which no number holds, so in
-    # a block that holds a NUL every row is loose.  One join per block costs
-    # less than a test per line (15 against 55 us per 1,024 lines at +-16).
-    if "\0" in "".join(block):
-        loose = np.arange(len(js))
-    if len(loose):
-        phis = _phi_numbers(block, offset)[loose]
     flat = (ls - l_lo).astype(np.int64) * n_phi + js
     # A cell repeats if an earlier block set it, or if a later row of this
     # block overwrites the row position scattered here.
@@ -1242,14 +1200,12 @@ def _check_cells(
         raise ValueError(
             f"wigner CSV repeats cell (l={l_lo + k // n_phi}, phi_index={k % n_phi})"
         )
-    if len(loose):
-        node = grid.nodes[js[loose]]
-        bad = ~(np.abs(phis - node) <= 1e-12)
-        if bad.any():
-            i = int(np.argmax(bad))
-            k = loose[i]
-            raise ValueError(
-                f"wigner CSV cell (l={ls[k]:.17g}, phi_index={js[k]}) has phi "
-                f"{phis[i]:.17g}, not the grid node {node[i]:.17g}"
-            )
+    node = nodes[js]
+    bad = ~(np.abs(phis - node) <= 1e-12)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"wigner CSV cell (l={ls[k]:.17g}, phi_index={js[k]}) has phi "
+            f"{phis[k]:.17g}, not the grid node {node[k]:.17g}"
+        )
     values[flat] = value

@@ -129,6 +129,54 @@ class TestNegativity:
             negativity(delta_grid(), tolerance)
 
 
+def _alternating_odd_sum(psi, grid):
+    """``S(phi_j) = sum_k (-1)^k X_{1+2k}(phi_j)``, with
+    ``X_t = Re sum_{m+n=t} c_m conj(c_n) e^{i(m-n)phi}`` and ``m, n`` counted
+    from the window's first harmonic: the angle profile of the ``1/l`` tail."""
+    c = psi.coefficients
+    m, n = np.indices((len(c), len(c)))
+    t = m + n
+    weight = np.where(t % 2 == 1, 1 - 2 * (((t - 1) // 2) % 2), 0)
+    phase = np.exp(1j * np.multiply.outer(grid.nodes, m - n))
+    return (phase * (weight * np.outer(c, c.conj()))).sum(axis=(1, 2)).real
+
+
+class TestNegativeVolumePad:
+    """Far from the window ``|W(l, phi)| ~ |S(phi)|/(2pi^2|l|)`` with a sign
+    that alternates with ``l``, so the negative volume grows like
+    ``(1/2pi^2) int|S| dphi ln P`` with the pad ``P``; it converges only
+    where ``S`` vanishes.  Window -8:8, default grid."""
+
+    window = OamWindow(-8, 8)
+
+    def _volumes(self, psi, pads):
+        grid = default_angle_grid(self.window)
+        return [negativity(wigner_from_oam(psi, pad, grid)).negative_volume for pad in pads]
+
+    @pytest.mark.parametrize("kind", ["random_seed_1", "zero_plus_one"])
+    def test_volume_grows_like_log_pad(self, kind):
+        if kind == "random_seed_1":
+            psi = random_pure_state(self.window, 1)
+        else:
+            c = np.zeros(self.window.size, dtype=complex)
+            c[8] = c[9] = 1 / np.sqrt(2)  # (|0> + |1>)/sqrt(2)
+            psi = PureState(self.window, c)
+        grid = default_angle_grid(self.window)
+        predicted = grid.spacing * np.abs(_alternating_odd_sum(psi, grid)).sum() / (2 * np.pi**2)
+        v512, v2048 = self._volumes(psi, (512, 2048))
+        slope = (v2048 - v512) / np.log(2048 / 512)
+        assert predicted > 0.1
+        assert abs(slope / predicted - 1) < 0.02
+
+    def test_coherent_volume_converges(self):
+        psi = coherent_state(0, 0.0, 1.0, self.window)
+        grid = default_angle_grid(self.window)
+        assert np.abs(_alternating_odd_sum(psi, grid)).max() < 1e-12
+        v128, v512, v2048 = self._volumes(psi, (128, 512, 2048))
+        assert 0 < v2048 - v512 < v512 - v128
+        assert v2048 - v512 < 0.01 * v2048
+
+
 class TestFlatness:
     def test_eigenstate_flat(self):
         res = flatness_check(oam_eigenstate(3, OamWindow(-4, 4)))

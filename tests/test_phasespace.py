@@ -226,9 +226,10 @@ class TestMemoryBudget:
     fail at once."""
 
     def test_reader_before_parsing(self, tmp_path, monkeypatch):
-        """The reader's grid and node texts, 16 bytes per cell, are checked
-        once the header is read: over the budget, a file whose first row is
-        malformed is refused for its size, not for that row."""
+        """The reader's budget of 16 bytes per cell, for its grid and the
+        nodes that the rows are checked against, is checked once the header
+        is read: over the budget, a file whose first row is malformed is
+        refused for its size, not for that row."""
         W, lines = _small_csv_lines()
         path = tmp_path / "grid.csv"
         path.write_text("\n".join(lines[:2] + ["0,3,0.5"] + lines[2:]) + "\n")
@@ -1061,7 +1062,7 @@ class TestWignerFiles:
                   lambda x: _edit_row(x, 0, 3, 2, f"{AngleGrid(24).node(3):.17g}\0"),
                   re.escape(f"data row 148, field 3: {format(AngleGrid(24).node(3), '.17g') + chr(0)!r} "
                             "is not a number")),
-            # Cut to the text field's width this reads as the node itself.
+            # The node's 17 digits lead a field that is 1e5 times the node.
             _case("phi_wider_than_field",
                   lambda x: _edit_row(x, 0, 3, 2, f"{AngleGrid(24).node(3):.17g}" + "0" * 10 + "e5"),
                   re.escape(f"cell (l=0, phi_index=3) has phi {AngleGrid(24).node(3) * 1e5:.17g}, "
@@ -1124,13 +1125,13 @@ class TestWignerFiles:
             lambda lines: lines[:2] + [" " + x.replace(",", " , ") + " " for x in lines[2:]],
             lambda lines: lines[:2] + list(np.random.default_rng(0).permutation(lines[2:])),
             lambda lines: lines[:2] + ["# a comment"] + lines[2:],
-            # a NUL in a block reads every phi of it from its line
+            # a NUL in a comment line goes with the comment
             lambda lines: lines[:12] + ["# note \0"] + lines[12:],
             lambda lines: lines[:2] + [
                 ",".join(p[:2] + [format(float(p[2]), ".13g"), p[3]])
                 for p in (x.split(",") for x in lines[2:])
             ],
-            # wider than the text field: read again from the line, not cut
+            # more digits than a double holds
             lambda lines: _edit_phi(lines, lambda phi: format(phi, ".40g")),
             lambda lines: _edit_phi(lines, lambda phi: format(phi, "+.17g")),
             lambda lines: _edit_phi(lines, lambda phi: format(phi, ".17g") + "000"),
@@ -1351,10 +1352,10 @@ class TestReadBlocks:
 
     @pytest.mark.parametrize("shift", [0.0, 2e-12], ids=["exact", "phi_off_by_2e-12"])
     def test_node_text_and_13_digit_rows_mixed(self, tmp_path, shift):
-        """Every third row prints phi to 13 digits, so blocks mix rows that
-        pass as their node's text with rows that are converted; the row of
-        cell (l=-6, phi_index=6), in the second block, is 13-digit text moved
-        by ``shift``."""
+        """Every third row prints phi to 13 digits, so blocks mix 17- and
+        13-digit texts, each read as a number and checked against its node;
+        the row of cell (l=-6, phi_index=6), in the second block, is 13-digit
+        text moved by ``shift``."""
         W, lines = _small_csv_lines()
         data = lines[2:]
         for k in range(0, len(data), 3):
@@ -1446,6 +1447,46 @@ class TestWrittenBytes:
         back = read_wigner(tmp_path / "grid.csv")
         assert (back.l_lo, back.l_hi, back.pad) == (W.l_lo, W.l_hi, W.pad)
         assert np.array_equal(back.values.view(np.uint64), W.values.view(np.uint64))
+
+    @staticmethod
+    def _one_row(tmp_path, n_phi):
+        W = wigner_from_oam(random_pure_state(OamWindow(3, 3), 5), 0, AngleGrid(n_phi))
+        write_wigner(W, tmp_path / "grid.csv")
+        return W, tmp_path / "grid.csv"
+
+    def test_one_row_at_the_angle_cap_read_without_loadtxt(self, tmp_path, no_loadtxt):
+        """A grid of fewer than 12 rows is parsed up to ``_READ_CELLS`` angles."""
+        W, path = self._one_row(tmp_path, 2048)
+        assert np.array_equal(read_wigner(path).values.view(np.uint64), W.values.view(np.uint64))
+
+    def test_one_row_past_the_angle_cap_read_by_loadtxt(self, tmp_path, monkeypatch):
+        """Past the cap the writer's bytes are not tried: loadtxt reads them
+        to the written bits and checks every row's ``phi`` against its node."""
+
+        def refuse(*args):
+            raise AssertionError("the writer's bytes were parsed")
+
+        loadtxt, parses = np.loadtxt, []
+
+        def spy(*args, **kwargs):
+            parses.append(1)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(phasespace, "_read_written", refuse)
+        monkeypatch.setattr(np, "loadtxt", spy)
+        W, path = self._one_row(tmp_path, 2050)
+        assert np.array_equal(read_wigner(path).values.view(np.uint64), W.values.view(np.uint64))
+        assert parses
+        node = W.grid.node(5)
+        lines = path.read_text().split("\n")
+        l, j, phi, value = lines[7].split(",")
+        assert (l, j, float(phi)) == ("3", "5", node)
+        lines[7] = f"3,5,{node + 1e-6:.17g},{value}"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"wigner CSV cell (l=3, phi_index=5) has phi {node + 1e-6:.17g}, "
+                f"not the grid node {node:.17g}") + "$"):
+            read_wigner(path)
 
     @pytest.mark.parametrize("cells", [7, 10, 24, 48, 50])
     def test_chunks_of_whole_rows_or_part_of_one(self, tmp_path, no_loadtxt, monkeypatch, cells):

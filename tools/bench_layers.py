@@ -17,8 +17,8 @@ and ``density_payload_to_json`` formats the random state's density matrix as
 ``read_wigner`` reads the writer's own bytes, which take the reader's
 parser of those bytes; the two other read cases take the loadtxt path.
 ``read_wigner.lenient`` reads the same grid with its ``phi`` column printed
-to 13 significant digits, so that no row's ``phi`` is its node's own text
-and the reader converts every row's ``phi`` to a number to check it.
+to 13 significant digits, which the parser of the writer's bytes refuses at
+the first row's ``phi``: it times the loadtxt path on shorter ``phi`` texts.
 ``read_wigner.general`` reads the written grid with one ``#`` line after its
 header, which the parser of the writer's bytes refuses at its first
 comparison: it times the loadtxt path with that refused attempt.
